@@ -3,9 +3,20 @@
 Run: python benchmarks/bench_kernels.py
 The numba path is selected at import via DPSPARSE_NUMBA=1 (default); this
 script times both implementations directly, so the env flag does not matter
-here. First numba timings exclude JIT compilation (one warmup call).
+here. Each cell is the median and interquartile range (IQR) over REPEATS
+separately timed calls, after one untimed warmup call (which also excludes
+numba's JIT compilation). BLAS runs on one thread unless OPENBLAS_NUM_THREADS
+(or OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS on a 2-vCPU host
+gave a huber_grad median of 16 ms at 2000x1000 in one run and 0.8 ms in the
+next.
 """
 
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import statistics
 import time
 
 import numpy as np
@@ -14,21 +25,37 @@ from dpsparse import _kernels as k
 
 SIZES = [(400, 1000), (2000, 1000), (500, 10000)]
 PEEL_SIZES = [(1000, 5), (10000, 5), (10000, 50)]
-REPEATS = 20
+REPEATS = 41
 
 
-def bench(fn, *args) -> float:
+def bench(fn, *args) -> tuple[float, float]:
+    """Median and IQR in ms of REPEATS calls, each timed on its own."""
     fn(*args)  # warmup (and JIT compile for the numba variants)
-    start = time.perf_counter()
+    samples = []
     for _ in range(REPEATS):
+        start = time.perf_counter()
         fn(*args)
-    return (time.perf_counter() - start) / REPEATS * 1e3
+        samples.append((time.perf_counter() - start) * 1e3)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return median, q3 - q1
+
+
+def row(name: str, shape: str, f_np, f_nb, args) -> None:
+    med_np, iqr_np = bench(f_np, *args)
+    cells = f"{name:<16}{shape:<16}{med_np:>10.3f}{iqr_np:>9.3f}"
+    if k.HAS_NUMBA:
+        med_nb, iqr_nb = bench(f_nb, *args)
+        cells += f"{med_nb:>10.3f}{iqr_nb:>9.3f}{med_np / med_nb:>8.1f}x"
+    else:
+        cells += f"{'n/a':>10}{'n/a':>9}"
+    print(cells)
 
 
 def main() -> None:
     rng = np.random.default_rng(0)
     print(f"numba available: {k.HAS_NUMBA}; selected backend: {k.BACKEND}")
-    print(f"{'kernel':<16}{'shape':<16}{'numpy ms':>10}{'numba ms':>10}{'speedup':>9}")
+    print(f"BLAS threads: {os.environ['OPENBLAS_NUM_THREADS']}; median and IQR in ms over n={REPEATS} calls per cell")
+    print(f"{'kernel':<16}{'shape':<16}{'numpy':>10}{'IQR':>9}{'numba':>10}{'IQR':>9}{'speedup':>9}")
     for m, d in SIZES:
         xc = np.clip(rng.standard_normal((m, d)), -3, 3)
         y = rng.standard_normal(m)
@@ -39,21 +66,11 @@ def main() -> None:
             ("squared_grad", k._squared_grad_numpy, k._squared_grad_numba, (xc, y, beta)),
         ]
         for name, f_np, f_nb, args in pairs:
-            t_np = bench(f_np, *args)
-            if k.HAS_NUMBA:
-                t_nb = bench(f_nb, *args)
-                print(f"{name:<16}{f'{m}x{d}':<16}{t_np:>10.3f}{t_nb:>10.3f}{t_np / t_nb:>8.1f}x")
-            else:
-                print(f"{name:<16}{f'{m}x{d}':<16}{t_np:>10.3f}{'n/a':>10}{'':>9}")
+            row(name, f"{m}x{d}", f_np, f_nb, args)
     for d, s in PEEL_SIZES:
         absv = np.abs(rng.standard_normal(d))
         noise = rng.standard_normal((s, d)) * 0.1
-        t_np = bench(k._peel_select_numpy, absv, noise)
-        if k.HAS_NUMBA:
-            t_nb = bench(k._peel_select_numba, absv, noise)
-            print(f"{'peel_select':<16}{f'd={d},s={s}':<16}{t_np:>10.3f}{t_nb:>10.3f}{t_np / t_nb:>8.1f}x")
-        else:
-            print(f"{'peel_select':<16}{f'd={d},s={s}':<16}{t_np:>10.3f}{'n/a':>10}{'':>9}")
+        row("peel_select", f"d={d},s={s}", k._peel_select_numpy, k._peel_select_numba, (absv, noise))
 
 
 if __name__ == "__main__":

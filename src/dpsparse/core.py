@@ -1,8 +1,10 @@
 """Domain types, feature clipping, ball projection, data splitting and metrics.
 
-Everything here is a pure function over immutable inputs. Dataset arrays are
-copied on construction and marked read-only so values can be shared freely
-across workers.
+Everything here is a pure function over immutable inputs. A Dataset built
+from caller arrays copies them, checks them and marks them read-only, so
+values can be shared freely across workers. Folds and clipped-response
+datasets derived from a Dataset are read-only views of its arrays: they are
+neither copied nor checked again.
 """
 
 from __future__ import annotations
@@ -218,6 +220,24 @@ def clip_features(x: np.ndarray, K: float) -> np.ndarray:
     return np.clip(x, -K, K)
 
 
+def _view(x: np.ndarray, y: np.ndarray) -> Dataset:
+    # A Dataset over arrays derived from one that was already checked and
+    # frozen (row slices, clipped responses): no copy and no second isfinite.
+    ds = object.__new__(Dataset)
+    object.__setattr__(ds, "x", x)
+    object.__setattr__(ds, "y", y)
+    return ds
+
+
+def clip_responses(ds: Dataset, R: float) -> Dataset:
+    """Truncate each response to [-R, R]; the features are shared, not copied."""
+    if not R >= 0:
+        raise InvalidInputError(f"response clip level R must be >= 0, got {R}")
+    y = np.clip(ds.y, -R, R)
+    y.setflags(write=False)
+    return _view(ds.x, y)
+
+
 def project_l2(v: np.ndarray, L: float) -> np.ndarray:
     """Project onto the l2 ball of radius L; interior points pass through."""
     if not L > 0:
@@ -241,11 +261,13 @@ def split_folds(ds: Dataset, T: int) -> list[Dataset]:
 
     The trailing n mod T samples are discarded so every fold has the same
     size (that keeps the per-fold sensitivity uniform across iterations).
+    Each fold is a read-only row view of ``ds``: it shares memory with the
+    parent and is not copied or checked again.
     """
     if T < 1 or T > ds.n:
         raise InvalidConfigError(f"fold count T={T} must satisfy 1 <= T <= n={ds.n}")
     m = ds.n // T
-    return [Dataset(ds.x[t * m : (t + 1) * m], ds.y[t * m : (t + 1) * m]) for t in range(T)]
+    return [_view(ds.x[t * m : (t + 1) * m], ds.y[t * m : (t + 1) * m]) for t in range(T)]
 
 
 def l2_error(beta_hat: np.ndarray, beta_star: np.ndarray) -> float:

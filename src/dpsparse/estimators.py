@@ -19,6 +19,7 @@ from .core import (
     Estimate,
     EstimatorConfig,
     PrivacyParams,
+    clip_responses,
     l2_error,
     project_l2,
     split_folds,
@@ -71,6 +72,7 @@ def _iht_loop(
     kind: LossKind,
     lam_of_eta,
     beta_star: np.ndarray | None,
+    response_clip: float | None = None,
 ) -> FitReport:
     folds = split_folds(ds, cfg.T)
     m = folds[0].n
@@ -81,7 +83,8 @@ def _iht_loop(
     streams = 0
     for t in range(cfg.T):
         eta = cfg.schedule.step(t)
-        grad = batch_gradient(folds[t], beta, kind, cfg.K, cfg.sign_on_clipped)
+        fold = folds[t] if response_clip is None else clip_responses(folds[t], response_clip)
+        grad = batch_gradient(fold, beta, kind, cfg.K, cfg.sign_on_clipped)
         with np.errstate(over="ignore", invalid="ignore"):
             update = eta * grad
             half = beta - update
@@ -181,14 +184,14 @@ def fit_dp_slr_lite(
         R = cfg.response_clip
     if R is None or R < 0:
         raise InvalidConfigError("dp-slr requires a response clip level R >= 0")
-    clipped = Dataset(ds.x, np.clip(ds.y, -R, R))
     return _iht_loop(
-        clipped,
+        ds,
         cfg,
         priv,
         Squared(),
         lambda eta, m: eta * cfg.K * (R + cfg.K * cfg.L) / m,
         beta_star,
+        response_clip=R,
     )
 
 
@@ -269,10 +272,9 @@ def _adversarial_record(gen: np.random.Generator, d: int) -> tuple[np.ndarray, f
 def _half_step(
     fold: Dataset, beta: np.ndarray, eta: float, kind: EstimatorKind, cfg: EstimatorConfig
 ) -> np.ndarray:
-    y = fold.y
     if kind is EstimatorKind.DP_SLR_LITE:
         R = cfg.response_clip if cfg.response_clip is not None else 0.0
-        fold = Dataset(fold.x, np.clip(y, -R, R))
+        fold = clip_responses(fold, R)
     grad = batch_gradient(fold, beta, _probe_loss(kind, cfg), cfg.K, cfg.sign_on_clipped)
     return beta - eta * grad
 

@@ -83,12 +83,16 @@ def batch_gradient(
         raise InvalidInputError("batch_gradient requires a nonempty fold")
     if beta.shape != (fold.d,):
         raise InvalidInputError(f"beta must have shape ({fold.d},), got {beta.shape}")
-    xc = clip_features(fold.x, K) if K is not None else fold.x
-    xc = np.ascontiguousarray(xc)
+    if K is not None and not K > 0:
+        raise InvalidInputError(f"clip level K must be > 0, got {K}")
+    # A fold's arrays were checked finite and frozen when its Dataset was
+    # built, and a row view of them is C-contiguous: clip once without
+    # re-checking, and hand the views to the kernels as they are.
+    xc = np.clip(fold.x, -K, K) if K is not None else fold.x
     if isinstance(kind, Huber):
         return _kernels.huber_grad(xc, fold.y, beta, kind.tau)
     if isinstance(kind, AbsoluteL1):
-        x_sign = xc if sign_on_clipped else np.ascontiguousarray(fold.x)
+        x_sign = xc if sign_on_clipped else fold.x
         return _kernels.l1_grad(x_sign, xc, fold.y, beta)
     if isinstance(kind, Squared):
         return _kernels.squared_grad(xc, fold.y, beta)
