@@ -1,14 +1,18 @@
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Benchmark the numba kernels against the pure-numpy fallbacks, and the
+hot-loop stages around them.
 
 Run: python benchmarks/bench_kernels.py
 The numba path is selected at import via DPSPARSE_NUMBA=1 (default); this
 script times both implementations directly, so the env flag does not matter
-here. Each cell is the median and interquartile range (IQR) over REPEATS
-separately timed calls, after one untimed warmup call (which also excludes
-numba's JIT compilation). BLAS runs on one thread unless OPENBLAS_NUM_THREADS
-(or OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS on a 2-vCPU host
-gave a huber_grad median of 16 ms at 2000x1000 in one run and 0.8 ms in the
-next.
+here. The stage cells time ``batch_gradient`` on a fold within K (read in
+place) and on a fold beyond K (clipped first), and the Laplace block draw of
+one peel with fresh arrays (the public ``laplace``) and with the reused
+workspace a fit passes to every iteration. Each cell is the median and
+interquartile range (IQR) over REPEATS separately timed calls, after one
+untimed warmup call (which also excludes numba's JIT compilation). BLAS runs
+on one thread unless OPENBLAS_NUM_THREADS (or OMP/MKL/BLIS_NUM_THREADS) is
+set: unpinned OpenBLAS on a 2-vCPU host gave a huber_grad median of 16 ms at
+2000x1000 in one run and 0.8 ms in the next.
 """
 
 import os
@@ -21,10 +25,14 @@ import time
 
 import numpy as np
 
+from dpsparse import Dataset, Huber, RngHandle, batch_gradient, laplace
 from dpsparse import _kernels as k
+from dpsparse.sampling import _laplace_fill
 
 SIZES = [(400, 1000), (2000, 1000), (500, 10000)]
 PEEL_SIZES = [(1000, 5), (10000, 5), (10000, 50)]
+FOLD_SHAPE = (1000, 1000)
+NOISE_SHAPE = (51, 10000)
 REPEATS = 41
 
 
@@ -71,6 +79,29 @@ def main() -> None:
         absv = np.abs(rng.standard_normal(d))
         noise = rng.standard_normal((s, d)) * 0.1
         row("peel_select", f"d={d},s={s}", k._peel_select_numpy, k._peel_select_numba, (absv, noise))
+    stage_rows(rng)
+
+
+def stage_row(name: str, shape: str, fn, args) -> None:
+    med, iqr = bench(fn, *args)
+    print(f"{name:<16}{shape:<16}{med:>10.3f}{iqr:>9.3f}{'n/a':>10}{'n/a':>9}")
+
+
+def stage_rows(rng) -> None:
+    m, d = FOLD_SHAPE
+    K = float(np.log(d))
+    x = rng.standard_normal((m, d))
+    y = rng.standard_normal(m)
+    beta = rng.standard_normal(d) / d
+    within = Dataset(x, y)
+    x[m // 2, d // 2] = 2 * K  # one entry beyond K makes the whole fold clip
+    beyond = Dataset(x, y)
+    for label, fold in (("within K", within), ("beyond K", beyond)):
+        stage_row(f"grad {label}", f"{m}x{d}", batch_gradient, (fold, beta, Huber(1.0), K))
+    stage_row("laplace fresh", "x".join(map(str, NOISE_SHAPE)), laplace, (0.5, RngHandle(1), NOISE_SHAPE))
+    out, scratch = np.empty(NOISE_SHAPE), np.empty(NOISE_SHAPE)
+    gen = RngHandle(1).generator()
+    stage_row("laplace reused", "x".join(map(str, NOISE_SHAPE)), _laplace_fill, (0.5, gen, out, scratch))
 
 
 if __name__ == "__main__":

@@ -2,9 +2,12 @@
 
 Everything here is a pure function over immutable inputs. A Dataset built
 from caller arrays copies them, checks them and marks them read-only, so
-values can be shared freely across workers. Folds and clipped-response
-datasets derived from a Dataset are read-only views of its arrays: they are
-neither copied nor checked again.
+values can be shared freely across workers. The same check records each
+row's peak max_j |x_ij|. Folds and clipped-response datasets derived from a
+Dataset are read-only views of its arrays and of its row peaks: they are
+neither copied nor checked again. The peaks let a fit clip the features of
+only those folds that hold an entry beyond the clip level K; clipping any
+other fold would return its features unchanged.
 """
 
 from __future__ import annotations
@@ -34,33 +37,16 @@ class Dataset:
     """n samples of (feature vector in R^d, response).
 
     ``x`` has shape (n, d), ``y`` shape (n,). Arrays are copied to float64,
-    validated to be finite, and frozen (read-only).
+    validated to be finite, and frozen (read-only). ``row_peak`` holds
+    max_j |x_ij| for each row i, read-only as well.
     """
 
     x: np.ndarray
     y: np.ndarray
+    row_peak: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        if x.ndim != 2:
-            raise InvalidInputError(f"features must be 2-d, got shape {x.shape}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise InvalidInputError(
-                f"responses must be 1-d with length {x.shape[0]}, got shape {y.shape}"
-            )
-        if x.shape[0] < 1 or x.shape[1] < 1:
-            raise InvalidInputError("dataset needs n >= 1 and d >= 1")
-        if not np.isfinite(x).all() or not np.isfinite(y).all():
-            raise InvalidInputError("dataset contains non-finite entries")
-        if x is self.x:
-            x = x.copy()
-        if y is self.y:
-            y = y.copy()
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _build(self, self.x, self.y, copy=True)
 
     @property
     def n(self) -> int:
@@ -76,6 +62,41 @@ class Dataset:
     @property
     def samples(self) -> list[Sample]:
         return [self.sample(i) for i in range(self.n)]
+
+
+def _build(ds: Dataset, x, y, copy: bool) -> None:
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if x.ndim != 2:
+        raise InvalidInputError(f"features must be 2-d, got shape {x.shape}")
+    if y.ndim != 1 or y.shape[0] != x.shape[0]:
+        raise InvalidInputError(
+            f"responses must be 1-d with length {x.shape[0]}, got shape {y.shape}"
+        )
+    if x.shape[0] < 1 or x.shape[1] < 1:
+        raise InvalidInputError("dataset needs n >= 1 and d >= 1")
+    # Row max and min propagate NaN and +-inf, so a finite peak per row is
+    # the finiteness check of x, made without an n x d temporary.
+    row_peak = np.maximum(x.max(axis=1), -x.min(axis=1))
+    if not np.isfinite(row_peak).all() or not np.isfinite(y).all():
+        raise InvalidInputError("dataset contains non-finite entries")
+    if copy and x is ds.x:
+        x = x.copy()
+    if copy and y is ds.y:
+        y = y.copy()
+    for arr in (x, y, row_peak):
+        arr.setflags(write=False)
+    object.__setattr__(ds, "x", x)
+    object.__setattr__(ds, "y", y)
+    object.__setattr__(ds, "row_peak", row_peak)
+
+
+def _adopt(x: np.ndarray, y: np.ndarray) -> Dataset:
+    # A Dataset over arrays its caller has just made and holds no other
+    # reference to: checked and frozen like Dataset(x, y), but not copied.
+    ds = object.__new__(Dataset)
+    _build(ds, x, y, copy=False)
+    return ds
 
 
 @dataclass(frozen=True)
@@ -220,22 +241,23 @@ def clip_features(x: np.ndarray, K: float) -> np.ndarray:
     return np.clip(x, -K, K)
 
 
-def _view(x: np.ndarray, y: np.ndarray) -> Dataset:
+def _view(x: np.ndarray, y: np.ndarray, row_peak: np.ndarray) -> Dataset:
     # A Dataset over arrays derived from one that was already checked and
-    # frozen (row slices, clipped responses): no copy and no second isfinite.
+    # frozen (row slices, clipped responses): no copy and no second check.
     ds = object.__new__(Dataset)
     object.__setattr__(ds, "x", x)
     object.__setattr__(ds, "y", y)
+    object.__setattr__(ds, "row_peak", row_peak)
     return ds
 
 
 def clip_responses(ds: Dataset, R: float) -> Dataset:
-    """Truncate each response to [-R, R]; the features are shared, not copied."""
+    """Truncate each response to [-R, R]; the features and row peaks are shared."""
     if not R >= 0:
         raise InvalidInputError(f"response clip level R must be >= 0, got {R}")
     y = np.clip(ds.y, -R, R)
     y.setflags(write=False)
-    return _view(ds.x, y)
+    return _view(ds.x, y, ds.row_peak)
 
 
 def project_l2(v: np.ndarray, L: float) -> np.ndarray:
@@ -261,13 +283,17 @@ def split_folds(ds: Dataset, T: int) -> list[Dataset]:
 
     The trailing n mod T samples are discarded so every fold has the same
     size (that keeps the per-fold sensitivity uniform across iterations).
-    Each fold is a read-only row view of ``ds``: it shares memory with the
-    parent and is not copied or checked again.
+    Each fold is a read-only row view of ``ds`` (features, responses and row
+    peaks): it shares memory with the parent and is not copied or checked
+    again.
     """
     if T < 1 or T > ds.n:
         raise InvalidConfigError(f"fold count T={T} must satisfy 1 <= T <= n={ds.n}")
     m = ds.n // T
-    return [_view(ds.x[t * m : (t + 1) * m], ds.y[t * m : (t + 1) * m]) for t in range(T)]
+    return [
+        _view(ds.x[rows], ds.y[rows], ds.row_peak[rows])
+        for rows in (slice(t * m, (t + 1) * m) for t in range(T))
+    ]
 
 
 def l2_error(beta_hat: np.ndarray, beta_star: np.ndarray) -> float:

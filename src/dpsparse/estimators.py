@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import InvalidConfigError, NumericalFailureError
 from .losses import AbsoluteL1, Huber, LossKind, Squared, batch_gradient
-from .peeling import PeelingParams, peel
+from .peeling import PeelingParams, _peel
 from .sampling import RngHandle
 
 
@@ -76,6 +76,10 @@ def _iht_loop(
 ) -> FitReport:
     folds = split_folds(ds, cfg.T)
     m = folds[0].n
+    # One selection-noise workspace per fit, overwritten by every iteration's
+    # peel: a private fit draws (s+1) x d Laplace variates per iteration.
+    noise = np.empty((cfg.s + 1, ds.d))
+    scratch = np.empty_like(noise) if priv.is_private else None
     beta = np.zeros(ds.d)
     support = np.arange(0)
     trace: list[float] | None = [] if beta_star is not None else None
@@ -98,7 +102,7 @@ def _iht_loop(
         rng = RngHandle(cfg.seed, stream=t) if priv.is_private else None
         if priv.is_private:
             streams += 1
-        peeled, support = peel(half, params, rng)
+        peeled, support = _peel(half, params, rng, noise, scratch)
         beta = project_l2(peeled, cfg.L)
         if trace is not None:
             trace.append(l2_error(beta, beta_star))

@@ -73,7 +73,10 @@ def batch_gradient(
     """Mean per-sample gradient of the chosen loss over one fold.
 
     Features are clipped entrywise at K before entering the gradient (K=None
-    skips clipping). For the absolute loss the residual sign is computed on
+    skips clipping). The clip is made only when the fold holds an entry
+    beyond K, read from its row peaks; on any other fold it would return the
+    features unchanged, so the kernels read the fold in place and the result
+    has the same bytes. For the absolute loss the residual sign is computed on
     the unclipped features by default, while the clipped features multiply
     the sign; ``sign_on_clipped`` selects the alternative reading. Every
     per-sample gradient coordinate is bounded by tau*K (Huber) or K (l1).
@@ -86,9 +89,11 @@ def batch_gradient(
     if K is not None and not K > 0:
         raise InvalidInputError(f"clip level K must be > 0, got {K}")
     # A fold's arrays were checked finite and frozen when its Dataset was
-    # built, and a row view of them is C-contiguous: clip once without
-    # re-checking, and hand the views to the kernels as they are.
-    xc = np.clip(fold.x, -K, K) if K is not None else fold.x
+    # built, and a row view of them is C-contiguous: clip at most once,
+    # without re-checking, and hand the views to the kernels as they are.
+    xc = fold.x
+    if K is not None and fold.row_peak.max() > K:
+        xc = np.clip(fold.x, -K, K)
     if isinstance(kind, Huber):
         return _kernels.huber_grad(xc, fold.y, beta, kind.tau)
     if isinstance(kind, AbsoluteL1):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidConfigError
-from .sampling import RngHandle, laplace
+from .sampling import RngHandle, _as_generator, _laplace_fill
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,31 @@ def peel(
     d = v.shape[0]
     if params.s > d:
         raise InvalidConfigError(f"s={params.s} exceeds vector length {d}")
+    noise = np.empty((params.s + 1, d))
+    return _peel(v, params, rng, noise, np.empty_like(noise))
+
+
+def _peel(
+    v: np.ndarray,
+    params: PeelingParams,
+    rng: RngHandle | np.random.Generator | None,
+    noise: np.ndarray,
+    scratch: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    # The body of peel for a checked float64 vector v. ``noise`` is an
+    # (s+1) x d C-contiguous work array that is overwritten; ``scratch``, of
+    # the same shape, is needed only when the noise scale is positive. A fit
+    # passes the same two arrays to every iteration.
     b = noise_scale(params)
     if b > 0.0:
         if rng is None:
             raise InvalidConfigError("peel with positive noise scale needs an rng")
         # Rows 0..s-1 are the per-round selection noise, row s the value noise;
         # one block draw matches s+1 sequential d-sized draws in row order.
-        noise = laplace(b, rng, size=(params.s + 1, d))
+        _laplace_fill(b, _as_generator(rng), noise, scratch)
     else:
-        noise = np.zeros((params.s + 1, d))
-    selected = _kernels.peel_select(np.abs(v), np.ascontiguousarray(noise[: params.s]))
-    out = np.zeros(d)
+        noise.fill(0.0)
+    selected = _kernels.peel_select(np.abs(v), noise[: params.s])
+    out = np.zeros(v.shape[0])
     out[selected] = v[selected] + noise[params.s, selected]
     return out, np.sort(selected)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _adopt
 from .errors import InvalidConfigError, InvalidParameterError
 
 # (tail index -> Student-t degrees of freedom) anchors; other tail indices use
@@ -72,14 +72,25 @@ def laplace(
         raise InvalidParameterError(f"scale b must be >= 0, got {b}")
     if b == 0.0:
         return 0.0 if size is None else np.zeros(size)
-    gen = _as_generator(rng)
-    r = gen.random(size)
+    out = np.empty(() if size is None else size)
+    _laplace_fill(b, _as_generator(rng), out, np.empty_like(out))
+    return float(out) if size is None else out
+
+
+def _laplace_fill(b: float, gen: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+    # The body of laplace for b > 0: fills ``out`` with out.size draws, using
+    # ``scratch`` (same shape) as the one work array. Both are C-contiguous
+    # float64; every step runs in place, in the order of the plain expression
+    # b * sign(u) * log1p(-2|u|), so the draws keep their bytes.
+    gen.random(out=out)
     # random() covers [0, 1); remap the measure-zero r == 0 to 0.5 so that
     # u = -1/2 (a log(0)) cannot occur.
-    r = np.where(r == 0.0, 0.5, r)
-    u = r - 0.5
-    draws = b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    return float(draws) if size is None else draws
+    if not out.all():
+        out[out == 0.0] = 0.5
+    np.subtract(out, 0.5, out=out)  # u
+    np.multiply(b, np.sign(out, out=scratch), out=scratch)
+    np.multiply(-2.0, np.abs(out, out=out), out=out)
+    np.multiply(scratch, np.log1p(out, out=out), out=out)
 
 
 def student_t(
@@ -151,4 +162,5 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     else:
         noise = np.zeros(cfg.n)
     y = x @ beta_star + noise
-    return Dataset(x, y), beta_star
+    # x and y are fresh and held nowhere else: check and freeze them in place.
+    return _adopt(x, y), beta_star

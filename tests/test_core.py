@@ -17,6 +17,7 @@ from dpsparse import (
     save_csv,
     split_folds,
 )
+from dpsparse.core import clip_responses
 from dpsparse.errors import CsvParseError
 
 
@@ -178,6 +179,32 @@ def test_dataset_validation():
         Dataset(np.ones((3, 2)), np.ones(4))
     with pytest.raises(InvalidInputError):
         Dataset(np.ones((0, 2)), np.ones(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_dataset_rejects_non_finite_entries(bad, where):
+    x, y = np.ones((3, 4)), np.ones(3)
+    if where == "x":
+        x[1, 2] = bad
+    else:
+        y[2] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        Dataset(x, y)
+
+
+def test_row_peak_is_read_only_and_shared_by_views():
+    x = np.array([[1.0, -3.0], [0.5, 0.25], [-0.0, 2.0], [4.0, -4.5]])
+    ds = Dataset(x, np.arange(4.0))
+    np.testing.assert_array_equal(ds.row_peak, [3.0, 0.5, 2.0, 4.5])
+    assert not ds.row_peak.flags.writeable
+    with pytest.raises(ValueError):
+        ds.row_peak[0] = 0.0
+    for t, fold in enumerate(split_folds(ds, 2)):
+        assert np.shares_memory(fold.row_peak, ds.row_peak)
+        np.testing.assert_array_equal(fold.row_peak, ds.row_peak[2 * t : 2 * t + 2])
+        assert not fold.row_peak.flags.writeable
+    assert clip_responses(ds, 1.0).row_peak is ds.row_peak
 
 
 def test_dataset_is_frozen_and_copies():

@@ -1,0 +1,241 @@
+"""Allocation-free IHT hot loop: the feature clip runs only on folds that hold
+an entry beyond K, the selection noise is drawn into one workspace per fit,
+and generated data is not copied. None of it may change an output bit.
+
+The pinned digests were recorded before any of these changes, on a problem
+in which some folds hold entries beyond K and the others do not.
+"""
+
+import hashlib
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dpsparse import (
+    AbsoluteL1,
+    ConstantStep,
+    Dataset,
+    EstimatorConfig,
+    EstimatorKind,
+    Huber,
+    PeelingParams,
+    PrivacyParams,
+    Squared,
+    SyntheticConfig,
+    backend_name,
+    batch_gradient,
+    fit_estimator,
+    generate_synthetic,
+    laplace,
+    peel,
+    split_folds,
+)
+from dpsparse import _kernels, estimators
+from dpsparse.peeling import _peel
+from dpsparse.sampling import RngHandle, _laplace_fill
+
+N, D, T = 600, 50, 13
+K = math.log(D)
+M = N // T
+# (row, column, value): entries beyond K in folds 1, 4 and 9 only, and one in
+# a trailing row that no fold uses.
+PLANTED = ((1 * M + 3, 7, 9.0), (4 * M + 10, 2, -12.0), (9 * M, 40, 5.5), (N - 1, 7, 20.0))
+FOLDS_BEYOND_K = {1, 4, 9}
+
+# sha256 of (beta bytes, support as int64 bytes) per estimator, per backend.
+DIGESTS = {
+    "numpy": {
+        "dp-iht-h": (
+            "299d9321f0455add8af543f704b2c144c692c99a4a8cd8c307166f5221f22d42",
+            "91f98b6165226b285c438caa0aada960056bc83ec73c537e127c3387cc84eaf2",
+        ),
+        "dp-iht-l": (
+            "a148bdba59769363576ac0713bff069ba501c8258cf8e66d1e621db8227793f4",
+            "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
+        ),
+        "ada-huber": (
+            "7ff4f98421a4c17fb80e3811d12a9610d67e77bfcb9f4063345c3630c06ed4eb",
+            "91f98b6165226b285c438caa0aada960056bc83ec73c537e127c3387cc84eaf2",
+        ),
+        "dp-slr": (
+            "0f7fd0befd9202b8d36021a930d6e3506df691822177edc271961b2c63d2b3fb",
+            "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
+        ),
+    },
+}
+
+
+def mixed_problem():
+    gen = RngHandle(20251018, stream=0).generator()
+    x = 0.5 * gen.standard_normal((N, D))
+    for i, j, v in PLANTED:
+        x[i, j] = v
+    beta_star = np.zeros(D)
+    beta_star[[2, 7, 30]] = [1.5, -2.0, 1.0]
+    y = x @ beta_star + gen.standard_t(1.75, N)
+    cfg = EstimatorConfig(
+        s=3, T=T, K=K, L=10.0, schedule=ConstantStep(0.05),
+        tau=1.0, response_clip=10.0, seed=11,
+    )
+    # A large epsilon lets the selection follow the signal, so the planted
+    # columns 2 and 7 stay selected and their clip reaches every fit's beta.
+    return Dataset(x, y), cfg, PrivacyParams(epsilon=500.0, delta=N ** -1.1)
+
+
+def test_mixed_problem_has_folds_on_both_clip_paths():
+    ds, _, _ = mixed_problem()
+    beyond = {t for t, fold in enumerate(split_folds(ds, T)) if np.abs(fold.x).max() > K}
+    assert beyond == FOLDS_BEYOND_K
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+def test_fit_bytes_match_pinned_digests(kind):
+    if backend_name() not in DIGESTS:
+        pytest.skip(f"no digests recorded for the {backend_name()} backend")
+    ds, cfg, priv = mixed_problem()
+    est = fit_estimator(kind, ds, cfg, priv).estimate
+    got = (
+        hashlib.sha256(est.beta.tobytes()).hexdigest(),
+        hashlib.sha256(est.support.astype(np.int64).tobytes()).hexdigest(),
+    )
+    assert got == DIGESTS[backend_name()][kind.value]
+
+
+LOSSES = [
+    (Huber(1.0), False),
+    (AbsoluteL1(), False),
+    (AbsoluteL1(), True),
+    (Squared(), False),
+]
+
+
+def clipped_reference(fold, beta, kind, sign_on_clipped):
+    xc = np.clip(fold.x, -K, K)
+    if isinstance(kind, Huber):
+        return _kernels.huber_grad(xc, fold.y, beta, kind.tau)
+    if isinstance(kind, AbsoluteL1):
+        return _kernels.l1_grad(xc if sign_on_clipped else fold.x, xc, fold.y, beta)
+    return _kernels.squared_grad(xc, fold.y, beta)
+
+
+@pytest.mark.parametrize("t", [0, 4], ids=["within-K", "beyond-K"])
+@pytest.mark.parametrize("kind,sign_on_clipped", LOSSES, ids=["huber", "l1", "l1-sign-clipped", "squared"])
+def test_batch_gradient_equals_explicit_clip(t, kind, sign_on_clipped):
+    ds, _, _ = mixed_problem()
+    fold = split_folds(ds, T)[t]
+    beta = np.linspace(-1.0, 1.0, D)
+    got = batch_gradient(fold, beta, kind, K, sign_on_clipped)
+    want = clipped_reference(fold, beta, kind, sign_on_clipped)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t,in_place", [(0, True), (4, False)], ids=["within-K", "beyond-K"])
+def test_kernel_reads_fold_in_place_only_within_K(monkeypatch, t, in_place):
+    ds, _, _ = mixed_problem()
+    fold = split_folds(ds, T)[t]
+    seen = []
+    kernel = _kernels.huber_grad
+
+    def spy(xc, *args):
+        seen.append(xc)
+        return kernel(xc, *args)
+
+    monkeypatch.setattr(_kernels, "huber_grad", spy)
+    batch_gradient(fold, np.zeros(D), Huber(1.0), K)
+    assert (seen[0] is fold.x) is in_place
+    assert np.abs(seen[0]).max() <= K
+
+
+def old_laplace(b, rng, size):
+    # The draw as written before the workspace: one temporary per step.
+    r = rng.generator().random(size)
+    r = np.where(r == 0.0, 0.5, r)
+    u = r - 0.5
+    return b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+@pytest.mark.parametrize("size", [None, 7, (51, 1000)], ids=["scalar", "vector", "block"])
+def test_laplace_keeps_the_bytes_of_the_plain_expression(size):
+    rng = RngHandle(3, stream=9)
+    got = np.asarray(laplace(0.37, rng, size))
+    assert got.tobytes() == np.asarray(old_laplace(0.37, rng, size)).tobytes()
+
+
+def test_laplace_through_a_reused_workspace_equals_the_public_call():
+    out = np.full((51, 1000), np.nan)
+    scratch = np.full_like(out, -7.0)
+    for stream in range(3):
+        _laplace_fill(1.5, RngHandle(4, stream).generator(), out, scratch)
+        assert out.tobytes() == laplace(1.5, RngHandle(4, stream), size=(51, 1000)).tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [0.5, None], ids=["private", "non-private"])
+def test_peel_through_a_reused_workspace_equals_the_public_call(epsilon):
+    s, d = 4, 300
+    params = PeelingParams(s=s, epsilon=epsilon, delta=1e-3, lam=0.02)
+    noise = np.full((s + 1, d), np.nan)
+    scratch = np.full_like(noise, np.inf)
+    gen = np.random.default_rng(0)
+    for stream in range(3):
+        v = gen.standard_normal(d)
+        rng = RngHandle(5, stream) if epsilon is not None else None
+        got_v, got_s = _peel(v, params, rng, noise, scratch)
+        want_v, want_s = peel(v, params, rng)
+        assert got_v.tobytes() == want_v.tobytes()
+        assert got_s.tobytes() == want_s.tobytes()
+
+
+def test_private_fit_allocates_no_noise_block_per_iteration(monkeypatch):
+    # d is large against the fold, so the only per-iteration allocations that
+    # could reach (s+1) x d x 8 bytes are selection-noise arrays. Each
+    # interval runs from one iteration's projection, when the previous peel
+    # has returned and freed what it allocated, to the next iteration's
+    # selection, when its noise has been drawn. The allocation peak over an
+    # interval, above the memory held at its start, must stay below one block.
+    n, d, s, iters = 17 * 20, 2000, 50, 17
+    ds, _ = generate_synthetic(SyntheticConfig(n=n, d=d, s_star=5, seed=1))
+    cfg = EstimatorConfig(
+        s=s, T=iters, K=math.log(d), L=10.0, schedule=ConstantStep(0.05), tau=1.0, seed=2
+    )
+    starts, rises = [], []
+    project, select = estimators.project_l2, _kernels.peel_select
+
+    def start_interval(v, L):
+        starts.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return project(v, L)
+
+    def end_interval(absv, noise):
+        if starts:
+            rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        return select(absv, noise)
+
+    monkeypatch.setattr(estimators, "project_l2", start_interval)
+    monkeypatch.setattr(_kernels, "peel_select", end_interval)
+    tracemalloc.start()
+    try:
+        rep = fit_estimator(EstimatorKind.DP_IHT_H, ds, cfg, PrivacyParams(0.5, n ** -1.1))
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations_run == iters and len(rises) == iters - 1
+    assert max(rises) < (s + 1) * d * 8
+
+
+def test_generate_synthetic_adopts_its_arrays():
+    cfg = SyntheticConfig(n=2000, d=200, s_star=3, seed=4)
+    tracemalloc.start()
+    try:
+        ds, _ = generate_synthetic(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One n x d matrix at the peak: the features were not copied.
+    assert peak < 1.5 * ds.x.nbytes
+    assert not ds.x.flags.writeable and not ds.y.flags.writeable
+    assert not ds.row_peak.flags.writeable
+    np.testing.assert_array_equal(ds.row_peak, np.abs(ds.x).max(axis=1))
+    again, _ = generate_synthetic(cfg)
+    assert again.x.tobytes() == ds.x.tobytes() and again.y.tobytes() == ds.y.tobytes()
+
