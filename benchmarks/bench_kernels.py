@@ -1,18 +1,16 @@
-"""Benchmark the numba kernels against the pure-numpy fallbacks, and the
-hot-loop stages around them.
+"""Benchmark the numpy kernels and the hot-loop stages around them.
 
 Run: python benchmarks/bench_kernels.py
-The numba path is selected at import via DPSPARSE_NUMBA=1 (default); this
-script times both implementations directly, so the env flag does not matter
-here. The stage cells time ``batch_gradient`` on a fold within K (read in
-place) and on a fold beyond K (clipped first), and the Laplace block draw of
-one peel with fresh arrays (the public ``laplace``) and with the reused
-workspace a fit passes to every iteration. Each cell is the median and
-interquartile range (IQR) over REPEATS separately timed calls, after one
-untimed warmup call (which also excludes numba's JIT compilation). BLAS runs
-on one thread unless OPENBLAS_NUM_THREADS (or OMP/MKL/BLIS_NUM_THREADS) is
-set: unpinned OpenBLAS on a 2-vCPU host gave a huber_grad median of 16 ms at
-2000x1000 in one run and 0.8 ms in the next.
+The kernel cells time each gradient kernel and the peeling selection loop
+at fixed shapes. The stage cells time ``batch_gradient`` on a fold within K
+(read in place) and on a fold beyond K (clipped first), and the Laplace
+block draw of one peel with fresh arrays (the public ``laplace``) and with
+the reused workspace a fit passes to every iteration. Each cell is the
+median and interquartile range (IQR) over REPEATS separately timed calls,
+after one untimed warmup call. BLAS runs on one thread unless
+OPENBLAS_NUM_THREADS (or OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS
+on a 2-vCPU host gave a huber_grad median of 16 ms at 2000x1000 in one run
+and 0.8 ms in the next.
 """
 
 import os
@@ -38,7 +36,7 @@ REPEATS = 41
 
 def bench(fn, *args) -> tuple[float, float]:
     """Median and IQR in ms of REPEATS calls, each timed on its own."""
-    fn(*args)  # warmup (and JIT compile for the numba variants)
+    fn(*args)  # warmup
     samples = []
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -48,43 +46,27 @@ def bench(fn, *args) -> tuple[float, float]:
     return median, q3 - q1
 
 
-def row(name: str, shape: str, f_np, f_nb, args) -> None:
-    med_np, iqr_np = bench(f_np, *args)
-    cells = f"{name:<16}{shape:<16}{med_np:>10.3f}{iqr_np:>9.3f}"
-    if k.HAS_NUMBA:
-        med_nb, iqr_nb = bench(f_nb, *args)
-        cells += f"{med_nb:>10.3f}{iqr_nb:>9.3f}{med_np / med_nb:>8.1f}x"
-    else:
-        cells += f"{'n/a':>10}{'n/a':>9}"
-    print(cells)
+def row(name: str, shape: str, fn, args) -> None:
+    med, iqr = bench(fn, *args)
+    print(f"{name:<16}{shape:<16}{med:>10.3f}{iqr:>9.3f}")
 
 
 def main() -> None:
     rng = np.random.default_rng(0)
-    print(f"numba available: {k.HAS_NUMBA}; selected backend: {k.BACKEND}")
     print(f"BLAS threads: {os.environ['OPENBLAS_NUM_THREADS']}; median and IQR in ms over n={REPEATS} calls per cell")
-    print(f"{'kernel':<16}{'shape':<16}{'numpy':>10}{'IQR':>9}{'numba':>10}{'IQR':>9}{'speedup':>9}")
+    print(f"{'kernel':<16}{'shape':<16}{'median':>10}{'IQR':>9}")
     for m, d in SIZES:
         xc = np.clip(rng.standard_normal((m, d)), -3, 3)
         y = rng.standard_normal(m)
         beta = rng.standard_normal(d)
-        pairs = [
-            ("huber_grad", k._huber_grad_numpy, k._huber_grad_numba, (xc, y, beta, 1.0)),
-            ("l1_grad", k._l1_grad_numpy, k._l1_grad_numba, (xc, xc, y, beta)),
-            ("squared_grad", k._squared_grad_numpy, k._squared_grad_numba, (xc, y, beta)),
-        ]
-        for name, f_np, f_nb, args in pairs:
-            row(name, f"{m}x{d}", f_np, f_nb, args)
+        row("huber_grad", f"{m}x{d}", k.huber_grad, (xc, y, beta, 1.0))
+        row("l1_grad", f"{m}x{d}", k.l1_grad, (xc, xc, y, beta))
+        row("squared_grad", f"{m}x{d}", k.squared_grad, (xc, y, beta))
     for d, s in PEEL_SIZES:
         absv = np.abs(rng.standard_normal(d))
         noise = rng.standard_normal((s, d)) * 0.1
-        row("peel_select", f"d={d},s={s}", k._peel_select_numpy, k._peel_select_numba, (absv, noise))
+        row("peel_select", f"d={d},s={s}", k.peel_select, (absv, noise))
     stage_rows(rng)
-
-
-def stage_row(name: str, shape: str, fn, args) -> None:
-    med, iqr = bench(fn, *args)
-    print(f"{name:<16}{shape:<16}{med:>10.3f}{iqr:>9.3f}{'n/a':>10}{'n/a':>9}")
 
 
 def stage_rows(rng) -> None:
@@ -97,11 +79,11 @@ def stage_rows(rng) -> None:
     x[m // 2, d // 2] = 2 * K  # one entry beyond K makes the whole fold clip
     beyond = Dataset(x, y)
     for label, fold in (("within K", within), ("beyond K", beyond)):
-        stage_row(f"grad {label}", f"{m}x{d}", batch_gradient, (fold, beta, Huber(1.0), K))
-    stage_row("laplace fresh", "x".join(map(str, NOISE_SHAPE)), laplace, (0.5, RngHandle(1), NOISE_SHAPE))
+        row(f"grad {label}", f"{m}x{d}", batch_gradient, (fold, beta, Huber(1.0), K))
+    row("laplace fresh", "x".join(map(str, NOISE_SHAPE)), laplace, (0.5, RngHandle(1), NOISE_SHAPE))
     out, scratch = np.empty(NOISE_SHAPE), np.empty(NOISE_SHAPE)
     gen = RngHandle(1).generator()
-    stage_row("laplace reused", "x".join(map(str, NOISE_SHAPE)), _laplace_fill, (0.5, gen, out, scratch))
+    row("laplace reused", "x".join(map(str, NOISE_SHAPE)), _laplace_fill, (0.5, gen, out, scratch))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from .core import (
     Estimate,
     EstimatorConfig,
     PrivacyParams,
-    Sample,
     StepSchedule,
     TwoPhaseStep,
     clip_features,
@@ -35,10 +34,6 @@ from .errors import (
 from .estimators import (
     EstimatorKind,
     FitReport,
-    fit_ada_huber_lite,
-    fit_dp_iht_h,
-    fit_dp_iht_l,
-    fit_dp_slr_lite,
     fit_estimator,
     probe_bound,
     sensitivity_probe,
@@ -96,7 +91,6 @@ __all__ = [
     "PrivacyParams",
     "RealDataSpec",
     "RngHandle",
-    "Sample",
     "Squared",
     "StepSchedule",
     "SweepResult",
@@ -109,10 +103,6 @@ __all__ = [
     "clip_features",
     "default_clip_level",
     "derive_seed",
-    "fit_ada_huber_lite",
-    "fit_dp_iht_h",
-    "fit_dp_iht_l",
-    "fit_dp_slr_lite",
     "fit_estimator",
     "generate_synthetic",
     "huber_deriv",

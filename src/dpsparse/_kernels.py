@@ -1,82 +1,33 @@
 """Hot numeric kernels: per-fold gradients and the peeling selection loop.
 
-Two interchangeable backends are provided. The numba backend JIT-compiles
-tight loops; the numpy backend is pure vectorized code. Selection happens
-once at import time via the ``DPSPARSE_NUMBA`` environment variable
-("1"/"0", default "1" when numba imports). All kernels are deterministic
-given their inputs; randomness (noise matrices) is drawn by callers, so the
-two backends agree to floating-point summation order.
+Plain vectorized numpy: each gradient is two BLAS matrix-vector products,
+and selection is one argmax over d per round. All kernels are deterministic
+given their inputs; randomness (noise matrices) is drawn by callers. Callers
+reach the kernels through this module's attributes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _huber_grad_numpy(xc: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float) -> np.ndarray:
+def huber_grad(xc: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float) -> np.ndarray:
     r = y - xc @ beta
     w = np.clip(r, -tau, tau)
     return -(xc.T @ w) / xc.shape[0]
 
 
-@njit(cache=True)
-def _huber_grad_numba(xc, y, beta, tau):  # pragma: no cover - compiled
-    m = xc.shape[0]
-    r = y - np.dot(xc, beta)
-    for i in range(m):
-        if r[i] > tau:
-            r[i] = tau
-        elif r[i] < -tau:
-            r[i] = -tau
-    return -np.dot(r, xc) / m
-
-
-def _l1_grad_numpy(x_sign: np.ndarray, xc: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def l1_grad(x_sign: np.ndarray, xc: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     signs = np.sign(x_sign @ beta - y)
     return (xc.T @ signs) / xc.shape[0]
 
 
-@njit(cache=True)
-def _l1_grad_numba(x_sign, xc, y, beta):  # pragma: no cover - compiled
-    m = xc.shape[0]
-    r = np.dot(x_sign, beta) - y
-    for i in range(m):
-        if r[i] > 0.0:
-            r[i] = 1.0
-        elif r[i] < 0.0:
-            r[i] = -1.0
-    return np.dot(r, xc) / m
-
-
-def _squared_grad_numpy(xc: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def squared_grad(xc: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     r = xc @ beta - y
     return (xc.T @ r) / xc.shape[0]
 
 
-@njit(cache=True)
-def _squared_grad_numba(xc, y, beta):  # pragma: no cover - compiled
-    r = np.dot(xc, beta) - y
-    return np.dot(r, xc) / xc.shape[0]
-
-
-def _peel_select_numpy(absv: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def peel_select(absv: np.ndarray, noise: np.ndarray) -> np.ndarray:
     d = absv.shape[0]
     s = noise.shape[0]
     selected = np.empty(s, dtype=np.int64)
@@ -90,46 +41,6 @@ def _peel_select_numpy(absv: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return selected
 
 
-@njit(cache=True)
-def _peel_select_numba(absv, noise):  # pragma: no cover - compiled
-    d = absv.shape[0]
-    s = noise.shape[0]
-    selected = np.empty(s, dtype=np.int64)
-    taken = np.zeros(d, dtype=np.bool_)
-    for i in range(s):
-        best = -1
-        best_score = -np.inf
-        for j in range(d):
-            if taken[j]:
-                continue
-            score = absv[j] + noise[i, j]
-            if score > best_score:  # strict: lowest index wins ties
-                best_score = score
-                best = j
-        selected[i] = best
-        taken[best] = True
-    return selected
-
-
-def _use_numba() -> bool:
-    flag = os.environ.get("DPSPARSE_NUMBA", "1")
-    return HAS_NUMBA and flag not in ("0", "false", "no")
-
-
-if _use_numba():
-    BACKEND = "numba"
-    huber_grad = _huber_grad_numba
-    l1_grad = _l1_grad_numba
-    squared_grad = _squared_grad_numba
-    peel_select = _peel_select_numba
-else:
-    BACKEND = "numpy"
-    huber_grad = _huber_grad_numpy
-    l1_grad = _l1_grad_numpy
-    squared_grad = _squared_grad_numpy
-    peel_select = _peel_select_numpy
-
-
 def backend_name() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

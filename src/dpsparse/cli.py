@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -34,6 +33,7 @@ from .harness import (
     SweepSpec,
     default_delta,
     default_iterations,
+    estimator_schedule,
     run_real,
     run_sensitivity_suite,
     run_sweep,
@@ -41,6 +41,7 @@ from .harness import (
     write_real_csv,
     write_results_csv,
 )
+from .losses import default_clip_level
 from .sampling import SyntheticConfig, generate_synthetic
 
 _ALL_ESTIMATORS = [k.value for k in EstimatorKind]
@@ -158,8 +159,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     for key in ("n", "d"):
         if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < 1):
             problems.append(f"{key} must be a positive integer, got {cfg[key]!r}")
-    if "n" in cfg and "d" in cfg and isinstance(cfg.get("n"), int) and isinstance(cfg.get("d"), int):
-        cfg.setdefault("K", math.log(cfg["d"]) if cfg["d"] > 1 else 1.0)
+    if not problems and "n" in cfg and "d" in cfg:
+        cfg.setdefault("K", default_clip_level(cfg["d"]))
         cfg.setdefault("delta", default_delta(cfg["n"]))
         cfg.setdefault("s", cfg["s_star"])
         cfg.setdefault("T", default_iterations(cfg["n"]))
@@ -217,6 +218,11 @@ def _schedule_from_dict(spec: dict):
     raise InvalidConfigError(f"schedule kind must be constant or two-phase, got {kind!r}")
 
 
+def _schedule_l(cfg: dict):
+    spec = cfg.get("schedule_l")
+    return None if spec is None else _schedule_from_dict(spec)
+
+
 def _write_effective_config(cfg: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
@@ -234,9 +240,6 @@ def _experiment_base(cfg: dict) -> ExperimentBase:
         noise_scale=cfg["noise_scale"],
         seed=cfg["seed"],
     )
-    schedule_l = None
-    if cfg.get("schedule_l") is not None:
-        schedule_l = _schedule_from_dict(cfg["schedule_l"])
     return ExperimentBase(
         synthetic=syn,
         epsilon=cfg["epsilon"],
@@ -248,7 +251,7 @@ def _experiment_base(cfg: dict) -> ExperimentBase:
         L=cfg["L"],
         tau=cfg["tau"],
         response_clip=cfg["response_clip"],
-        schedule_l=schedule_l,
+        schedule_l=_schedule_l(cfg),
         sign_on_clipped=cfg.get("sign_on_clipped", False),
     )
 
@@ -348,15 +351,12 @@ def _cmd_fit(args) -> int:
         if non_private
         else PrivacyParams(epsilon=cfg["epsilon"], delta=cfg["delta"])
     )
-    schedule = ConstantStep(cfg["eta"])
-    if kind is EstimatorKind.DP_IHT_L and cfg.get("schedule_l") is not None:
-        schedule = _schedule_from_dict(cfg["schedule_l"])
     est_cfg = EstimatorConfig(
         s=cfg["s"],
         T=cfg["T"],
         K=cfg.get("K"),
         L=cfg["L"],
-        schedule=schedule,
+        schedule=estimator_schedule(kind, cfg["eta"], _schedule_l(cfg)),
         tau=cfg.get("tau"),
         response_clip=cfg.get("response_clip"),
         sign_on_clipped=cfg.get("sign_on_clipped", False),

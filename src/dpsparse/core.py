@@ -25,14 +25,6 @@ PROJECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One observation: a feature vector and its scalar response."""
-
-    features: np.ndarray
-    response: float
-
-
-@dataclass(frozen=True)
 class Dataset:
     """n samples of (feature vector in R^d, response).
 
@@ -55,13 +47,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(features=self.x[i], response=float(self.y[i]))
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [self.sample(i) for i in range(self.n)]
 
 
 def _build(ds: Dataset, x, y, copy: bool) -> None:
@@ -366,4 +351,4 @@ def load_csv(path, response_col: str = "y") -> tuple[Dataset, list[str]]:
             rows_x.append(vals)
     if not rows_x:
         raise CsvParseError("CSV has a header but no data rows", line=2)
-    return Dataset(np.array(rows_x), np.array(rows_y)), feature_names
+    return _adopt(np.array(rows_x), np.array(rows_y)), feature_names

@@ -1,15 +1,19 @@
-"""End-to-end estimators built on the gradient / peel / project iteration.
+"""End-to-end estimators built on one gradient / peel / project iteration.
 
-All four share one skeleton: clip features, split the data into T disjoint
-folds, then for each iteration take a gradient step on that iteration's fold,
-privately keep the top-s coordinates, and project onto the radius-L ball.
-They differ in the loss, the step schedule, and the per-entry sensitivity
-passed to the selection step.
+Every estimator runs the same loop in ``fit_estimator``: clip features, split
+the data into T disjoint folds, then for each iteration take a gradient step
+on that iteration's fold, privately keep the top-s coordinates, and project
+onto the radius-L ball. What tells the estimators apart sits in one table,
+``ESTIMATORS``: the loss, the per-entry sensitivity passed to the selection
+step, whether noise is added at all, and whether responses are clipped. The
+step schedule comes with the config. The sensitivity probes read the same
+table.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +50,78 @@ class EstimatorKind(enum.Enum):
         )
 
 
+Sensitivity = Callable[[EstimatorConfig, float, int], float]
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """What one estimator sets in the shared private IHT loop.
+
+    ``loss(cfg)`` builds the loss and raises InvalidConfigError when the
+    config lacks a parameter it needs. ``lam(cfg, eta, m)`` is the per-entry
+    selection sensitivity of one iteration with step ``eta`` on folds of
+    ``m`` records. An estimator that is not ``private`` runs without noise
+    whatever budget it is given. ``clips_responses`` truncates each fold's
+    responses to [-response_clip, response_clip] before the gradient.
+    ``replace_one`` names the neighbour relation ``lam`` is calibrated for:
+    the neighbour replaces one record (True) or nulls it out (False).
+    ``bound`` is the half-step deviation bound the sensitivity probe checks,
+    where it differs from ``lam``.
+    """
+
+    loss: Callable[[EstimatorConfig], LossKind]
+    lam: Sensitivity
+    private: bool = True
+    clips_responses: bool = False
+    replace_one: bool = False
+    bound: Sensitivity | None = None
+
+
+def _huber(cfg: EstimatorConfig) -> Huber:
+    if cfg.tau is None:
+        raise InvalidConfigError("Huber estimators require the Huber parameter tau")
+    return Huber(cfg.tau)
+
+
+def _huber_lam(cfg: EstimatorConfig, eta: float, m: int) -> float:
+    return eta * cfg.tau * cfg.K / m
+
+
+def _response_clip(cfg: EstimatorConfig) -> float:
+    if cfg.response_clip is None:
+        raise InvalidConfigError("dp-slr requires a response clip level R >= 0")
+    return cfg.response_clip
+
+
+ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
+    # Huber-loss private IHT: one record moves a gradient entry by at most tau*K.
+    EstimatorKind.DP_IHT_H: EstimatorSpec(loss=_huber, lam=_huber_lam),
+    # Absolute-loss private IHT: the residual sign of a replaced record can
+    # flip, so one record moves a gradient entry by up to 2*K. The step
+    # schedule may be two-phase; lam uses the current iteration's step.
+    EstimatorKind.DP_IHT_L: EstimatorSpec(
+        loss=lambda cfg: AbsoluteL1(),
+        lam=lambda cfg, eta, m: 2.0 * eta * cfg.K / m,
+        replace_one=True,
+    ),
+    # The Huber fit with all noise disabled: the reference-coefficient proxy
+    # for real-data comparisons.
+    EstimatorKind.ADA_HUBER_LITE: EstimatorSpec(loss=_huber, lam=_huber_lam, private=False),
+    # Squared-loss private IHT baseline on responses clipped to [-R, R].
+    EstimatorKind.DP_SLR_LITE: EstimatorSpec(
+        loss=lambda cfg: Squared(),
+        lam=lambda cfg, eta, m: eta * cfg.K * (_response_clip(cfg) + cfg.K * cfg.L) / m,
+        clips_responses=True,
+        # The fit's lam drops the sqrt(s) factor of the strict per-record
+        # bound, |x_c . beta| <= K ||beta||_1 <= K sqrt(s) L, that the probe
+        # checks. Closing the gap changes output bits (ROADMAP item 4).
+        bound=lambda cfg, eta, m: (
+            eta * cfg.K * (_response_clip(cfg) + np.sqrt(cfg.s) * cfg.K * cfg.L) / m
+        ),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class FitReport:
     """Fit output plus run diagnostics."""
@@ -65,15 +141,24 @@ def _validate_fit(ds: Dataset, cfg: EstimatorConfig, priv: PrivacyParams) -> Non
         raise InvalidConfigError("private fits require a finite clip level K")
 
 
-def _iht_loop(
+def fit_estimator(
+    kind: EstimatorKind,
     ds: Dataset,
     cfg: EstimatorConfig,
     priv: PrivacyParams,
-    kind: LossKind,
-    lam_of_eta,
-    beta_star: np.ndarray | None,
-    response_clip: float | None = None,
+    beta_star: np.ndarray | None = None,
 ) -> FitReport:
+    """Fit the estimator ``kind`` by private IHT over T disjoint folds.
+
+    A non-private estimator ignores ``priv`` and draws no noise. With
+    ``beta_star`` the estimate carries its l2 error after every iteration.
+    """
+    spec = ESTIMATORS[kind]
+    if not spec.private:
+        priv = PrivacyParams.non_private()
+    _validate_fit(ds, cfg, priv)
+    loss = spec.loss(cfg)
+    R = _response_clip(cfg) if spec.clips_responses else None
     folds = split_folds(ds, cfg.T)
     m = folds[0].n
     # One selection-noise workspace per fit, overwritten by every iteration's
@@ -87,8 +172,8 @@ def _iht_loop(
     streams = 0
     for t in range(cfg.T):
         eta = cfg.schedule.step(t)
-        fold = folds[t] if response_clip is None else clip_responses(folds[t], response_clip)
-        grad = batch_gradient(fold, beta, kind, cfg.K, cfg.sign_on_clipped)
+        fold = folds[t] if R is None else clip_responses(folds[t], R)
+        grad = batch_gradient(fold, beta, loss, cfg.K, cfg.sign_on_clipped)
         with np.errstate(over="ignore", invalid="ignore"):
             update = eta * grad
             half = beta - update
@@ -97,7 +182,7 @@ def _iht_loop(
                 f"non-finite iterate at iteration {t}", iteration=t
             )
         half_trace.append(float(np.max(np.abs(update))) if update.size else 0.0)
-        lam = lam_of_eta(eta, m) if priv.is_private else 0.0
+        lam = spec.lam(cfg, eta, m) if priv.is_private else 0.0
         params = PeelingParams(s=cfg.s, epsilon=priv.epsilon, delta=priv.delta, lam=lam)
         rng = RngHandle(cfg.seed, stream=t) if priv.is_private else None
         if priv.is_private:
@@ -115,143 +200,20 @@ def _iht_loop(
     )
 
 
-def fit_dp_iht_h(
-    ds: Dataset,
-    cfg: EstimatorConfig,
-    priv: PrivacyParams,
-    beta_star: np.ndarray | None = None,
-) -> FitReport:
-    """Huber-loss private IHT; per-iteration selection sensitivity eta*tau*K/m."""
-    _validate_fit(ds, cfg, priv)
-    if cfg.tau is None:
-        raise InvalidConfigError("dp-iht-h requires the Huber parameter tau")
-    tau = cfg.tau
-    return _iht_loop(
-        ds,
-        cfg,
-        priv,
-        Huber(tau),
-        lambda eta, m: eta * tau * cfg.K / m,
-        beta_star,
-    )
-
-
-def fit_dp_iht_l(
-    ds: Dataset,
-    cfg: EstimatorConfig,
-    priv: PrivacyParams,
-    beta_star: np.ndarray | None = None,
-) -> FitReport:
-    """Absolute-loss private IHT; selection sensitivity 2*eta_t*K/m.
-
-    The step schedule may be constant or two-phase (geometric decay, then a
-    constant step); the sensitivity always uses the current iteration's step.
-    """
-    _validate_fit(ds, cfg, priv)
-    return _iht_loop(
-        ds,
-        cfg,
-        priv,
-        AbsoluteL1(),
-        lambda eta, m: 2.0 * eta * cfg.K / m,
-        beta_star,
-    )
-
-
-def fit_ada_huber_lite(
-    ds: Dataset,
-    cfg: EstimatorConfig,
-    beta_star: np.ndarray | None = None,
-) -> FitReport:
-    """Non-private Huber IHT: the Huber fit with all noise disabled.
-
-    Serves as the reference-coefficient proxy for real-data comparisons.
-    """
-    return fit_dp_iht_h(ds, cfg, PrivacyParams.non_private(), beta_star)
-
-
-def fit_dp_slr_lite(
-    ds: Dataset,
-    cfg: EstimatorConfig,
-    priv: PrivacyParams,
-    R: float | None = None,
-    beta_star: np.ndarray | None = None,
-) -> FitReport:
-    """Squared-loss private IHT baseline with responses clipped to [-R, R].
-
-    The selection sensitivity uses the clipped-gradient coordinate bound in
-    the simplified form eta*K*(R + K*L)/m; the strict bound carries an extra
-    sqrt(s) factor on the K*L term (see sensitivity_probe).
-    """
-    _validate_fit(ds, cfg, priv)
-    if R is None:
-        R = cfg.response_clip
-    if R is None or R < 0:
-        raise InvalidConfigError("dp-slr requires a response clip level R >= 0")
-    return _iht_loop(
-        ds,
-        cfg,
-        priv,
-        Squared(),
-        lambda eta, m: eta * cfg.K * (R + cfg.K * cfg.L) / m,
-        beta_star,
-        response_clip=R,
-    )
-
-
-def fit_estimator(
-    kind: EstimatorKind,
-    ds: Dataset,
-    cfg: EstimatorConfig,
-    priv: PrivacyParams,
-    beta_star: np.ndarray | None = None,
-) -> FitReport:
-    """Dispatch a fit by estimator kind (harness entry point)."""
-    if kind is EstimatorKind.DP_IHT_H:
-        return fit_dp_iht_h(ds, cfg, priv, beta_star)
-    if kind is EstimatorKind.DP_IHT_L:
-        return fit_dp_iht_l(ds, cfg, priv, beta_star)
-    if kind is EstimatorKind.ADA_HUBER_LITE:
-        return fit_ada_huber_lite(ds, cfg, beta_star)
-    if kind is EstimatorKind.DP_SLR_LITE:
-        return fit_dp_slr_lite(ds, cfg, priv, beta_star=beta_star)
-    raise InvalidConfigError(f"unknown estimator kind {kind!r}")
-
-
 # Sensitivity probes ---------------------------------------------------------
 #
 # Each probe builds one fold and a neighbor differing in a single record,
 # runs one half-step from the same iterate on both, and reports the l-inf
-# deviation. The neighbor relation mirrors each algorithm's calibration: the
-# Huber and squared-loss scales bound the contribution of one record (the
-# neighbor nulls that record out), while the absolute-loss scale 2*eta*K/m
-# bounds an arbitrary replacement of one record.
+# deviation. The neighbor follows each estimator's ``replace_one``: it nulls
+# the record out, or replaces it with another arbitrary record.
 
 _HUGE = 1e12
 
 
 def probe_bound(kind: EstimatorKind, cfg: EstimatorConfig, eta: float, m: int) -> float:
     """Theoretical half-step l-inf deviation bound for one differing record."""
-    if kind in (EstimatorKind.DP_IHT_H, EstimatorKind.ADA_HUBER_LITE):
-        return eta * cfg.tau * cfg.K / m
-    if kind is EstimatorKind.DP_IHT_L:
-        return 2.0 * eta * cfg.K / m
-    if kind is EstimatorKind.DP_SLR_LITE:
-        R = cfg.response_clip if cfg.response_clip is not None else 0.0
-        return eta * cfg.K * (R + np.sqrt(cfg.s) * cfg.K * cfg.L) / m
-    raise InvalidConfigError(f"no probe bound for {kind!r}")
-
-
-def _probe_loss(kind: EstimatorKind, cfg: EstimatorConfig) -> LossKind:
-    if kind in (EstimatorKind.DP_IHT_H, EstimatorKind.ADA_HUBER_LITE):
-        if cfg.tau is None:
-            raise InvalidConfigError("Huber probes require tau")
-        return Huber(cfg.tau)
-    if kind is EstimatorKind.DP_IHT_L:
-        return AbsoluteL1()
-    if kind is EstimatorKind.DP_SLR_LITE:
-        return Squared()
-    raise InvalidConfigError(f"no probe loss for {kind!r}")
+    spec = ESTIMATORS[kind]
+    return (spec.bound or spec.lam)(cfg, eta, m)
 
 
 def _random_sparse_iterate(gen: np.random.Generator, d: int, s: int, L: float) -> np.ndarray:
@@ -276,10 +238,10 @@ def _adversarial_record(gen: np.random.Generator, d: int) -> tuple[np.ndarray, f
 def _half_step(
     fold: Dataset, beta: np.ndarray, eta: float, kind: EstimatorKind, cfg: EstimatorConfig
 ) -> np.ndarray:
-    if kind is EstimatorKind.DP_SLR_LITE:
-        R = cfg.response_clip if cfg.response_clip is not None else 0.0
-        fold = clip_responses(fold, R)
-    grad = batch_gradient(fold, beta, _probe_loss(kind, cfg), cfg.K, cfg.sign_on_clipped)
+    spec = ESTIMATORS[kind]
+    if spec.clips_responses:
+        fold = clip_responses(fold, _response_clip(cfg))
+    grad = batch_gradient(fold, beta, spec.loss(cfg), cfg.K, cfg.sign_on_clipped)
     return beta - eta * grad
 
 
@@ -297,6 +259,7 @@ def sensitivity_probe(
     all-extreme features on the differing record, and for the absolute loss
     a response flip that reverses its residual sign.
     """
+    replace_one = ESTIMATORS[kind].replace_one
     gen = RngHandle(seed, stream=0).generator()
     eta = cfg.schedule.step(0)
     if extremal:
@@ -308,7 +271,7 @@ def sensitivity_probe(
         fold_a = Dataset(x, y)
         xb = x.copy()
         yb = y.copy()
-        if kind is EstimatorKind.DP_IHT_L:
+        if replace_one:
             yb[0] = _HUGE  # flips the residual sign on the differing record
         else:
             xb[0] = 0.0  # null record: the neighbor drops the contribution
@@ -324,7 +287,7 @@ def sensitivity_probe(
         fold_a = Dataset(x, y)
         xb = x.copy()
         yb = y.copy()
-        if kind is EstimatorKind.DP_IHT_L:
+        if replace_one:
             xb[i], yb[i] = _adversarial_record(gen, d)
         else:
             xb[i] = 0.0

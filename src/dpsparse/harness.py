@@ -30,13 +30,14 @@ from .core import (
     load_csv,
     mae,
 )
-from .errors import InvalidConfigError
+from .errors import DpSparseError, InvalidConfigError
 from .estimators import (
     EstimatorKind,
     fit_estimator,
     probe_bound,
     sensitivity_probe,
 )
+from .losses import default_clip_level
 from .sampling import RngHandle, SyntheticConfig, generate_synthetic
 
 SWEEP_AXES = ("n", "d", "s_star", "epsilon", "zeta")
@@ -149,21 +150,28 @@ def _resolve_synthetic(base: ExperimentBase, axis: str, value, data_seed: int) -
     return replace(syn, seed=data_seed)
 
 
+def estimator_schedule(
+    kind: EstimatorKind, eta: float, schedule_l: StepSchedule | None
+) -> StepSchedule:
+    """Step schedule of one fit: ``schedule_l`` for dp-iht-l when it is set,
+    else the constant step ``eta``."""
+    if kind is EstimatorKind.DP_IHT_L and schedule_l is not None:
+        return schedule_l
+    return ConstantStep(eta)
+
+
 def _resolve_estimator(
     base: ExperimentBase, syn: SyntheticConfig, kind: EstimatorKind, fit_seed: int
 ) -> EstimatorConfig:
-    K = base.K if base.K is not None else (math.log(syn.d) if syn.d > 1 else 1.0)
+    K = base.K if base.K is not None else default_clip_level(syn.d)
     T = base.T if base.T is not None else default_iterations(syn.n)
     s = base.s if base.s is not None else syn.s_star
-    schedule: StepSchedule = ConstantStep(base.eta)
-    if kind is EstimatorKind.DP_IHT_L and base.schedule_l is not None:
-        schedule = base.schedule_l
     return EstimatorConfig(
         s=s,
         T=T,
         K=K,
         L=base.L,
-        schedule=schedule,
+        schedule=estimator_schedule(kind, base.eta, base.schedule_l),
         tau=base.tau,
         response_clip=base.response_clip,
         sign_on_clipped=base.sign_on_clipped,
@@ -211,7 +219,7 @@ def _run_unit(args) -> list[SweepRow]:
                     status="ok",
                 )
             )
-        except Exception as exc:  # any fit failure becomes a row, not an abort
+        except DpSparseError as exc:  # a failed fit becomes a row, not an abort
             wall_ms = (time.perf_counter() - start) * 1000.0
             rows.append(
                 SweepRow(
@@ -254,8 +262,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Run every (axis value, estimator, repeat) cell of the sweep.
 
     Deterministic for a fixed spec: every cell's data and noise seeds derive
-    from the documented hash, and output ordering is canonical. A failed fit
-    yields a row with status "failed: ..." and the sweep continues.
+    from the documented hash, and output ordering is canonical. A fit that
+    raises a DpSparseError yields a row with status "failed: ..." and the
+    sweep continues; any other exception is a bug and propagates.
     """
     units = [(spec, value, repeat) for value in spec.values for repeat in range(spec.repeats)]
     if workers is None:
@@ -381,7 +390,7 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
     if spec.standardize:
         x_train, x_test = _standardize_train_test(x_train, x_test)
     train = Dataset(x_train, y_train)
-    K = spec.K if spec.K is not None else (math.log(train.d) if train.d > 1 else 1.0)
+    K = spec.K if spec.K is not None else default_clip_level(train.d)
     T = spec.T if spec.T is not None else min(default_iterations(train.n), train.n)
     priv = PrivacyParams(
         epsilon=spec.epsilon,

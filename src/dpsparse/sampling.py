@@ -34,9 +34,6 @@ class RngHandle:
         )
         return np.random.Generator(np.random.Philox(key=key))
 
-    def derive(self, stream: int) -> "RngHandle":
-        return RngHandle(seed=self.seed, stream=stream)
-
 
 def _as_generator(rng: RngHandle | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngHandle):

@@ -30,8 +30,7 @@ from dpsparse import (
     TwoPhaseStep,
     batch_gradient,
     clip_features,
-    fit_dp_iht_h,
-    fit_dp_iht_l,
+    fit_estimator,
     generate_synthetic,
     laplace,
     load_csv,
@@ -167,12 +166,12 @@ def test_criterion_4_noiseless_recovery():
     cfg_h = EstimatorConfig(
         s=5, T=200, K=K, L=10.0, schedule=ConstantStep(0.1), tau=10.0
     )
-    err_h = fit_dp_iht_h(ds, cfg_h, non_private, beta_star).estimate.trace[-1]
+    err_h = fit_estimator(H, ds, cfg_h, non_private, beta_star).estimate.trace[-1]
     cfg_l = EstimatorConfig(
         s=5, T=200, K=K, L=10.0,
         schedule=TwoPhaseStep(eta0=0.5, decay=0.05, switch_iter=150, eta_const=2e-4),
     )
-    err_l = fit_dp_iht_l(ds, cfg_l, non_private, beta_star).estimate.trace[-1]
+    err_l = fit_estimator(L, ds, cfg_l, non_private, beta_star).estimate.trace[-1]
     report(
         4,
         err_h < 1e-3 and err_l < 1e-2,

@@ -67,6 +67,10 @@ def test_resolve_config_lists_every_failed_field():
         resolve_config({"n": 100, "d": 10, "delta": 1.5, "eta": -1.0, "zeta": 3.0})
     msg = str(err.value)
     assert "delta" in msg and "eta" in msg and "zeta" in msg
+    # No derived default is computed from an invalid n or d.
+    with pytest.raises(InvalidConfigError) as err:
+        resolve_config({"n": 0, "d": 0})
+    assert "n must" in str(err.value) and "d must" in str(err.value)
 
 
 def test_config_round_trip(tmp_path):

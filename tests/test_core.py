@@ -214,9 +214,6 @@ def test_dataset_is_frozen_and_copies():
     assert ds.x[0, 0] == 1.0
     with pytest.raises(ValueError):
         ds.x[0, 0] = 5.0
-    s = ds.sample(1)
-    assert s.response == 1.0 and s.features.shape == (2,)
-    assert len(ds.samples) == 2
 
 
 def test_privacy_params():
@@ -260,6 +257,30 @@ def test_csv_round_trip(tmp_path):
     assert names == ["x1", "x2", "x3"]
     np.testing.assert_allclose(loaded.x, ds.x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(loaded.y, ds.y, rtol=0, atol=1e-12)
+
+
+def test_load_csv_adopts_its_arrays(tmp_path, monkeypatch):
+    # Dataset.__post_init__ copies caller arrays; load_csv builds its own and
+    # needs no second copy, but still checks and freezes them.
+    ds = rand_dataset(n=13, d=3, seed=6)
+    path = tmp_path / "ds.csv"
+    save_csv(ds, path)
+    builds = []
+    post_init = Dataset.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counted)
+    loaded, _ = load_csv(path)
+    assert builds == []
+    assert loaded.x.tobytes() == ds.x.tobytes() and loaded.y.tobytes() == ds.y.tobytes()
+    assert loaded.row_peak.tobytes() == ds.row_peak.tobytes()
+    assert not loaded.x.flags.writeable and not loaded.y.flags.writeable
+    path.write_text("x1,y\n1.0,2.0\nnan,3.0\n")
+    with pytest.raises(InvalidInputError):
+        load_csv(path)
 
 
 def test_csv_parse_error_carries_line_number(tmp_path):

@@ -13,17 +13,18 @@ from dpsparse import (
     PrivacyParams,
     SyntheticConfig,
     TwoPhaseStep,
-    fit_ada_huber_lite,
-    fit_dp_iht_h,
-    fit_dp_iht_l,
-    fit_dp_slr_lite,
     fit_estimator,
     generate_synthetic,
     probe_bound,
     sensitivity_probe,
 )
+from dpsparse.estimators import ESTIMATORS
 
 NON_PRIVATE = PrivacyParams.non_private()
+H = EstimatorKind.DP_IHT_H
+L = EstimatorKind.DP_IHT_L
+ADA = EstimatorKind.ADA_HUBER_LITE
+SLR = EstimatorKind.DP_SLR_LITE
 
 
 def base_config(**kwargs):
@@ -44,7 +45,7 @@ def zero_dataset(n=40, d=10, seed=0):
 
 def test_h_zero_data_fixed_point():
     ds = zero_dataset()
-    rep = fit_dp_iht_h(ds, base_config(), NON_PRIVATE)
+    rep = fit_estimator(H, ds, base_config(), NON_PRIVATE)
     np.testing.assert_array_equal(rep.estimate.beta, np.zeros(ds.d))
     assert rep.iterations_run == 20
 
@@ -52,14 +53,14 @@ def test_h_zero_data_fixed_point():
 def test_l_zero_data_fixed_point():
     # sign(0) = 0 everywhere keeps the iterate at the origin.
     ds = zero_dataset(seed=1)
-    rep = fit_dp_iht_l(ds, base_config(), NON_PRIVATE)
+    rep = fit_estimator(L, ds, base_config(), NON_PRIVATE)
     np.testing.assert_array_equal(rep.estimate.beta, np.zeros(ds.d))
 
 
 def test_slr_zero_clip_fixed_point():
     # R=0 clips every response to 0; from beta0 = 0 the gradient vanishes.
     ds = zero_dataset(seed=2)
-    rep = fit_dp_slr_lite(ds, base_config(), NON_PRIVATE, R=0.0)
+    rep = fit_estimator(SLR, ds, base_config(response_clip=0.0), NON_PRIVATE)
     np.testing.assert_array_equal(rep.estimate.beta, np.zeros(ds.d))
 
 
@@ -70,7 +71,7 @@ def test_h_noiseless_recovery_small():
     syn = SyntheticConfig(n=500, d=40, s_star=4, noise_scale=0.0, seed=3)
     ds, beta_star = generate_synthetic(syn)
     cfg = base_config(s=4, T=100, K=math.log(40), schedule=ConstantStep(0.1), tau=10.0)
-    rep = fit_dp_iht_h(ds, cfg, NON_PRIVATE, beta_star=beta_star)
+    rep = fit_estimator(H, ds, cfg, NON_PRIVATE, beta_star=beta_star)
     assert rep.estimate.trace[-1] < 1e-3
 
 
@@ -79,7 +80,7 @@ def test_l_noiseless_recovery_two_phase():
     ds, beta_star = generate_synthetic(syn)
     sched = TwoPhaseStep(eta0=0.5, decay=0.08, switch_iter=60, eta_const=1e-3)
     cfg = base_config(s=4, T=80, K=math.log(40), schedule=sched)
-    rep = fit_dp_iht_l(ds, cfg, NON_PRIVATE, beta_star=beta_star)
+    rep = fit_estimator(L, ds, cfg, NON_PRIVATE, beta_star=beta_star)
     assert rep.estimate.trace[-1] < 1e-2
 
 
@@ -90,8 +91,9 @@ def test_ada_huber_equals_nonprivate_h():
     syn = SyntheticConfig(n=300, d=30, s_star=3, seed=5)
     ds, beta_star = generate_synthetic(syn)
     cfg = base_config(s=3, T=10)
-    a = fit_ada_huber_lite(ds, cfg, beta_star=beta_star)
-    b = fit_dp_iht_h(ds, cfg, NON_PRIVATE, beta_star=beta_star)
+    # ada-huber is the Huber fit without noise, whatever budget it is given.
+    a = fit_estimator(ADA, ds, cfg, PrivacyParams(0.5, 1e-3), beta_star=beta_star)
+    b = fit_estimator(H, ds, cfg, NON_PRIVATE, beta_star=beta_star)
     np.testing.assert_array_equal(a.estimate.beta, b.estimate.beta)
     np.testing.assert_array_equal(a.estimate.support, b.estimate.support)
     assert a.estimate.trace == b.estimate.trace
@@ -117,17 +119,17 @@ def test_private_fit_deterministic_in_seed():
     ds, _ = generate_synthetic(syn)
     priv = PrivacyParams(0.5, 1e-3)
     cfg = base_config(s=3, T=12, seed=99)
-    a = fit_dp_iht_h(ds, cfg, priv)
-    b = fit_dp_iht_h(ds, cfg, priv)
+    a = fit_estimator(H, ds, cfg, priv)
+    b = fit_estimator(H, ds, cfg, priv)
     np.testing.assert_array_equal(a.estimate.beta, b.estimate.beta)
     assert a.rng_streams_consumed == b.rng_streams_consumed == 12
-    c = fit_dp_iht_h(ds, base_config(s=3, T=12, seed=100), priv)
+    c = fit_estimator(H, ds, base_config(s=3, T=12, seed=100), priv)
     assert not np.array_equal(a.estimate.beta, c.estimate.beta)
 
 
 def test_nonprivate_consumes_no_streams():
     ds = zero_dataset(seed=8)
-    rep = fit_dp_iht_h(ds, base_config(T=5), NON_PRIVATE)
+    rep = fit_estimator(H, ds, base_config(T=5), NON_PRIVATE)
     assert rep.rng_streams_consumed == 0
 
 
@@ -143,7 +145,7 @@ def test_support_recovery_ada_huber():
         cfg = EstimatorConfig(
             s=5, T=5, K=math.log(200), L=20.0, schedule=ConstantStep(0.5), tau=10.0, seed=seed
         )
-        rep = fit_ada_huber_lite(ds, cfg)
+        rep = fit_estimator(ADA, ds, cfg, NON_PRIVATE)
         good += np.array_equal(rep.estimate.support, np.flatnonzero(beta_star))
     assert good >= 18
 
@@ -162,8 +164,8 @@ def test_paper_defaults_h_beats_slr():
             s=5, T=15, K=K, L=10.0, schedule=ConstantStep(0.01), tau=1.0,
             response_clip=10.0, seed=seed,
         )
-        errs_h.append(fit_dp_iht_h(ds, cfg, priv, beta_star).estimate.trace[-1])
-        errs_slr.append(fit_dp_slr_lite(ds, cfg, priv, beta_star=beta_star).estimate.trace[-1])
+        errs_h.append(fit_estimator(H, ds, cfg, priv, beta_star).estimate.trace[-1])
+        errs_slr.append(fit_estimator(SLR, ds, cfg, priv, beta_star).estimate.trace[-1])
     assert np.mean(errs_h) < np.mean(errs_slr)
 
 
@@ -173,22 +175,24 @@ def test_paper_defaults_h_beats_slr():
 def test_fit_validations():
     ds = zero_dataset(n=10, d=5)
     with pytest.raises(InvalidConfigError):
-        fit_dp_iht_h(ds, base_config(s=6), NON_PRIVATE)  # s > d
+        fit_estimator(H, ds, base_config(s=6), NON_PRIVATE)  # s > d
     with pytest.raises(InvalidConfigError):
-        fit_dp_iht_h(ds, base_config(s=2, T=11), NON_PRIVATE)  # T > n
+        fit_estimator(H, ds, base_config(s=2, T=11), NON_PRIVATE)  # T > n
     with pytest.raises(InvalidConfigError):
-        fit_dp_iht_h(ds, base_config(s=2, T=5, tau=None), NON_PRIVATE)
+        fit_estimator(H, ds, base_config(s=2, T=5, tau=None), NON_PRIVATE)
     with pytest.raises(InvalidConfigError):
-        fit_dp_iht_h(ds, base_config(s=2, T=5, K=None), PrivacyParams(1.0, 1e-3))
+        fit_estimator(H, ds, base_config(s=2, T=5, K=None), PrivacyParams(1.0, 1e-3))
     with pytest.raises(InvalidConfigError):
-        fit_dp_slr_lite(ds, base_config(s=2, T=5, response_clip=None), NON_PRIVATE)
+        fit_estimator(SLR, ds, base_config(s=2, T=5, response_clip=None), NON_PRIVATE)
+    with pytest.raises(InvalidConfigError):
+        fit_estimator(ADA, ds, base_config(s=2, T=5, tau=None), NON_PRIVATE)
 
 
 def test_unclipped_nonprivate_fit_allowed():
     syn = SyntheticConfig(n=400, d=10, s_star=2, noise_scale=0.0, seed=9)
     ds, beta_star = generate_synthetic(syn)
     cfg = base_config(s=2, T=20, K=None, schedule=ConstantStep(0.5), tau=50.0)
-    rep = fit_dp_iht_h(ds, cfg, NON_PRIVATE, beta_star=beta_star)
+    rep = fit_estimator(H, ds, cfg, NON_PRIVATE, beta_star=beta_star)
     assert rep.estimate.trace[-1] < 1e-3
 
 
@@ -197,7 +201,7 @@ def test_numerical_failure_names_iteration():
     ds, _ = generate_synthetic(syn)
     cfg = base_config(s=2, T=4, K=None, tau=1e308, schedule=ConstantStep(1e308))
     with pytest.raises(NumericalFailureError) as err:
-        fit_dp_iht_h(ds, cfg, NON_PRIVATE)
+        fit_estimator(H, ds, cfg, NON_PRIVATE)
     assert err.value.iteration is not None
     assert str(err.value.iteration) in str(err.value)
 
@@ -255,3 +259,8 @@ def test_fit_estimator_dispatch():
         assert rep.iterations_run == 5
     with pytest.raises(InvalidConfigError):
         EstimatorKind.from_name("nope")
+
+
+def test_every_estimator_kind_has_a_table_entry():
+    assert set(ESTIMATORS) == set(EstimatorKind)
+    assert [kind for kind, spec in ESTIMATORS.items() if not spec.private] == [ADA]

@@ -17,8 +17,6 @@ from dpsparse import (
     EstimatorKind,
     PrivacyParams,
     SyntheticConfig,
-    backend_name,
-    fit_dp_slr_lite,
     fit_estimator,
     generate_synthetic,
     split_folds,
@@ -26,26 +24,24 @@ from dpsparse import (
 from dpsparse.core import clip_responses
 from dpsparse.estimators import _half_step
 
-# sha256 of (beta bytes, support as int64 bytes) per estimator, per backend.
+# sha256 of (beta bytes, support as int64 bytes) per estimator.
 DIGESTS = {
-    "numpy": {
-        "dp-iht-h": (
-            "34ae2a0f0e77e4ac5949872bf2520d888b5125cd3a1d1e192778ca6c939210d1",
-            "191cd091cabbe98044c0db487d65a456a656fe777350578f45d628ae83ed4bf9",
-        ),
-        "dp-iht-l": (
-            "aa2c2c2546e15cece02c669994e8452739ef39b182058d6a45cd446f7c613b6c",
-            "bf24cfcb3baefcf4d95234faeb0c6cc2760187e612e0c7a4de0529ba85e4a0e7",
-        ),
-        "ada-huber": (
-            "2c93198c82be4d87551d29c3da084563d05d50c4e2afe3ad89813fa1d318c1e7",
-            "e34f7e32b106247d94c452404ea997392c48889b25dcb7864c561eae809aad1e",
-        ),
-        "dp-slr": (
-            "b8426999ecf8ab9eb66f8d9e55d4f652241436fbf4ba0d0a78230a195e8ab3a7",
-            "cf36085ecc216eef8dc225ea204e1636bbe59efc896cfe729d98a29d238ec766",
-        ),
-    },
+    "dp-iht-h": (
+        "34ae2a0f0e77e4ac5949872bf2520d888b5125cd3a1d1e192778ca6c939210d1",
+        "191cd091cabbe98044c0db487d65a456a656fe777350578f45d628ae83ed4bf9",
+    ),
+    "dp-iht-l": (
+        "aa2c2c2546e15cece02c669994e8452739ef39b182058d6a45cd446f7c613b6c",
+        "bf24cfcb3baefcf4d95234faeb0c6cc2760187e612e0c7a4de0529ba85e4a0e7",
+    ),
+    "ada-huber": (
+        "2c93198c82be4d87551d29c3da084563d05d50c4e2afe3ad89813fa1d318c1e7",
+        "e34f7e32b106247d94c452404ea997392c48889b25dcb7864c561eae809aad1e",
+    ),
+    "dp-slr": (
+        "b8426999ecf8ab9eb66f8d9e55d4f652241436fbf4ba0d0a78230a195e8ab3a7",
+        "cf36085ecc216eef8dc225ea204e1636bbe59efc896cfe729d98a29d238ec766",
+    ),
 }
 
 
@@ -62,15 +58,13 @@ def pinned_problem():
 
 @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
 def test_fit_bytes_match_pinned_digests(kind):
-    if backend_name() not in DIGESTS:
-        pytest.skip(f"no digests recorded for the {backend_name()} backend")
     ds, cfg, priv = pinned_problem()
     est = fit_estimator(kind, ds, cfg, priv).estimate
     got = (
         hashlib.sha256(est.beta.tobytes()).hexdigest(),
         hashlib.sha256(est.support.astype(np.int64).tobytes()).hexdigest(),
     )
-    assert got == DIGESTS[backend_name()][kind.value]
+    assert got == DIGESTS[kind.value]
 
 
 def test_folds_are_read_only_views_covering_rows_disjointly():
@@ -135,7 +129,7 @@ def test_slr_probe_half_step_is_the_fit_half_step():
     cfg = EstimatorConfig(
         s=2, T=1, K=2.0, L=10.0, schedule=ConstantStep(0.1), response_clip=4.0
     )
-    rep = fit_dp_slr_lite(ds, cfg, PrivacyParams.non_private())
+    rep = fit_estimator(EstimatorKind.DP_SLR_LITE, ds, cfg, PrivacyParams.non_private())
     half = _half_step(ds, np.zeros(4), 0.1, EstimatorKind.DP_SLR_LITE, cfg)
     assert rep.half_step_linf_trace[0] == float(np.max(np.abs(half)))
     assert np.abs(ds.y).max() > cfg.response_clip  # the clip is exercised

@@ -14,7 +14,8 @@ from dpsparse import (
     run_sweep,
     save_csv,
 )
-from dpsparse.errors import InvalidConfigError
+from dpsparse import harness
+from dpsparse.errors import InvalidConfigError, NumericalFailureError
 from dpsparse.harness import (
     compute_aggregates,
     write_aggregates_json,
@@ -121,6 +122,26 @@ def test_sweep_failure_rows_do_not_abort():
     ada_rows = [r for r in res.rows if r.estimator == ADA.value]
     assert all(r.status == "ok" for r in ada_rows)
     assert res.n_failed == 4
+
+
+def test_sweep_numerical_failure_is_a_row(monkeypatch):
+    def diverge(kind, *args):
+        raise NumericalFailureError("non-finite iterate at iteration 0", iteration=0)
+
+    monkeypatch.setattr(harness, "fit_estimator", diverge)
+    res = run_sweep(small_spec(), workers=1)
+    assert res.n_failed == len(res.rows) == 4
+    assert all(r.status.startswith("failed: NumericalFailureError") for r in res.rows)
+
+
+def test_sweep_reraises_programming_errors(monkeypatch):
+    # A bug in a fit is not a failed row: the sweep stops and shows it.
+    def broken(kind, *args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(harness, "fit_estimator", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_sweep(small_spec(), workers=1)
 
 
 def test_aggregates_match_brute_force():

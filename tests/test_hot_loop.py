@@ -24,7 +24,6 @@ from dpsparse import (
     PrivacyParams,
     Squared,
     SyntheticConfig,
-    backend_name,
     batch_gradient,
     fit_estimator,
     generate_synthetic,
@@ -44,26 +43,24 @@ M = N // T
 PLANTED = ((1 * M + 3, 7, 9.0), (4 * M + 10, 2, -12.0), (9 * M, 40, 5.5), (N - 1, 7, 20.0))
 FOLDS_BEYOND_K = {1, 4, 9}
 
-# sha256 of (beta bytes, support as int64 bytes) per estimator, per backend.
+# sha256 of (beta bytes, support as int64 bytes) per estimator.
 DIGESTS = {
-    "numpy": {
-        "dp-iht-h": (
-            "299d9321f0455add8af543f704b2c144c692c99a4a8cd8c307166f5221f22d42",
-            "91f98b6165226b285c438caa0aada960056bc83ec73c537e127c3387cc84eaf2",
-        ),
-        "dp-iht-l": (
-            "a148bdba59769363576ac0713bff069ba501c8258cf8e66d1e621db8227793f4",
-            "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
-        ),
-        "ada-huber": (
-            "7ff4f98421a4c17fb80e3811d12a9610d67e77bfcb9f4063345c3630c06ed4eb",
-            "91f98b6165226b285c438caa0aada960056bc83ec73c537e127c3387cc84eaf2",
-        ),
-        "dp-slr": (
-            "0f7fd0befd9202b8d36021a930d6e3506df691822177edc271961b2c63d2b3fb",
-            "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
-        ),
-    },
+    "dp-iht-h": (
+        "299d9321f0455add8af543f704b2c144c692c99a4a8cd8c307166f5221f22d42",
+        "91f98b6165226b285c438caa0aada960056bc83ec73c537e127c3387cc84eaf2",
+    ),
+    "dp-iht-l": (
+        "a148bdba59769363576ac0713bff069ba501c8258cf8e66d1e621db8227793f4",
+        "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
+    ),
+    "ada-huber": (
+        "7ff4f98421a4c17fb80e3811d12a9610d67e77bfcb9f4063345c3630c06ed4eb",
+        "91f98b6165226b285c438caa0aada960056bc83ec73c537e127c3387cc84eaf2",
+    ),
+    "dp-slr": (
+        "0f7fd0befd9202b8d36021a930d6e3506df691822177edc271961b2c63d2b3fb",
+        "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
+    ),
 }
 
 
@@ -92,15 +89,13 @@ def test_mixed_problem_has_folds_on_both_clip_paths():
 
 @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
 def test_fit_bytes_match_pinned_digests(kind):
-    if backend_name() not in DIGESTS:
-        pytest.skip(f"no digests recorded for the {backend_name()} backend")
     ds, cfg, priv = mixed_problem()
     est = fit_estimator(kind, ds, cfg, priv).estimate
     got = (
         hashlib.sha256(est.beta.tobytes()).hexdigest(),
         hashlib.sha256(est.support.astype(np.int64).tobytes()).hexdigest(),
     )
-    assert got == DIGESTS[backend_name()][kind.value]
+    assert got == DIGESTS[kind.value]
 
 
 LOSSES = [
