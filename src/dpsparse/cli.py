@@ -14,26 +14,16 @@ import dataclasses
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 
-from .core import (
-    ConstantStep,
-    EstimatorConfig,
-    PrivacyParams,
-    TwoPhaseStep,
-    l2_error,
-    load_csv,
-    mae,
-    save_csv,
-)
+from .core import ConstantStep, TwoPhaseStep, field_problems, l2_error, load_csv, mae, save_csv
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
-from .estimators import EstimatorKind, fit_estimator
+from .estimators import ESTIMATORS, EstimatorKind, fit_estimator
 from .harness import (
+    S_STAR,
     ExperimentBase,
     RealDataSpec,
     SweepSpec,
-    default_delta,
-    default_iterations,
-    estimator_schedule,
     run_real,
     run_sensitivity_suite,
     run_sweep,
@@ -41,8 +31,7 @@ from .harness import (
     write_real_csv,
     write_results_csv,
 )
-from .losses import default_clip_level
-from .sampling import SyntheticConfig, generate_synthetic
+from .sampling import SYNTHETIC_RULES, SyntheticConfig, generate_synthetic
 
 _ALL_ESTIMATORS = [k.value for k in EstimatorKind]
 
@@ -63,11 +52,11 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("synth-gen", help="generate a synthetic dataset CSV")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=int, required=True)
-    gen.add_argument("--s-star", type=int, default=5)
-    gen.add_argument("--zeta", type=float, default=1.0)
-    gen.add_argument("--beta-scale", type=float, default=1.0)
-    gen.add_argument("--noise-scale", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--s-star", type=int, default=S_STAR)
+    gen.add_argument("--zeta", type=float, default=None)
+    gen.add_argument("--beta-scale", type=float, default=None)
+    gen.add_argument("--noise-scale", type=float, default=None)
+    gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
 
     fit = sub.add_parser("fit", help="fit one estimator")
@@ -118,26 +107,31 @@ def _build_parser() -> _Parser:
 
 # Configuration ---------------------------------------------------------------
 
-_CONFIG_DEFAULTS = {
-    "s_star": 5,
-    "zeta": 1.0,
-    "beta_scale": 1.0,
-    "noise_scale": 1.0,
-    "epsilon": 0.5,
-    "eta": 0.01,
-    "tau": 1.0,
-    "L": 10.0,
-    "response_clip": 10.0,
-    "seed": 0,
+_SYNTHETIC_KEYS = tuple(f.name for f in fields(SyntheticConfig))
+_FIT_KEYS = tuple(f.name for f in fields(ExperimentBase) if f.name != "synthetic")
+# Keys of a run rather than of its fits: the sweep grid, the fit's data CSV,
+# and what `real` echoes of its flags.
+_RUN_KEYS = (
+    "axis", "values", "repeats", "estimators", "data",
+    "csv", "response_col", "train_fraction", "standardize",
+)
+_KEYS = frozenset(_SYNTHETIC_KEYS + _FIT_KEYS + _RUN_KEYS)
+# The defaults echoed to effective_config.json, read from the dataclasses.
+_DEFAULTS = {
+    "s_star": S_STAR,
+    **{
+        f.name: f.default
+        for cls in (SyntheticConfig, ExperimentBase)
+        for f in fields(cls)
+        if f.default not in (MISSING, None) and not isinstance(f.default, bool)
+    },
 }
 
 
-def load_config(path, overrides: dict | None = None) -> dict:
-    """Parse a JSON experiment config, apply overrides, fill defaults, validate.
-
-    Derived defaults: K = ln(d), delta = 1/n^1.1, s = s_star, T logarithmic
-    in n. Validation reports every failed field at once.
-    """
+def read_config(path) -> dict:
+    """The JSON object in the config file at ``path``; {} when path is None."""
+    if path is None:
+        return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -145,66 +139,68 @@ def load_config(path, overrides: dict | None = None) -> dict:
             raise InvalidConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidConfigError("config root must be a JSON object")
-    return resolve_config(raw, overrides)
+    return raw
 
 
-def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
-    cfg = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
-    for key, value in _CONFIG_DEFAULTS.items():
-        cfg.setdefault(key, value)
-    problems = []
-    for key in ("n", "d"):
-        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < 1):
-            problems.append(f"{key} must be a positive integer, got {cfg[key]!r}")
-    if not problems and "n" in cfg and "d" in cfg:
-        cfg.setdefault("K", default_clip_level(cfg["d"]))
-        cfg.setdefault("delta", default_delta(cfg["n"]))
-        cfg.setdefault("s", cfg["s_star"])
-        cfg.setdefault("T", default_iterations(cfg["n"]))
-    for key, low in (("eta", 0.0), ("tau", 0.0), ("L", 0.0), ("beta_scale", 0.0)):
-        if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > low):
-            problems.append(f"{key} must be > {low}, got {cfg[key]!r}")
-    if "epsilon" in cfg and cfg["epsilon"] is not None and not (
-        isinstance(cfg["epsilon"], (int, float)) and cfg["epsilon"] > 0
-    ):
-        problems.append(f"epsilon must be > 0 or null, got {cfg['epsilon']!r}")
-    if "delta" in cfg and not (
-        isinstance(cfg["delta"], (int, float)) and 0.0 < cfg["delta"] < 1.0
-    ):
-        problems.append(f"delta must lie in (0, 1), got {cfg['delta']!r}")
-    if "zeta" in cfg and not (
-        isinstance(cfg["zeta"], (int, float)) and 0.0 < cfg["zeta"] <= 1.0
-    ):
-        problems.append(f"zeta must lie in (0, 1], got {cfg['zeta']!r}")
-    if "noise_scale" in cfg and not (
-        isinstance(cfg["noise_scale"], (int, float)) and cfg["noise_scale"] >= 0
-    ):
-        problems.append(f"noise_scale must be >= 0, got {cfg['noise_scale']!r}")
-    if "response_clip" in cfg and not (
-        isinstance(cfg["response_clip"], (int, float)) and cfg["response_clip"] >= 0
-    ):
-        problems.append(f"response_clip must be >= 0, got {cfg['response_clip']!r}")
-    for key in ("s", "T", "s_star", "repeats"):
-        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < 1):
-            problems.append(f"{key} must be a positive integer, got {cfg[key]!r}")
-    if "estimators" in cfg:
-        unknown = [e for e in cfg["estimators"] if e not in _ALL_ESTIMATORS]
-        if unknown:
-            problems.append(f"unknown estimators {unknown}; choose from {_ALL_ESTIMATORS}")
-    if "schedule_l" in cfg and cfg["schedule_l"] is not None:
-        try:
-            _schedule_from_dict(cfg["schedule_l"])
-        except (InvalidConfigError, KeyError, TypeError) as exc:
-            problems.append(f"schedule_l invalid: {exc}")
+def load_config(path, overrides: dict | None = None) -> tuple[ExperimentBase, dict]:
+    """``resolve_config`` of the config file at ``path``."""
+    return resolve_config(read_config(path), overrides)
+
+
+def resolve_config(
+    raw: dict, overrides: dict | None = None, shape: tuple[int, int] | None = None
+) -> tuple[ExperimentBase, dict]:
+    """Map a flat config and flag overrides onto the typed run config.
+
+    Flags (overrides that are not None) win over the file, and the file over
+    the dataclass defaults. ``shape`` is the (n, d) of a data CSV: the run
+    then has no synthetic config, and n and d must agree with it. When n and
+    d are known, K, delta, s and T are fixed at them, also for every row of
+    a sweep. Returns the ExperimentBase and the effective config echoed to
+    effective_config.json. Raises one InvalidConfigError that lists every
+    problem, unknown keys included.
+    """
+    cfg = {**_DEFAULTS, **raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    problems = [f"unknown config key {key!r}" for key in sorted(set(cfg) - _KEYS)]
+    for key, size in zip(("n", "d"), shape or ()):
+        if cfg.setdefault(key, size) != size:
+            problems.append(f"{key}={cfg[key]!r} disagrees with the data CSV's {key}={size}")
+    syn = {key: cfg[key] for key in _SYNTHETIC_KEYS if key in cfg}
+    fit = {key: cfg[key] for key in _FIT_KEYS if key in cfg}
+    synthetic = None
+    if shape is None and "n" in cfg and "d" in cfg:
+        synthetic = _build(problems, SyntheticConfig, syn)
+    else:
+        problems += field_problems(syn, SYNTHETIC_RULES)
+        fit.setdefault("s", cfg["s_star"])
+    try:
+        fit["schedule_l"] = _schedule_from_dict(fit.get("schedule_l"))
+    except (InvalidConfigError, KeyError, TypeError, ValueError) as exc:
+        problems.append(f"schedule_l invalid: {exc}")
+        fit["schedule_l"] = None
+    estimators = cfg.get("estimators", [])
+    if not isinstance(estimators, list) or any(e not in _ALL_ESTIMATORS for e in estimators):
+        problems.append(f"estimators must be a list of {_ALL_ESTIMATORS}, got {estimators!r}")
+    base = _build(problems, ExperimentBase, {"synthetic": synthetic, **fit})
     if problems:
         raise InvalidConfigError("; ".join(problems))
-    return cfg
+    if "n" in cfg and "d" in cfg:
+        base = base.resolved(cfg["n"], cfg["d"])
+        cfg.update(K=base.K, delta=base.delta, s=base.s, T=base.T)
+    return base, cfg
 
 
-def _schedule_from_dict(spec: dict):
+def _build(problems: list, cls, kwargs: dict):
+    try:
+        return cls(**kwargs)
+    except InvalidConfigError as exc:
+        problems.append(str(exc))
+        return None
+
+
+def _schedule_from_dict(spec: dict | None):
+    if spec is None:
+        return None
     kind = spec["kind"]
     if kind == "constant":
         return ConstantStep(eta=float(spec["eta"]))
@@ -218,9 +214,9 @@ def _schedule_from_dict(spec: dict):
     raise InvalidConfigError(f"schedule kind must be constant or two-phase, got {kind!r}")
 
 
-def _schedule_l(cfg: dict):
-    spec = cfg.get("schedule_l")
-    return None if spec is None else _schedule_from_dict(spec)
+def _flags(args) -> dict:
+    """The parsed flags that name config keys."""
+    return {k: v for k, v in vars(args).items() if k in _SYNTHETIC_KEYS + _FIT_KEYS}
 
 
 def _write_effective_config(cfg: dict, out_dir: str) -> None:
@@ -230,45 +226,11 @@ def _write_effective_config(cfg: dict, out_dir: str) -> None:
         fh.write("\n")
 
 
-def _experiment_base(cfg: dict) -> ExperimentBase:
-    syn = SyntheticConfig(
-        n=cfg["n"],
-        d=cfg["d"],
-        s_star=cfg["s_star"],
-        zeta=cfg["zeta"],
-        beta_scale=cfg["beta_scale"],
-        noise_scale=cfg["noise_scale"],
-        seed=cfg["seed"],
-    )
-    return ExperimentBase(
-        synthetic=syn,
-        epsilon=cfg["epsilon"],
-        delta=cfg.get("delta"),
-        eta=cfg["eta"],
-        s=cfg.get("s"),
-        T=cfg.get("T"),
-        K=cfg.get("K"),
-        L=cfg["L"],
-        tau=cfg["tau"],
-        response_clip=cfg["response_clip"],
-        schedule_l=_schedule_l(cfg),
-        sign_on_clipped=cfg.get("sign_on_clipped", False),
-    )
-
-
 # Subcommands -----------------------------------------------------------------
 
 
 def _cmd_synth_gen(args) -> int:
-    cfg = SyntheticConfig(
-        n=args.n,
-        d=args.d,
-        s_star=args.s_star,
-        zeta=args.zeta,
-        beta_scale=args.beta_scale,
-        noise_scale=args.noise_scale,
-        seed=args.seed,
-    )
+    cfg = SyntheticConfig(**{k: v for k, v in _flags(args).items() if v is not None})
     ds, beta_star = generate_synthetic(cfg)
     os.makedirs(args.out, exist_ok=True)
     save_csv(ds, os.path.join(args.out, "dataset.csv"))
@@ -281,89 +243,38 @@ def _cmd_synth_gen(args) -> int:
     return 0
 
 
-def _fit_flag_overrides(args) -> dict:
-    return {
-        "n": args.n,
-        "d": args.d,
-        "s_star": args.s_star,
-        "zeta": args.zeta,
-        "noise_scale": args.noise_scale,
-        "seed": args.seed,
-        "tau": args.tau,
-        "epsilon": None if args.non_private else args.epsilon,
-        "delta": args.delta,
-        "eta": args.eta,
-        "s": args.s,
-        "T": args.T,
-        "K": args.K,
-        "L": args.L,
-        "response_clip": args.response_clip,
-    }
-
-
 def _cmd_fit(args) -> int:
     kind = EstimatorKind.from_name(args.estimator)
-    overrides = _fit_flag_overrides(args)
-    if args.config is not None:
-        cfg = load_config(args.config, overrides)
-    else:
+    if args.config is None:
         # Flag-only invocations carry no config-file defaults for the
         # estimator-critical fields; report everything missing at once.
         missing = []
         if args.data is None and (args.n is None or args.d is None):
             missing.append("data (a CSV path, or --n/--d for synthetic data, or --config)")
-        if kind in (EstimatorKind.DP_IHT_H, EstimatorKind.ADA_HUBER_LITE) and args.tau is None:
+        if ESTIMATORS[kind].needs_tau and args.tau is None:
             missing.append("tau")
         if missing:
-            raise InvalidConfigError(
-                "missing required field(s): " + ", ".join(missing)
-            )
-        cfg = resolve_config({}, overrides)
+            raise InvalidConfigError("missing required field(s): " + ", ".join(missing))
+    raw, flags = read_config(args.config), _flags(args)
+    if args.non_private:
+        raw["epsilon"] = flags["epsilon"] = None
     if args.data is not None:
-        cfg["data"] = {"csv": args.data, "response_col": args.response_col}
-
-    beta_star = None
-    if "data" in cfg:
-        ds, _names = load_csv(cfg["data"]["csv"], cfg["data"].get("response_col", "y"))
-        cfg.setdefault("n", ds.n)
-        cfg.setdefault("d", ds.d)
-        cfg = resolve_config(cfg)
-    elif "n" in cfg and "d" in cfg:
-        cfg = resolve_config(cfg)
-        syn = SyntheticConfig(
-            n=cfg["n"],
-            d=cfg["d"],
-            s_star=cfg["s_star"],
-            zeta=cfg["zeta"],
-            beta_scale=cfg["beta_scale"],
-            noise_scale=cfg["noise_scale"],
-            seed=cfg["seed"],
-        )
-        ds, beta_star = generate_synthetic(syn)
-    else:
-        raise InvalidConfigError(
-            "config must supply either a data CSV or synthetic n and d"
-        )
-
-    non_private = args.non_private or cfg.get("epsilon") is None
-    priv = (
-        PrivacyParams.non_private()
-        if non_private
-        else PrivacyParams(epsilon=cfg["epsilon"], delta=cfg["delta"])
-    )
-    est_cfg = EstimatorConfig(
-        s=cfg["s"],
-        T=cfg["T"],
-        K=cfg.get("K"),
-        L=cfg["L"],
-        schedule=estimator_schedule(kind, cfg["eta"], _schedule_l(cfg)),
-        tau=cfg.get("tau"),
-        response_clip=cfg.get("response_clip"),
-        sign_on_clipped=cfg.get("sign_on_clipped", False),
-        seed=cfg["seed"],
-    )
+        raw["data"] = {"csv": args.data, "response_col": args.response_col}
+    ds = beta_star = shape = None
+    if "data" in raw:
+        data = raw["data"]
+        if not (isinstance(data, dict) and isinstance(data.get("csv"), str)):
+            raise InvalidConfigError(f"data must be an object with a csv path, got {data!r}")
+        ds, _names = load_csv(data["csv"], data.get("response_col", "y"))
+        shape = (ds.n, ds.d)
+    base, cfg = resolve_config(raw, flags, shape)
+    if ds is None:
+        if base.synthetic is None:
+            raise InvalidConfigError("config must supply either a data CSV or synthetic n and d")
+        ds, beta_star = generate_synthetic(base.synthetic)
     _write_effective_config(cfg, args.out)
-    report = fit_estimator(kind, ds, est_cfg, priv, beta_star)
+    est_cfg = base.fit_config(kind, ds.n, ds.d, cfg["seed"])
+    report = fit_estimator(kind, ds, est_cfg, base.privacy(ds.n), beta_star)
     beta = report.estimate.beta
     out = {
         "estimator": kind.value,
@@ -386,17 +297,16 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
+    base, cfg = load_config(args.config, _flags(args))
     problems = [key for key in ("n", "d", "axis", "values") if key not in cfg]
     if problems:
         raise InvalidConfigError(f"sweep config missing field(s): {', '.join(problems)}")
     cfg.setdefault("repeats", 20)
     cfg.setdefault("estimators", _ALL_ESTIMATORS)
-    cfg = resolve_config(cfg)
     spec = SweepSpec(
         axis=cfg["axis"],
-        values=tuple(cfg["values"]),
-        base=_experiment_base(cfg),
+        values=cfg["values"],
+        base=base,
         repeats=cfg["repeats"],
         estimators=tuple(EstimatorKind.from_name(e) for e in cfg["estimators"]),
     )
@@ -412,36 +322,25 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_real(args) -> int:
-    cfg = resolve_config(load_config(args.config) if args.config else {}, {"seed": args.seed})
+    flags = {
+        **_flags(args),
+        "csv": args.csv,
+        "response_col": args.response_col,
+        "train_fraction": args.train_fraction,
+        "standardize": not args.no_standardize,
+    }
+    base, cfg = load_config(args.config, flags)
     spec = RealDataSpec(
         csv_path=args.csv,
         response_col=args.response_col,
-        standardize=not args.no_standardize,
-        train_fraction=args.train_fraction
-        if args.train_fraction is not None
-        else cfg.get("train_fraction", 0.8),
-        epsilon=cfg["epsilon"],
-        delta=cfg.get("delta"),
-        eta=cfg["eta"],
-        s=cfg.get("s", cfg["s_star"]),
-        T=cfg.get("T"),
-        K=cfg.get("K"),
-        L=cfg["L"],
-        tau=cfg["tau"],
-        response_clip=cfg["response_clip"],
+        standardize=cfg["standardize"],
+        train_fraction=cfg.get("train_fraction", RealDataSpec.train_fraction),
         seed=cfg["seed"],
+        base=base,
     )
+    cfg["train_fraction"] = spec.train_fraction
+    _write_effective_config(cfg, args.out)
     estimators = [EstimatorKind.from_name(e) for e in cfg.get("estimators", _ALL_ESTIMATORS)]
-    effective = dict(cfg)
-    effective.update(
-        {
-            "csv": args.csv,
-            "response_col": args.response_col,
-            "train_fraction": spec.train_fraction,
-            "standardize": spec.standardize,
-        }
-    )
-    _write_effective_config(effective, args.out)
     rows = run_real(spec, estimators)
     write_real_csv(rows, os.path.join(args.out, "real_results.csv"))
     for row in rows:

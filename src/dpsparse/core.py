@@ -13,6 +13,7 @@ other fold would return its features unchanged.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,41 @@ def _adopt(x: np.ndarray, y: np.ndarray) -> Dataset:
     ds = object.__new__(Dataset)
     _build(ds, x, y, copy=False)
     return ds
+
+
+# Config field rules: (field name, what its value must be, test). Each test
+# checks the type as well as the range, so a value read from JSON fails with
+# its field's name, not with a TypeError inside a fit. A bool is never a
+# number here, though Python counts it as an int.
+
+
+def is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def positive_int(v) -> bool:
+    return is_int(v) and v >= 1
+
+
+def positive(v) -> bool:
+    return is_number(v) and v > 0
+
+
+def or_none(test):
+    return lambda v: v is None or test(v)
+
+
+def field_problems(values: dict, rules) -> list[str]:
+    """One message per value in ``values`` that fails its rule."""
+    return [
+        f"{name} must be {must_be}, got {values[name]!r}"
+        for name, must_be, test in rules
+        if name in values and not test(values[name])
+    ]
 
 
 @dataclass(frozen=True)

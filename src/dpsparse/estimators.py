@@ -76,6 +76,11 @@ class EstimatorSpec:
     replace_one: bool = False
     bound: Sensitivity | None = None
 
+    @property
+    def needs_tau(self) -> bool:
+        """Whether the loss is the Huber loss, which reads the config's tau."""
+        return self.loss is _huber
+
 
 def _huber(cfg: EstimatorConfig) -> Huber:
     if cfg.tau is None:

@@ -16,7 +16,8 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,12 +27,19 @@ from .core import (
     EstimatorConfig,
     PrivacyParams,
     StepSchedule,
+    field_problems,
+    is_int,
+    is_number,
     l2_error,
     load_csv,
     mae,
+    or_none,
+    positive,
+    positive_int,
 )
 from .errors import DpSparseError, InvalidConfigError
 from .estimators import (
+    ESTIMATORS,
     EstimatorKind,
     fit_estimator,
     probe_bound,
@@ -62,17 +70,42 @@ def default_delta(n: int) -> float:
     return float(n) ** -1.1
 
 
+S_STAR = 5
+"""Default true sparsity s* of a run, and so the default fitted sparsity s."""
+
+_FIT_RULES = (
+    ("synthetic", "a SyntheticConfig or null", or_none(lambda v: isinstance(v, SyntheticConfig))),
+    ("epsilon", "a number > 0 or null", or_none(positive)),
+    ("delta", "a number in (0, 1) or null", or_none(lambda v: is_number(v) and 0 < v < 1)),
+    ("eta", "a number > 0", positive),
+    ("s", "a positive integer or null", or_none(positive_int)),
+    ("T", "a positive integer or null", or_none(positive_int)),
+    ("K", "a number > 0 or null", or_none(positive)),
+    ("L", "a number > 0", positive),
+    ("tau", "a number > 0 or null", or_none(positive)),
+    ("response_clip", "a number >= 0 or null", or_none(lambda v: is_number(v) and v >= 0)),
+    ("schedule_l", "a step schedule or null", or_none(lambda v: isinstance(v, StepSchedule))),
+    ("sign_on_clipped", "true or false", lambda v: isinstance(v, bool)),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentBase:
-    """Full experiment configuration shared by every row of a sweep.
+    """The typed run config of a fit, a sweep or a real-data run.
 
-    ``delta``, ``s``, ``T`` and ``K`` accept None, meaning: track the
-    axis-resolved dataset via 1/n^1.1, s_star, the log-n default, and ln(d)
-    respectively. ``schedule_l`` optionally gives the absolute-loss estimator
-    its own step schedule (default: the shared constant step).
+    Its defaults, with ``SyntheticConfig``'s, are the only copy of the run
+    defaults; construction checks the type and range of every field and lists
+    every failure. ``synthetic`` is None for a run on a data CSV.
+
+    ``delta``, ``s``, ``T`` and ``K`` accept None, meaning: derive them at the
+    dataset of each fit as 1/n^1.1, s_star (``S_STAR`` without a synthetic
+    config), the log-n default and ln(d). ``resolved`` and ``privacy`` are
+    the only code that derives them, so in a sweep they track the axis value.
+    ``schedule_l`` optionally gives dp-iht-l its own step schedule (default:
+    the shared constant step ``eta``).
     """
 
-    synthetic: SyntheticConfig
+    synthetic: SyntheticConfig | None = None
     epsilon: float | None = 0.5
     delta: float | None = None
     eta: float = 0.01
@@ -80,10 +113,50 @@ class ExperimentBase:
     T: int | None = None
     K: float | None = None
     L: float = 10.0
-    tau: float = 1.0
-    response_clip: float = 10.0
+    tau: float | None = 1.0
+    response_clip: float | None = 10.0
     schedule_l: StepSchedule | None = None
     sign_on_clipped: bool = False
+
+    def __post_init__(self):
+        problems = field_problems(vars(self), _FIT_RULES)
+        if problems:
+            raise InvalidConfigError("; ".join(problems))
+
+    def privacy(self, n: int) -> PrivacyParams:
+        """The budget of a fit on n records."""
+        delta = default_delta(n) if self.delta is None else self.delta
+        return PrivacyParams(epsilon=self.epsilon, delta=delta)
+
+    def resolved(self, n: int, d: int) -> ExperimentBase:
+        """This config with K, T, s and delta fixed at an n x d dataset."""
+        s_star = S_STAR if self.synthetic is None else self.synthetic.s_star
+        return replace(
+            self,
+            K=default_clip_level(d) if self.K is None else self.K,
+            T=default_iterations(n) if self.T is None else self.T,
+            s=s_star if self.s is None else self.s,
+            delta=self.privacy(n).delta,
+        )
+
+    def fit_config(self, kind: EstimatorKind, n: int, d: int, seed: int) -> EstimatorConfig:
+        """The config of one ``kind`` fit with noise seed ``seed`` on an n x d dataset."""
+        cfg = self.resolved(n, d)
+        if kind is EstimatorKind.DP_IHT_L and cfg.schedule_l is not None:
+            schedule = cfg.schedule_l
+        else:
+            schedule = ConstantStep(cfg.eta)
+        return EstimatorConfig(
+            s=cfg.s,
+            T=cfg.T,
+            K=cfg.K,
+            L=cfg.L,
+            schedule=schedule,
+            tau=cfg.tau,
+            response_clip=cfg.response_clip,
+            sign_on_clipped=cfg.sign_on_clipped,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -98,15 +171,17 @@ class SweepSpec:
         problems = []
         if self.axis not in SWEEP_AXES:
             problems.append(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        values = tuple(self.values)
-        if not values:
-            problems.append("values must be nonempty")
+        values = tuple(self.values) if isinstance(self.values, Iterable) else ()
+        if not values or not all(is_number(v) for v in values):
+            problems.append(f"values must be a nonempty list of numbers, got {self.values!r}")
         elif any(b <= a for a, b in zip(values, values[1:])):
             problems.append(f"values must be strictly increasing, got {values}")
-        if self.repeats < 1:
-            problems.append(f"repeats must be >= 1, got {self.repeats}")
+        if not positive_int(self.repeats):
+            problems.append(f"repeats must be a positive integer, got {self.repeats!r}")
         if not self.estimators:
             problems.append("estimators must be nonempty")
+        if self.base.synthetic is None:
+            problems.append("a sweep needs a synthetic base config")
         if problems:
             raise InvalidConfigError("; ".join(problems))
         object.__setattr__(self, "values", values)
@@ -137,103 +212,52 @@ class SweepResult:
         return sum(1 for r in self.rows if r.status != "ok")
 
 
-def _resolve_synthetic(base: ExperimentBase, axis: str, value, data_seed: int) -> SyntheticConfig:
-    syn = base.synthetic
-    if axis == "n":
-        syn = replace(syn, n=int(value))
-    elif axis == "d":
-        syn = replace(syn, d=int(value))
-    elif axis == "s_star":
-        syn = replace(syn, s_star=int(value))
-    elif axis == "zeta":
-        syn = replace(syn, zeta=float(value))
-    return replace(syn, seed=data_seed)
-
-
-def estimator_schedule(
-    kind: EstimatorKind, eta: float, schedule_l: StepSchedule | None
-) -> StepSchedule:
-    """Step schedule of one fit: ``schedule_l`` for dp-iht-l when it is set,
-    else the constant step ``eta``."""
-    if kind is EstimatorKind.DP_IHT_L and schedule_l is not None:
-        return schedule_l
-    return ConstantStep(eta)
-
-
-def _resolve_estimator(
-    base: ExperimentBase, syn: SyntheticConfig, kind: EstimatorKind, fit_seed: int
-) -> EstimatorConfig:
-    K = base.K if base.K is not None else default_clip_level(syn.d)
-    T = base.T if base.T is not None else default_iterations(syn.n)
-    s = base.s if base.s is not None else syn.s_star
-    return EstimatorConfig(
-        s=s,
-        T=T,
-        K=K,
-        L=base.L,
-        schedule=estimator_schedule(kind, base.eta, base.schedule_l),
-        tau=base.tau,
-        response_clip=base.response_clip,
-        sign_on_clipped=base.sign_on_clipped,
-        seed=fit_seed,
-    )
-
-
-def _resolve_privacy(base: ExperimentBase, axis: str, value, n: int) -> PrivacyParams:
-    epsilon = base.epsilon
+def _unit_base(base: ExperimentBase, axis: str, value, data_seed: int) -> ExperimentBase:
+    """The config of one sweep unit: the axis set to ``value``, the data seed derived."""
     if axis == "epsilon":
-        epsilon = float(value)
-    delta = base.delta if base.delta is not None else default_delta(n)
-    return PrivacyParams(epsilon=epsilon, delta=delta)
+        syn = replace(base.synthetic, seed=data_seed)
+        return replace(base, epsilon=float(value), synthetic=syn)
+    cast = float if axis == "zeta" else int
+    syn = replace(base.synthetic, seed=data_seed, **{axis: cast(value)})
+    return replace(base, synthetic=syn)
 
 
 def _run_unit(args) -> list[SweepRow]:
     """One (axis value, repeat) unit: generate data once, fit every estimator."""
     spec, value, repeat = args
-    base = spec.base
-    data_seed = derive_seed("data", base.synthetic.seed, spec.axis, value, repeat)
-    syn = _resolve_synthetic(base, spec.axis, value, data_seed)
+    data_seed = derive_seed("data", spec.base.synthetic.seed, spec.axis, value, repeat)
+    base = _unit_base(spec.base, spec.axis, value, data_seed)
+    syn = base.synthetic
     ds, beta_star = generate_synthetic(syn)
-    priv = _resolve_privacy(base, spec.axis, value, syn.n)
+    priv = base.privacy(syn.n)
     rows = []
     for kind in spec.estimators:
         fit_seed = derive_seed(
-            "fit", base.synthetic.seed, spec.axis, value, repeat, kind.value
+            "fit", spec.base.synthetic.seed, spec.axis, value, repeat, kind.value
         )
-        cfg = _resolve_estimator(base, syn, kind, fit_seed)
+        cfg = base.fit_config(kind, syn.n, syn.d, fit_seed)
         start = time.perf_counter()
         try:
-            report = fit_estimator(kind, ds, cfg, priv, beta_star)
+            beta = fit_estimator(kind, ds, cfg, priv, beta_star).estimate.beta
             wall_ms = (time.perf_counter() - start) * 1000.0
-            beta = report.estimate.beta
-            rows.append(
-                SweepRow(
-                    axis=spec.axis,
-                    value=float(value),
-                    estimator=kind.value,
-                    repeat=repeat,
-                    seed=data_seed,
-                    l2_error=l2_error(beta, beta_star),
-                    mae=mae(ds.x @ beta, ds.y),
-                    wall_ms=wall_ms,
-                    status="ok",
-                )
-            )
+            l2, err, status = l2_error(beta, beta_star), mae(ds.x @ beta, ds.y), "ok"
         except DpSparseError as exc:  # a failed fit becomes a row, not an abort
             wall_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(
-                SweepRow(
-                    axis=spec.axis,
-                    value=float(value),
-                    estimator=kind.value,
-                    repeat=repeat,
-                    seed=data_seed,
-                    l2_error=float("nan"),
-                    mae=float("nan"),
-                    wall_ms=wall_ms,
-                    status=f"failed: {type(exc).__name__}: {exc}",
-                )
+            l2 = err = float("nan")
+            status = f"failed: {type(exc).__name__}: {exc}"
+        rows.append(
+            SweepRow(
+                axis=spec.axis,
+                value=float(value),
+                estimator=kind.value,
+                repeat=repeat,
+                seed=data_seed,
+                l2_error=l2,
+                mae=err,
+                wall_ms=wall_ms,
+                status=status,
             )
+        )
     return rows
 
 
@@ -321,29 +345,30 @@ def write_aggregates_json(result: SweepResult, path) -> None:
 
 @dataclass(frozen=True)
 class RealDataSpec:
-    """How to evaluate the estimators on a user-supplied CSV."""
+    """How to evaluate the estimators on a user-supplied CSV.
+
+    ``base`` holds the fit settings. Its None-valued K, T and delta are
+    derived at the train split's shape, and s defaults to its s_star.
+    """
 
     csv_path: str
     response_col: str
     standardize: bool = True
     train_fraction: float = 0.8
     proxy: EstimatorKind = EstimatorKind.ADA_HUBER_LITE
-    epsilon: float | None = 0.5
-    delta: float | None = None
-    eta: float = 0.01
-    s: int = 5
-    T: int | None = None
-    K: float | None = None
-    L: float = 10.0
-    tau: float = 1.0
-    response_clip: float = 10.0
     seed: int = 0
+    base: ExperimentBase = field(default_factory=ExperimentBase)
 
     def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise InvalidConfigError(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction}"
-            )
+        problems = field_problems(
+            vars(self),
+            (
+                ("train_fraction", "a number in (0, 1)", lambda v: is_number(v) and 0 < v < 1),
+                ("seed", "an integer", is_int),
+            ),
+        )
+        if problems:
+            raise InvalidConfigError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -390,33 +415,18 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
     if spec.standardize:
         x_train, x_test = _standardize_train_test(x_train, x_test)
     train = Dataset(x_train, y_train)
-    K = spec.K if spec.K is not None else default_clip_level(train.d)
-    T = spec.T if spec.T is not None else min(default_iterations(train.n), train.n)
-    priv = PrivacyParams(
-        epsilon=spec.epsilon,
-        delta=spec.delta if spec.delta is not None else default_delta(train.n),
-    )
 
-    def config_for(kind: EstimatorKind) -> EstimatorConfig:
-        return EstimatorConfig(
-            s=spec.s,
-            T=T,
-            K=K,
-            L=spec.L,
-            schedule=ConstantStep(spec.eta),
-            tau=spec.tau,
-            response_clip=spec.response_clip,
-            seed=derive_seed("real", spec.seed, kind.value),
-        )
+    def fit(kind: EstimatorKind, priv: PrivacyParams):
+        seed = derive_seed("real", spec.seed, kind.value)
+        cfg = spec.base.fit_config(kind, train.n, train.d, seed)
+        return fit_estimator(kind, train, cfg, priv).estimate
 
-    proxy_beta = fit_estimator(
-        spec.proxy, train, config_for(spec.proxy), PrivacyParams.non_private()
-    ).estimate.beta
+    proxy_beta = fit(spec.proxy, PrivacyParams.non_private()).beta
+    priv = spec.base.privacy(train.n)
     rows = []
     for kind in estimators:
-        report = fit_estimator(kind, train, config_for(kind), priv)
-        beta = report.estimate.beta
-        support = report.estimate.support
+        estimate = fit(kind, priv)
+        beta, support = estimate.beta, estimate.support
         rows.append(
             RealDataRow(
                 estimator=kind.value,
@@ -486,12 +496,11 @@ def _random_probe_config(gen: np.random.Generator) -> tuple[EstimatorConfig, int
 def run_sensitivity_suite(
     trials: int,
     seed: int = 0,
-    estimators: tuple[EstimatorKind, ...] = (
-        EstimatorKind.DP_IHT_H,
-        EstimatorKind.DP_IHT_L,
-    ),
+    estimators: tuple[EstimatorKind, ...] | None = None,
 ) -> SensitivityReport:
     """Random neighboring-fold probes per estimator, checked against bounds.
+
+    ``estimators`` defaults to every private entry of ``ESTIMATORS``.
 
     Passes iff every observed half-step deviation is within its theoretical
     bound (tolerance 1e-12). The absolute-loss estimator also runs a crafted
@@ -499,6 +508,8 @@ def run_sensitivity_suite(
     """
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
+    if estimators is None:
+        estimators = tuple(kind for kind, est in ESTIMATORS.items() if est.private)
     results = []
     for kind in estimators:
         gen = RngHandle(derive_seed("probe-suite", seed, kind.value)).generator()

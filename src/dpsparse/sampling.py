@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _adopt
+from .core import Dataset, _adopt, field_problems, is_int, is_number, positive, positive_int
 from .errors import InvalidConfigError, InvalidParameterError
 
 # (tail index -> Student-t degrees of freedom) anchors; other tail indices use
@@ -105,6 +105,17 @@ def student_t(
     return float(draws) if size is None else draws
 
 
+SYNTHETIC_RULES = (
+    ("n", "a positive integer", positive_int),
+    ("d", "a positive integer", positive_int),
+    ("s_star", "a positive integer", positive_int),
+    ("zeta", "a number in (0, 1]", lambda v: is_number(v) and 0 < v <= 1),
+    ("beta_scale", "a number > 0", positive),
+    ("noise_scale", "a number >= 0", lambda v: is_number(v) and v >= 0),
+    ("seed", "an integer", is_int),
+)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the synthetic sparse linear model with Student-t noise."""
@@ -118,19 +129,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        problems = []
-        if self.n < 1:
-            problems.append(f"n must be >= 1, got {self.n}")
-        if self.d < 1:
-            problems.append(f"d must be >= 1, got {self.d}")
-        if not (1 <= self.s_star <= self.d):
+        problems = field_problems(vars(self), SYNTHETIC_RULES)
+        if not problems and self.s_star > self.d:
             problems.append(f"s_star must satisfy 1 <= s_star <= d, got {self.s_star}")
-        if not (0.0 < self.zeta <= 1.0):
-            problems.append(f"zeta must lie in (0, 1], got {self.zeta}")
-        if not self.beta_scale > 0:
-            problems.append(f"beta_scale must be > 0, got {self.beta_scale}")
-        if self.noise_scale < 0:
-            problems.append(f"noise_scale must be >= 0, got {self.noise_scale}")
         if problems:
             raise InvalidConfigError("; ".join(problems))
 

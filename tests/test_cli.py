@@ -45,7 +45,7 @@ def test_synth_gen_deterministic(tmp_path):
 def test_load_config_fills_paper_defaults(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
-    cfg = load_config(path, {"n": 2000, "d": 1000})
+    _, cfg = load_config(path, {"n": 2000, "d": 1000})
     assert cfg["eta"] == 0.01
     assert cfg["tau"] == 1.0
     assert cfg["K"] == pytest.approx(math.log(1000), abs=1e-4)
@@ -76,10 +76,10 @@ def test_resolve_config_lists_every_failed_field():
 def test_config_round_trip(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"n": 50, "d": 8}))
-    cfg = load_config(path)
+    _, cfg = load_config(path)
     echo = tmp_path / "echo.json"
     echo.write_text(json.dumps(cfg))
-    assert load_config(echo) == cfg
+    assert load_config(echo)[1] == cfg
 
 
 # fit -----------------------------------------------------------------------------
@@ -141,16 +141,40 @@ def test_fit_on_csv_data(tmp_path):
 
 
 def test_fit_effective_config_reproduces_run(tmp_path):
+    # A --non-private run echoes "epsilon": null, so its rerun is non-private too.
+    for estimator, extra in (("dp-iht-l", []), ("dp-iht-h", ["--tau", "2.0", "--non-private"])):
+        out1, out2 = tmp_path / estimator / "r1", tmp_path / estimator / "r2"
+        argv = ["fit", "--estimator", estimator, "--n", "80", "--d", "12",
+                "--T", "4", "--seed", "9", *extra]
+        assert run_cli(*argv, "--out", str(out1)) == 0
+        assert run_cli("fit", "--estimator", estimator,
+                       "--config", str(out1 / "effective_config.json"),
+                       "--out", str(out2)) == 0
+        assert (out1 / "estimate.json").read_bytes() == (out2 / "estimate.json").read_bytes()
+        eff = json.loads((out1 / "effective_config.json").read_text())
+        assert eff["epsilon"] == (None if extra else 0.5)
+
+
+def test_fit_rejects_n_d_that_disagree_with_the_data(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    run_cli("synth-gen", "--n", "30", "--d", "5", "--seed", "2", "--out", str(gen))
+    data = str(gen / "dataset.csv")
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"n": 40, "d": 10, "T": 3}))
+    code = run_cli("fit", "--estimator", "dp-iht-l", "--config", str(cfgp), "--data", data,
+                   "--out", str(tmp_path / "bad"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "n=40" in err and "d=10" in err
+    # The CSV fit's own effective config records the matching n and d.
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    argv = ["fit", "--estimator", "dp-iht-l", "--n", "80", "--d", "12",
-            "--T", "4", "--seed", "9"]
-    assert run_cli(*argv, "--out", str(out1)) == 0
+    assert run_cli("fit", "--estimator", "dp-iht-l", "--data", data, "--T", "3",
+                   "--out", str(out1)) == 0
+    eff = json.loads((out1 / "effective_config.json").read_text())
+    assert (eff["n"], eff["d"]) == (30, 5)
     assert run_cli("fit", "--estimator", "dp-iht-l",
-                   "--config", str(out1 / "effective_config.json"),
-                   "--out", str(out2)) == 0
-    est1 = json.loads((out1 / "estimate.json").read_text())
-    est2 = json.loads((out2 / "estimate.json").read_text())
-    assert est1["beta"] == est2["beta"]
+                   "--config", str(out1 / "effective_config.json"), "--out", str(out2)) == 0
+    assert (out1 / "estimate.json").read_bytes() == (out2 / "estimate.json").read_bytes()
 
 
 # sweep -----------------------------------------------------------------------------
@@ -240,7 +264,7 @@ def test_probe_subcommand(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "probe_report.json").read_text())
     assert report["passed"] is True
-    assert {r["estimator"] for r in report["results"]} == {"dp-iht-h", "dp-iht-l"}
+    assert {r["estimator"] for r in report["results"]} == {"dp-iht-h", "dp-iht-l", "dp-slr"}
     assert "pass" in capsys.readouterr().out
 
 
@@ -264,6 +288,26 @@ def test_invalid_config_value_exits_one(tmp_path, capsys):
     code = run_cli("sweep", "--config", str(cfgp), "--out", str(tmp_path / "o"))
     assert code == 1
     assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"tua": 2.0}, "unknown config key 'tua'"),
+    ({"K": "abc"}, "K must be"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"values": ["a", "b"]}, "values must be"),
+    ({"n": True}, "n must be a positive integer"),
+], ids=["unknown-key", "K-string", "seed-float", "values-strings", "n-bool"])
+def test_bad_config_input_exits_one_naming_the_field(tmp_path, capsys, extra, message):
+    cfgp = sweep_config(tmp_path, **extra)
+    code = run_cli("sweep", "--config", str(cfgp), "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_negative_seed_is_accepted(tmp_path):
+    cfgp = sweep_config(tmp_path, seed=-3, values=[40], repeats=1, estimators=["ada-huber"])
+    assert run_cli("sweep", "--config", str(cfgp), "--out", str(tmp_path / "o")) == 0
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

@@ -234,8 +234,8 @@ def test_real_single_feature_recovery(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path)
     spec = RealDataSpec(
-        csv_path=str(path), response_col="y", standardize=False, s=1, T=12,
-        eta=1.0, tau=20.0, K=100.0, epsilon=0.5,
+        csv_path=str(path), response_col="y", standardize=False,
+        base=ExperimentBase(s=1, T=12, eta=1.0, tau=20.0, K=100.0, epsilon=0.5),
     )
     rows = run_real(spec, [ADA])
     assert rows[0].selected == ("x1",)
@@ -248,8 +248,8 @@ def test_real_standardized_run_reports_proxy_distance(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=1)
     spec = RealDataSpec(
-        csv_path=str(path), response_col="y", standardize=True, s=2, T=12,
-        eta=1.0, tau=20.0, K=100.0, epsilon=5.0,
+        csv_path=str(path), response_col="y", standardize=True,
+        base=ExperimentBase(s=2, T=12, eta=1.0, tau=20.0, K=100.0, epsilon=5.0),
     )
     rows = run_real(spec, [ADA, H])
     by_name = {r.estimator: r for r in rows}
@@ -264,7 +264,9 @@ def test_real_constant_column_warns(tmp_path):
     y = x[:, 0].copy()
     path = tmp_path / "const.csv"
     save_csv(Dataset(x, y), path)
-    spec = RealDataSpec(csv_path=str(path), response_col="y", s=1, T=3, tau=20.0)
+    spec = RealDataSpec(
+        csv_path=str(path), response_col="y", base=ExperimentBase(s=1, T=3, tau=20.0)
+    )
     with pytest.warns(UserWarning, match="constant column"):
         rows = run_real(spec, [ADA])
     assert rows[0].support_size == 1
@@ -274,7 +276,8 @@ def test_real_csv_writer_schema(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=3)
     spec = RealDataSpec(
-        csv_path=str(path), response_col="y", standardize=False, s=1, T=3, tau=20.0
+        csv_path=str(path), response_col="y", standardize=False,
+        base=ExperimentBase(s=1, T=3, tau=20.0),
     )
     rows = run_real(spec, [ADA])
     out = tmp_path / "table.csv"
@@ -296,7 +299,7 @@ def test_sensitivity_suite_passes():
     report = run_sensitivity_suite(trials=40, seed=0)
     assert report.passed
     names = {r.estimator for r in report.results}
-    assert names == {"dp-iht-h", "dp-iht-l"}
+    assert names == {"dp-iht-h", "dp-iht-l", "dp-slr"}
     for r in report.results:
         assert r.max_bound_ratio <= 1.0 + 1e-9
 
