@@ -2,7 +2,8 @@
 
 Run: python benchmarks/bench_kernels.py
 The kernel cells time each gradient kernel and the peeling selection loop
-at fixed shapes. The stage cells time ``batch_gradient`` on a fold within K
+at fixed shapes, and beside them a zero-noise ``peel`` (the non-private fit's
+selection, which runs no selection rounds). The stage cells time ``batch_gradient`` on a fold within K
 (read in place) and on a fold beyond K (clipped first), and the Laplace
 block draw of one peel with fresh arrays (the public ``laplace``) and with
 the reused workspace a fit passes to every iteration. Each cell is the
@@ -23,7 +24,7 @@ import time
 
 import numpy as np
 
-from dpsparse import Dataset, Huber, RngHandle, batch_gradient, laplace
+from dpsparse import Dataset, Huber, RngHandle, batch_gradient, laplace, peel
 from dpsparse import _kernels as k
 from dpsparse.sampling import _laplace_fill
 
@@ -66,6 +67,7 @@ def main() -> None:
         absv = np.abs(rng.standard_normal(d))
         noise = rng.standard_normal((s, d)) * 0.1
         row("peel_select", f"d={d},s={s}", k.peel_select, (absv, noise))
+    row("peel zero-noise", "d=10000,s=50", peel, (rng.standard_normal(10000), 50, 0.0))
     stage_rows(rng)
 
 

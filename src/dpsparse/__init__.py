@@ -59,7 +59,7 @@ from .losses import (
     huber_value,
     l1_subgrad,
 )
-from .peeling import PeelingParams, noise_scale, peel
+from .peeling import noise_scale, peel
 from .sampling import (
     RngHandle,
     SyntheticConfig,
@@ -87,7 +87,6 @@ __all__ = [
     "InvalidInputError",
     "InvalidParameterError",
     "NumericalFailureError",
-    "PeelingParams",
     "PrivacyParams",
     "RealDataSpec",
     "RngHandle",

@@ -16,7 +16,9 @@ import os
 import sys
 from dataclasses import MISSING, fields
 
-from .core import ConstantStep, TwoPhaseStep, field_problems, l2_error, load_csv, mae, save_csv
+from .core import (
+    RULES, ConstantStep, TwoPhaseStep, field_problems, l2_error, load_csv, mae, save_csv
+)
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
 from .estimators import ESTIMATORS, EstimatorKind, fit_estimator
 from .harness import (
@@ -116,6 +118,14 @@ _RUN_KEYS = (
     "csv", "response_col", "train_fraction", "standardize",
 )
 _KEYS = frozenset(_SYNTHETIC_KEYS + _FIT_KEYS + _RUN_KEYS)
+# The run keys checked here, so that one pass names every bad field; the grid
+# itself (axis and values) is checked by SweepSpec.
+_RUN_RULES = (
+    RULES["repeats"],
+    RULES["train_fraction"],
+    ("estimators", f"a list of {_ALL_ESTIMATORS}",
+     lambda v: isinstance(v, list) and all(e in _ALL_ESTIMATORS for e in v)),
+)
 # The defaults echoed to effective_config.json, read from the dataclasses.
 _DEFAULTS = {
     "s_star": S_STAR,
@@ -178,9 +188,7 @@ def resolve_config(
     except (InvalidConfigError, KeyError, TypeError, ValueError) as exc:
         problems.append(f"schedule_l invalid: {exc}")
         fit["schedule_l"] = None
-    estimators = cfg.get("estimators", [])
-    if not isinstance(estimators, list) or any(e not in _ALL_ESTIMATORS for e in estimators):
-        problems.append(f"estimators must be a list of {_ALL_ESTIMATORS}, got {estimators!r}")
+    problems += field_problems(cfg, _RUN_RULES)
     base = _build(problems, ExperimentBase, {"synthetic": synthetic, **fit})
     if problems:
         raise InvalidConfigError("; ".join(problems))
@@ -198,20 +206,17 @@ def _build(problems: list, cls, kwargs: dict):
         return None
 
 
+_SCHEDULES = {"constant": ConstantStep, "two-phase": TwoPhaseStep}
+
+
 def _schedule_from_dict(spec: dict | None):
+    # The values go to the step type as they are, so its rules name a bad one.
     if spec is None:
         return None
     kind = spec["kind"]
-    if kind == "constant":
-        return ConstantStep(eta=float(spec["eta"]))
-    if kind == "two-phase":
-        return TwoPhaseStep(
-            eta0=float(spec["eta0"]),
-            decay=float(spec["decay"]),
-            switch_iter=int(spec["switch_iter"]),
-            eta_const=float(spec["eta_const"]),
-        )
-    raise InvalidConfigError(f"schedule kind must be constant or two-phase, got {kind!r}")
+    if kind not in _SCHEDULES:
+        raise InvalidConfigError(f"schedule kind must be constant or two-phase, got {kind!r}")
+    return _SCHEDULES[kind](**{key: value for key, value in spec.items() if key != "kind"})
 
 
 def _flags(args) -> dict:

@@ -88,7 +88,10 @@ def _adopt(x: np.ndarray, y: np.ndarray) -> Dataset:
 # Config field rules: (field name, what its value must be, test). Each test
 # checks the type as well as the range, so a value read from JSON fails with
 # its field's name, not with a TypeError inside a fit. A bool is never a
-# number here, though Python counts it as an int.
+# number here, though Python counts it as an int. Every config type checks
+# its fields with ``check_fields``: its scalar fields against ``RULES``, which
+# holds the one rule of each scalar parameter, its object fields against
+# type rules of its own.
 
 
 def is_int(v) -> bool:
@@ -99,16 +102,29 @@ def is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def positive_int(v) -> bool:
-    return is_int(v) and v >= 1
+def optional(rule):
+    """``rule`` that also accepts None."""
+    name, must_be, test = rule
+    return name, f"{must_be} or null", lambda v: v is None or test(v)
 
 
-def positive(v) -> bool:
-    return is_number(v) and v > 0
-
-
-def or_none(test):
-    return lambda v: v is None or test(v)
+RULES = {
+    name: (name, must_be, test)
+    for must_be, test, names in (
+        ("an integer", is_int, ("seed",)),
+        ("an integer >= 0", lambda v: is_int(v) and v >= 0, ("switch_iter",)),
+        ("a positive integer", lambda v: is_int(v) and v >= 1,
+         ("s", "T", "n", "d", "s_star", "repeats")),
+        ("a number > 0", lambda v: is_number(v) and v > 0,
+         ("K", "L", "tau", "epsilon", "eta", "eta0", "eta_const", "beta_scale")),
+        ("a number >= 0", lambda v: is_number(v) and v >= 0, ("response_clip", "noise_scale")),
+        ("a number in (0, 1)", lambda v: is_number(v) and 0 < v < 1,
+         ("delta", "decay", "train_fraction")),
+        ("a number in (0, 1]", lambda v: is_number(v) and 0 < v <= 1, ("zeta",)),
+        ("true or false", lambda v: isinstance(v, bool), ("sign_on_clipped", "standardize")),
+    )
+    for name in names
+}
 
 
 def field_problems(values: dict, rules) -> list[str]:
@@ -118,6 +134,17 @@ def field_problems(values: dict, rules) -> list[str]:
         for name, must_be, test in rules
         if name in values and not test(values[name])
     ]
+
+
+def check_fields(obj, rules, problems=()) -> None:
+    """Raise one InvalidConfigError naming ``problems`` and every field of
+    ``obj`` that fails its rule."""
+    problems = [*problems, *field_problems(vars(obj), rules)]
+    if problems:
+        raise InvalidConfigError("; ".join(problems))
+
+
+_PRIVACY_RULES = (optional(RULES["epsilon"]), RULES["delta"])
 
 
 @dataclass(frozen=True)
@@ -131,10 +158,7 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise InvalidConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidConfigError(f"delta must lie in (0, 1), got {self.delta}")
+        check_fields(self, _PRIVACY_RULES)
 
     @property
     def is_private(self) -> bool:
@@ -152,11 +176,13 @@ class ConstantStep:
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise InvalidConfigError(f"eta must be > 0, got {self.eta}")
+        check_fields(self, (RULES["eta"],))
 
     def step(self, t: int) -> float:
         return self.eta
+
+
+_TWO_PHASE_RULES = tuple(RULES[name] for name in ("eta0", "decay", "switch_iter", "eta_const"))
 
 
 @dataclass(frozen=True)
@@ -172,14 +198,7 @@ class TwoPhaseStep:
     eta_const: float
 
     def __post_init__(self):
-        if not self.eta0 > 0:
-            raise InvalidConfigError(f"eta0 must be > 0, got {self.eta0}")
-        if not (0.0 < self.decay < 1.0):
-            raise InvalidConfigError(f"decay must lie in (0, 1), got {self.decay}")
-        if self.switch_iter < 0:
-            raise InvalidConfigError(f"switch_iter must be >= 0, got {self.switch_iter}")
-        if not self.eta_const > 0:
-            raise InvalidConfigError(f"eta_const must be > 0, got {self.eta_const}")
+        check_fields(self, _TWO_PHASE_RULES)
 
     def step(self, t: int) -> float:
         if t < self.switch_iter:
@@ -188,6 +207,13 @@ class TwoPhaseStep:
 
 
 StepSchedule = ConstantStep | TwoPhaseStep
+
+_ESTIMATOR_RULES = (
+    RULES["s"], RULES["T"], optional(RULES["K"]), RULES["L"],
+    ("schedule", "a ConstantStep or TwoPhaseStep", lambda v: isinstance(v, StepSchedule)),
+    optional(RULES["tau"]), optional(RULES["response_clip"]),
+    RULES["sign_on_clipped"], RULES["seed"],
+)
 
 
 @dataclass(frozen=True)
@@ -210,21 +236,7 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        problems = []
-        if self.s < 1:
-            problems.append(f"s must be >= 1, got {self.s}")
-        if self.T < 1:
-            problems.append(f"T must be >= 1, got {self.T}")
-        if self.K is not None and not self.K > 0:
-            problems.append(f"K must be > 0 or None, got {self.K}")
-        if not self.L > 0:
-            problems.append(f"L must be > 0, got {self.L}")
-        if self.tau is not None and not self.tau > 0:
-            problems.append(f"tau must be > 0, got {self.tau}")
-        if self.response_clip is not None and not self.response_clip >= 0:
-            problems.append(f"response_clip must be >= 0, got {self.response_clip}")
-        if problems:
-            raise InvalidConfigError("; ".join(problems))
+        check_fields(self, _ESTIMATOR_RULES)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import InvalidConfigError, NumericalFailureError
 from .losses import AbsoluteL1, Huber, LossKind, Squared, batch_gradient
-from .peeling import PeelingParams, _peel
+from .peeling import _peel, noise_scale
 from .sampling import RngHandle
 
 
@@ -127,6 +127,21 @@ ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
 }
 
 
+def _update(
+    kind: EstimatorKind, fold: Dataset, beta: np.ndarray, eta: float, cfg: EstimatorConfig
+) -> np.ndarray:
+    """eta times the loss gradient of ``kind`` on ``fold`` at ``beta``.
+
+    One iteration's half-step is ``beta - _update(...)``: the fit and the
+    sensitivity probes both take it from here, dp-slr's response clip
+    included.
+    """
+    spec = ESTIMATORS[kind]
+    if spec.clips_responses:
+        fold = clip_responses(fold, _response_clip(cfg))
+    return eta * batch_gradient(fold, beta, spec.loss(cfg), cfg.K, cfg.sign_on_clipped)
+
+
 @dataclass(frozen=True)
 class FitReport:
     """Fit output plus run diagnostics."""
@@ -162,37 +177,30 @@ def fit_estimator(
     if not spec.private:
         priv = PrivacyParams.non_private()
     _validate_fit(ds, cfg, priv)
-    loss = spec.loss(cfg)
-    R = _response_clip(cfg) if spec.clips_responses else None
     folds = split_folds(ds, cfg.T)
     m = folds[0].n
-    # One selection-noise workspace per fit, overwritten by every iteration's
-    # peel: a private fit draws (s+1) x d Laplace variates per iteration.
-    noise = np.empty((cfg.s + 1, ds.d))
-    scratch = np.empty_like(noise) if priv.is_private else None
+    # One selection-noise workspace per private fit, overwritten by every
+    # iteration's peel: it draws (s+1) x d Laplace variates per iteration.
+    noise = scratch = None
+    if priv.is_private:
+        noise, scratch = np.empty((cfg.s + 1, ds.d)), np.empty((cfg.s + 1, ds.d))
     beta = np.zeros(ds.d)
     support = np.arange(0)
     trace: list[float] | None = [] if beta_star is not None else None
     half_trace: list[float] = []
-    streams = 0
     for t in range(cfg.T):
         eta = cfg.schedule.step(t)
-        fold = folds[t] if R is None else clip_responses(folds[t], R)
-        grad = batch_gradient(fold, beta, loss, cfg.K, cfg.sign_on_clipped)
         with np.errstate(over="ignore", invalid="ignore"):
-            update = eta * grad
+            update = _update(kind, folds[t], beta, eta, cfg)
             half = beta - update
         if not np.isfinite(half).all():
             raise NumericalFailureError(
                 f"non-finite iterate at iteration {t}", iteration=t
             )
         half_trace.append(float(np.max(np.abs(update))) if update.size else 0.0)
-        lam = spec.lam(cfg, eta, m) if priv.is_private else 0.0
-        params = PeelingParams(s=cfg.s, epsilon=priv.epsilon, delta=priv.delta, lam=lam)
+        b = noise_scale(spec.lam(cfg, eta, m), cfg.s, priv) if priv.is_private else 0.0
         rng = RngHandle(cfg.seed, stream=t) if priv.is_private else None
-        if priv.is_private:
-            streams += 1
-        peeled, support = _peel(half, params, rng, noise, scratch)
+        peeled, support = _peel(half, cfg.s, b, rng, noise, scratch)
         beta = project_l2(peeled, cfg.L)
         if trace is not None:
             trace.append(l2_error(beta, beta_star))
@@ -201,7 +209,7 @@ def fit_estimator(
         estimate=estimate,
         iterations_run=cfg.T,
         half_step_linf_trace=half_trace,
-        rng_streams_consumed=streams,
+        rng_streams_consumed=cfg.T if priv.is_private else 0,
     )
 
 
@@ -238,16 +246,6 @@ def _adversarial_record(gen: np.random.Generator, d: int) -> tuple[np.ndarray, f
         x[int(gen.integers(d))] = _HUGE
     y = float(gen.standard_cauchy() * 100.0)
     return x, y
-
-
-def _half_step(
-    fold: Dataset, beta: np.ndarray, eta: float, kind: EstimatorKind, cfg: EstimatorConfig
-) -> np.ndarray:
-    spec = ESTIMATORS[kind]
-    if spec.clips_responses:
-        fold = clip_responses(fold, _response_clip(cfg))
-    grad = batch_gradient(fold, beta, spec.loss(cfg), cfg.K, cfg.sign_on_clipped)
-    return beta - eta * grad
 
 
 def sensitivity_probe(
@@ -299,6 +297,6 @@ def sensitivity_probe(
             yb[i] = 0.0
         fold_b = Dataset(xb, yb)
         beta = _random_sparse_iterate(gen, d, cfg.s, cfg.L)
-    half_a = _half_step(fold_a, beta, eta, kind, cfg)
-    half_b = _half_step(fold_b, beta, eta, kind, cfg)
+    half_a = beta - _update(kind, fold_a, beta, eta, cfg)
+    half_b = beta - _update(kind, fold_b, beta, eta, cfg)
     return float(np.max(np.abs(half_a - half_b)))

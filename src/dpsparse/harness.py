@@ -22,20 +22,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    RULES,
     ConstantStep,
     Dataset,
     EstimatorConfig,
     PrivacyParams,
     StepSchedule,
-    field_problems,
-    is_int,
-    is_number,
+    check_fields,
     l2_error,
     load_csv,
     mae,
-    or_none,
-    positive,
-    positive_int,
+    optional,
 )
 from .errors import DpSparseError, InvalidConfigError
 from .estimators import (
@@ -74,18 +71,12 @@ S_STAR = 5
 """Default true sparsity s* of a run, and so the default fitted sparsity s."""
 
 _FIT_RULES = (
-    ("synthetic", "a SyntheticConfig or null", or_none(lambda v: isinstance(v, SyntheticConfig))),
-    ("epsilon", "a number > 0 or null", or_none(positive)),
-    ("delta", "a number in (0, 1) or null", or_none(lambda v: is_number(v) and 0 < v < 1)),
-    ("eta", "a number > 0", positive),
-    ("s", "a positive integer or null", or_none(positive_int)),
-    ("T", "a positive integer or null", or_none(positive_int)),
-    ("K", "a number > 0 or null", or_none(positive)),
-    ("L", "a number > 0", positive),
-    ("tau", "a number > 0 or null", or_none(positive)),
-    ("response_clip", "a number >= 0 or null", or_none(lambda v: is_number(v) and v >= 0)),
-    ("schedule_l", "a step schedule or null", or_none(lambda v: isinstance(v, StepSchedule))),
-    ("sign_on_clipped", "true or false", lambda v: isinstance(v, bool)),
+    optional(("synthetic", "a SyntheticConfig", lambda v: isinstance(v, SyntheticConfig))),
+    optional(RULES["epsilon"]), optional(RULES["delta"]), RULES["eta"],
+    optional(RULES["s"]), optional(RULES["T"]), optional(RULES["K"]), RULES["L"],
+    optional(RULES["tau"]), optional(RULES["response_clip"]),
+    optional(("schedule_l", "a step schedule", lambda v: isinstance(v, StepSchedule))),
+    RULES["sign_on_clipped"],
 )
 
 
@@ -119,9 +110,7 @@ class ExperimentBase:
     sign_on_clipped: bool = False
 
     def __post_init__(self):
-        problems = field_problems(vars(self), _FIT_RULES)
-        if problems:
-            raise InvalidConfigError("; ".join(problems))
+        check_fields(self, _FIT_RULES)
 
     def privacy(self, n: int) -> PrivacyParams:
         """The budget of a fit on n records."""
@@ -159,8 +148,20 @@ class ExperimentBase:
         )
 
 
+_SWEEP_RULES = (
+    ("values", "a nonempty list", lambda v: isinstance(v, tuple) and bool(v)),
+    RULES["repeats"],
+    ("estimators", "a nonempty list of EstimatorKind",
+     lambda v: isinstance(v, tuple) and bool(v) and all(isinstance(k, EstimatorKind) for k in v)),
+    ("base", "an ExperimentBase with a synthetic config",
+     lambda v: isinstance(v, ExperimentBase) and v.synthetic is not None),
+)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
+    """Every value of ``axis`` (each checked by that field's rule), ``repeats`` times."""
+
     axis: str
     values: tuple
     base: ExperimentBase
@@ -168,24 +169,22 @@ class SweepSpec:
     estimators: tuple[EstimatorKind, ...]
 
     def __post_init__(self):
-        problems = []
+        for name in ("values", "estimators"):
+            if isinstance(getattr(self, name), Iterable):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        values, problems = self.values, []
         if self.axis not in SWEEP_AXES:
             problems.append(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        values = tuple(self.values) if isinstance(self.values, Iterable) else ()
-        if not values or not all(is_number(v) for v in values):
-            problems.append(f"values must be a nonempty list of numbers, got {self.values!r}")
-        elif any(b <= a for a, b in zip(values, values[1:])):
-            problems.append(f"values must be strictly increasing, got {values}")
-        if not positive_int(self.repeats):
-            problems.append(f"repeats must be a positive integer, got {self.repeats!r}")
-        if not self.estimators:
-            problems.append("estimators must be nonempty")
-        if self.base.synthetic is None:
-            problems.append("a sweep needs a synthetic base config")
-        if problems:
-            raise InvalidConfigError("; ".join(problems))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        elif isinstance(values, tuple):
+            _, must_be, test = RULES[self.axis]
+            problems += [
+                f"values must be {must_be} on axis {self.axis}, got {v!r}"
+                for v in values
+                if not test(v)
+            ]
+            if not problems and any(b <= a for a, b in zip(values, values[1:])):
+                problems.append(f"values must be strictly increasing, got {values}")
+        check_fields(self, _SWEEP_RULES, problems)
 
 
 @dataclass(frozen=True)
@@ -343,6 +342,17 @@ def write_aggregates_json(result: SweepResult, path) -> None:
 # Real-data evaluation --------------------------------------------------------
 
 
+_REAL_RULES = (
+    ("csv_path", "a path", lambda v: isinstance(v, (str, os.PathLike))),
+    ("response_col", "a column name", lambda v: isinstance(v, str)),
+    RULES["standardize"],
+    RULES["train_fraction"],
+    ("proxy", "an EstimatorKind", lambda v: isinstance(v, EstimatorKind)),
+    RULES["seed"],
+    ("base", "an ExperimentBase", lambda v: isinstance(v, ExperimentBase)),
+)
+
+
 @dataclass(frozen=True)
 class RealDataSpec:
     """How to evaluate the estimators on a user-supplied CSV.
@@ -360,15 +370,7 @@ class RealDataSpec:
     base: ExperimentBase = field(default_factory=ExperimentBase)
 
     def __post_init__(self):
-        problems = field_problems(
-            vars(self),
-            (
-                ("train_fraction", "a number in (0, 1)", lambda v: is_number(v) and 0 < v < 1),
-                ("seed", "an integer", is_int),
-            ),
-        )
-        if problems:
-            raise InvalidConfigError("; ".join(problems))
+        check_fields(self, _REAL_RULES)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import Dataset, clip_features
-from .errors import InvalidConfigError, InvalidInputError
+from .core import RULES, Dataset, check_fields, clip_features
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,7 @@ class Huber:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise InvalidConfigError(f"tau must be > 0, got {self.tau}")
+        check_fields(self, (RULES["tau"],))
 
 
 @dataclass(frozen=True)

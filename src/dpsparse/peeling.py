@@ -3,106 +3,91 @@
 One call performs s selection rounds. Round i draws a fresh d-dimensional
 Laplace noise vector, picks the unselected index maximizing |v_j| + w_ij
 (ties break to the lowest index), then a final noise vector perturbs the kept
-entries. With the noise scale at zero this reduces exactly to hard
-thresholding onto the s largest-magnitude entries.
+entries. With the noise scale at zero this is exactly hard thresholding onto
+the s largest-magnitude entries, which is computed directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidConfigError
+from .core import PrivacyParams, is_int
+from .errors import InvalidConfigError, InvalidInputError, InvalidParameterError
 from .sampling import RngHandle, _as_generator, _laplace_fill
 
 
-@dataclass(frozen=True)
-class PeelingParams:
-    """Selection size, privacy budget and per-entry sensitivity scale.
-
-    ``epsilon=None`` is the non-private sentinel: the derived noise scale is
-    exactly zero and no randomness is consumed.
-    """
-
-    s: int
-    epsilon: float | None
-    delta: float
-    lam: float
-
-    def __post_init__(self):
-        problems = []
-        if self.s < 1:
-            problems.append(f"s must be >= 1, got {self.s}")
-        if self.epsilon is not None and not self.epsilon > 0:
-            problems.append(f"epsilon must be > 0, got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            problems.append(f"delta must lie in (0, 1), got {self.delta}")
-        if self.lam < 0:
-            problems.append(f"lam must be >= 0, got {self.lam}")
-        if problems:
-            raise InvalidConfigError("; ".join(problems))
-
-    @property
-    def is_private(self) -> bool:
-        return self.epsilon is not None
-
-
-def noise_scale(params: PeelingParams) -> float:
+def noise_scale(lam: float, s: int, priv: PrivacyParams) -> float:
     """Laplace scale b = 2 * lam * sqrt(3 * s * ln(1/delta)) / epsilon.
 
+    ``lam`` >= 0 is the per-entry sensitivity and ``s`` the selection size.
     Returns exactly 0 in non-private mode (and whenever lam is 0). Logs are
     natural throughout.
     """
-    if not params.is_private or params.lam == 0.0:
+    if not priv.is_private or lam == 0.0:
         return 0.0
-    return 2.0 * params.lam * math.sqrt(3.0 * params.s * math.log(1.0 / params.delta)) / params.epsilon
+    return 2.0 * lam * math.sqrt(3.0 * s * math.log(1.0 / priv.delta)) / priv.epsilon
 
 
 def peel(
     v: np.ndarray,
-    params: PeelingParams,
+    s: int,
+    b: float,
     rng: RngHandle | np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy top-s selection: returns (selected values + noise, support).
+    """Noisy top-s selection at Laplace scale ``b``: (selected values + noise, support).
 
     The output vector equals v on the selected support plus a fresh Laplace
     perturbation there, and is exactly zero elsewhere. The support always has
-    exactly s indices and is returned sorted.
+    exactly s indices and is returned sorted. ``b`` is usually
+    ``noise_scale(lam, s, priv)``; ``rng`` is needed only when b > 0.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise InvalidConfigError(f"peel expects a vector, got shape {v.shape}")
-    d = v.shape[0]
-    if params.s > d:
-        raise InvalidConfigError(f"s={params.s} exceeds vector length {d}")
-    noise = np.empty((params.s + 1, d))
-    return _peel(v, params, rng, noise, np.empty_like(noise))
+    if not (is_int(s) and 1 <= s <= v.shape[0]):
+        raise InvalidConfigError(f"s must be a positive integer <= {v.shape[0]}, got {s!r}")
+    if not b >= 0:
+        raise InvalidParameterError(f"scale b must be >= 0, got {b}")
+    if not np.isfinite(v).all():
+        raise InvalidInputError("peel requires finite input")
+    return _peel(v, s, b, rng)
 
 
 def _peel(
     v: np.ndarray,
-    params: PeelingParams,
+    s: int,
+    b: float,
     rng: RngHandle | np.random.Generator | None,
-    noise: np.ndarray,
-    scratch: np.ndarray | None,
+    noise: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # The body of peel for a checked float64 vector v. ``noise`` is an
-    # (s+1) x d C-contiguous work array that is overwritten; ``scratch``, of
-    # the same shape, is needed only when the noise scale is positive. A fit
-    # passes the same two arrays to every iteration.
-    b = noise_scale(params)
+    # The body of peel for a checked finite float64 vector v. When b > 0,
+    # ``noise`` and ``scratch`` are (s+1) x d C-contiguous work arrays that
+    # are overwritten (allocated here when None); a private fit passes the
+    # same two arrays to every iteration. At b == 0 neither is touched.
+    d = v.shape[0]
+    absv = np.abs(v)
     if b > 0.0:
         if rng is None:
             raise InvalidConfigError("peel with positive noise scale needs an rng")
+        if noise is None:
+            noise, scratch = np.empty((s + 1, d)), np.empty((s + 1, d))
         # Rows 0..s-1 are the per-round selection noise, row s the value noise;
         # one block draw matches s+1 sequential d-sized draws in row order.
         _laplace_fill(b, _as_generator(rng), noise, scratch)
+        selected = _kernels.peel_select(absv, noise[:s])
+        kept = v[selected] + noise[s, selected]
     else:
-        noise.fill(0.0)
-    selected = _kernels.peel_select(np.abs(v), noise[: params.s])
-    out = np.zeros(v.shape[0])
-    out[selected] = v[selected] + noise[params.s, selected]
+        # The s rounds without noise keep every entry above the s-th largest
+        # magnitude, then the lowest-index entries equal to it.
+        cut = np.partition(absv, d - s)[d - s]
+        above = np.flatnonzero(absv > cut)
+        selected = np.concatenate((above, np.flatnonzero(absv == cut)[: s - above.size]))
+        # + 0.0 maps -0.0 to 0.0: the same bits as adding a row of zero noise.
+        kept = v[selected] + 0.0
+    out = np.zeros(d)
+    out[selected] = kept
     return out, np.sort(selected)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _adopt, field_problems, is_int, is_number, positive, positive_int
+from .core import RULES, Dataset, _adopt, check_fields
 from .errors import InvalidConfigError, InvalidParameterError
 
 # (tail index -> Student-t degrees of freedom) anchors; other tail indices use
@@ -105,14 +105,8 @@ def student_t(
     return float(draws) if size is None else draws
 
 
-SYNTHETIC_RULES = (
-    ("n", "a positive integer", positive_int),
-    ("d", "a positive integer", positive_int),
-    ("s_star", "a positive integer", positive_int),
-    ("zeta", "a number in (0, 1]", lambda v: is_number(v) and 0 < v <= 1),
-    ("beta_scale", "a number > 0", positive),
-    ("noise_scale", "a number >= 0", lambda v: is_number(v) and v >= 0),
-    ("seed", "an integer", is_int),
+SYNTHETIC_RULES = tuple(
+    RULES[name] for name in ("n", "d", "s_star", "zeta", "beta_scale", "noise_scale", "seed")
 )
 
 
@@ -129,11 +123,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        problems = field_problems(vars(self), SYNTHETIC_RULES)
-        if not problems and self.s_star > self.d:
-            problems.append(f"s_star must satisfy 1 <= s_star <= d, got {self.s_star}")
-        if problems:
-            raise InvalidConfigError("; ".join(problems))
+        check_fields(self, SYNTHETIC_RULES)
+        if self.s_star > self.d:
+            raise InvalidConfigError(f"s_star must satisfy 1 <= s_star <= d, got {self.s_star}")
 
     @property
     def nu(self) -> float:

@@ -44,7 +44,6 @@ from dpsparse import (
 )
 from dpsparse.harness import write_results_csv
 from dpsparse.losses import huber_objective
-from dpsparse.peeling import PeelingParams
 
 H = EstimatorKind.DP_IHT_H
 L = EstimatorKind.DP_IHT_L
@@ -120,7 +119,6 @@ def test_criterion_1_huber_gradient_finite_differences():
 def test_criterion_2_peeling_zero_noise_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
-    nonprivate = lambda s: PeelingParams(s=s, epsilon=None, delta=0.5, lam=0.0)
     for trial in range(1000):
         d = int(rng.integers(2, 201))
         s = int(rng.integers(1, min(d, 50) + 1))
@@ -128,7 +126,7 @@ def test_criterion_2_peeling_zero_noise_oracle():
             v = rng.integers(-5, 6, size=d).astype(float)  # forces magnitude ties
         else:
             v = rng.standard_normal(d)
-        out, support = peel(v, nonprivate(s))
+        out, support = peel(v, s, 0.0)
         oracle = sorted(range(d), key=lambda j: (-abs(v[j]), j))[:s]
         assert list(support) == sorted(oracle), f"trial {trial}"
         expected = np.zeros(d)

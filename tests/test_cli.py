@@ -290,19 +290,38 @@ def test_invalid_config_value_exits_one(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra,message", [
-    ({"tua": 2.0}, "unknown config key 'tua'"),
-    ({"K": "abc"}, "K must be"),
-    ({"seed": 1.5}, "seed must be an integer"),
-    ({"values": ["a", "b"]}, "values must be"),
-    ({"n": True}, "n must be a positive integer"),
-], ids=["unknown-key", "K-string", "seed-float", "values-strings", "n-bool"])
-def test_bad_config_input_exits_one_naming_the_field(tmp_path, capsys, extra, message):
+def two_phase(**extra):
+    return {"kind": "two-phase", "eta0": 0.3, "decay": 0.2, "switch_iter": 2, "eta_const": 0.05,
+            **extra}
+
+
+@pytest.mark.parametrize("command,extra,messages", [
+    ("sweep", {"tua": 2.0}, ["unknown config key 'tua'"]),
+    ("sweep", {"K": "abc"}, ["K must be"]),
+    ("sweep", {"seed": 1.5}, ["seed must be an integer"]),
+    ("sweep", {"values": ["a", "b"]}, ["values must be"]),
+    ("sweep", {"n": True}, ["n must be a positive integer"]),
+    ("real", {"seed": "s", "train_fraction": 1.5},
+     ["seed must be an integer, got 's'", "train_fraction must be a number in (0, 1), got 1.5"]),
+    ("sweep", {"schedule_l": two_phase(eta0="0.1")}, ["eta0 must be a number > 0, got '0.1'"]),
+    ("sweep", {"schedule_l": two_phase(switch_iter=2.7)}, ["switch_iter must be an integer >= 0"]),
+    ("sweep", {"schedule_l": two_phase(eta_const=True)}, ["eta_const must be a number > 0"]),
+], ids=[
+    "unknown-key", "K-string", "seed-float", "values-strings", "n-bool",
+    "real-seed-and-train-fraction", "eta0-string", "switch-iter-float", "eta-const-bool",
+])
+def test_bad_config_input_exits_one_naming_the_field(tmp_path, capsys, command, extra, messages):
     cfgp = sweep_config(tmp_path, **extra)
-    code = run_cli("sweep", "--config", str(cfgp), "--out", str(tmp_path / "o"))
+    if command == "real":
+        csv = tmp_path / "data.csv"
+        csv.write_text("x1,x2,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n0.5,1.5,2.5\n")
+        argv = ("real", "--csv", str(csv), "--response-col", "y")
+    else:
+        argv = ("sweep",)
+    code = run_cli(*argv, "--config", str(cfgp), "--out", str(tmp_path / "o"))
     assert code == 1
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert all(message in err for message in messages) and "Traceback" not in err
 
 
 def test_negative_seed_is_accepted(tmp_path):

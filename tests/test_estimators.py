@@ -211,14 +211,14 @@ def test_numerical_failure_names_iteration():
 
 def test_probe_identical_folds_zero():
     # Neighboring pair with zero differing samples: deviation is exactly 0.
-    from dpsparse.estimators import _half_step
+    from dpsparse.estimators import _update
 
     rng = np.random.default_rng(11)
     fold = Dataset(rng.standard_normal((20, 6)), rng.standard_normal(20))
     cfg = base_config(s=3)
     beta = np.zeros(6)
-    a = _half_step(fold, beta, 0.1, EstimatorKind.DP_IHT_H, cfg)
-    b = _half_step(fold, beta, 0.1, EstimatorKind.DP_IHT_H, cfg)
+    a = beta - _update(EstimatorKind.DP_IHT_H, fold, beta, 0.1, cfg)
+    b = beta - _update(EstimatorKind.DP_IHT_H, fold, beta, 0.1, cfg)
     assert np.max(np.abs(a - b)) == 0.0
 
 

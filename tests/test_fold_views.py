@@ -22,7 +22,7 @@ from dpsparse import (
     split_folds,
 )
 from dpsparse.core import clip_responses
-from dpsparse.estimators import _half_step
+from dpsparse.estimators import _update
 
 # sha256 of (beta bytes, support as int64 bytes) per estimator.
 DIGESTS = {
@@ -123,13 +123,13 @@ def test_fit_builds_no_dataset(monkeypatch):
 
 def test_slr_probe_half_step_is_the_fit_half_step():
     # With T=1 and beta0 = 0 the fit's first half-step is -eta * grad on the
-    # whole dataset; the probe must compute exactly that vector.
+    # whole dataset; the probe's update must be exactly eta * grad.
     rng = np.random.default_rng(5)
     ds = Dataset(rng.standard_normal((30, 4)) * 3, rng.standard_cauchy(30) * 20)
     cfg = EstimatorConfig(
         s=2, T=1, K=2.0, L=10.0, schedule=ConstantStep(0.1), response_clip=4.0
     )
     rep = fit_estimator(EstimatorKind.DP_SLR_LITE, ds, cfg, PrivacyParams.non_private())
-    half = _half_step(ds, np.zeros(4), 0.1, EstimatorKind.DP_SLR_LITE, cfg)
-    assert rep.half_step_linf_trace[0] == float(np.max(np.abs(half)))
+    update = _update(EstimatorKind.DP_SLR_LITE, ds, np.zeros(4), 0.1, cfg)
+    assert rep.half_step_linf_trace[0] == float(np.max(np.abs(update)))
     assert np.abs(ds.y).max() > cfg.response_clip  # the clip is exercised

@@ -20,7 +20,6 @@ from dpsparse import (
     EstimatorConfig,
     EstimatorKind,
     Huber,
-    PeelingParams,
     PrivacyParams,
     Squared,
     SyntheticConfig,
@@ -28,6 +27,7 @@ from dpsparse import (
     fit_estimator,
     generate_synthetic,
     laplace,
+    noise_scale,
     peel,
     split_folds,
 )
@@ -169,15 +169,15 @@ def test_laplace_through_a_reused_workspace_equals_the_public_call():
 @pytest.mark.parametrize("epsilon", [0.5, None], ids=["private", "non-private"])
 def test_peel_through_a_reused_workspace_equals_the_public_call(epsilon):
     s, d = 4, 300
-    params = PeelingParams(s=s, epsilon=epsilon, delta=1e-3, lam=0.02)
+    b = noise_scale(0.02, s, PrivacyParams(epsilon=epsilon, delta=1e-3))
     noise = np.full((s + 1, d), np.nan)
     scratch = np.full_like(noise, np.inf)
     gen = np.random.default_rng(0)
     for stream in range(3):
         v = gen.standard_normal(d)
         rng = RngHandle(5, stream) if epsilon is not None else None
-        got_v, got_s = _peel(v, params, rng, noise, scratch)
-        want_v, want_s = peel(v, params, rng)
+        got_v, got_s = _peel(v, s, b, rng, noise, scratch)
+        want_v, want_s = peel(v, s, b, rng)
         assert got_v.tobytes() == want_v.tobytes()
         assert got_s.tobytes() == want_s.tobytes()
 
@@ -216,6 +216,27 @@ def test_private_fit_allocates_no_noise_block_per_iteration(monkeypatch):
         tracemalloc.stop()
     assert rep.iterations_run == iters and len(rises) == iters - 1
     assert max(rises) < (s + 1) * d * 8
+
+
+def test_zero_noise_fit_runs_no_selection_rounds_and_holds_no_noise_block(monkeypatch):
+    # ada-huber adds no noise, so each peel takes the top s from one partition
+    # threshold: no argmax rounds and no (s+1) x d workspace. The digests
+    # above pin its bytes.
+    def no_rounds(absv, noise):
+        raise AssertionError("a zero-noise peel ran the selection rounds")
+
+    monkeypatch.setattr(_kernels, "peel_select", no_rounds)
+    n, d, s = 17 * 20, 2000, 50
+    ds, _ = generate_synthetic(SyntheticConfig(n=n, d=d, s_star=5, seed=1))
+    cfg = EstimatorConfig(s=s, T=17, K=math.log(d), L=10.0, schedule=ConstantStep(0.05), tau=1.0)
+    tracemalloc.start()
+    try:
+        rep = fit_estimator(EstimatorKind.ADA_HUBER_LITE, ds, cfg, PrivacyParams(0.5, n ** -1.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iterations_run == 17 and rep.rng_streams_consumed == 0
+    assert peak < (s + 1) * d * 8
 
 
 def test_generate_synthetic_adopts_its_arrays():

@@ -5,7 +5,9 @@ import pytest
 
 from dpsparse import (
     InvalidConfigError,
-    PeelingParams,
+    InvalidInputError,
+    InvalidParameterError,
+    PrivacyParams,
     RngHandle,
     noise_scale,
     peel,
@@ -18,38 +20,34 @@ def brute_force_top_s(v, s):
     return sorted(order[:s])
 
 
-def nonprivate(s):
-    return PeelingParams(s=s, epsilon=None, delta=0.5, lam=0.0)
-
-
 def test_noise_scale_zero_cases():
-    assert noise_scale(PeelingParams(s=3, epsilon=1.0, delta=0.1, lam=0.0)) == 0.0
-    assert noise_scale(nonprivate(3)) == 0.0
+    assert noise_scale(0.0, 3, PrivacyParams(epsilon=1.0, delta=0.1)) == 0.0
+    assert noise_scale(1.0, 3, PrivacyParams.non_private()) == 0.0
 
 
 def test_noise_scale_arithmetic():
     # 2 * 1 * sqrt(3*3*ln(100)) / 2 = 3*sqrt(ln 100) = 6.43790.
-    params = PeelingParams(s=3, epsilon=2.0, delta=0.01, lam=1.0)
+    b = noise_scale(1.0, 3, PrivacyParams(epsilon=2.0, delta=0.01))
     expected = 2.0 * math.sqrt(3 * 3 * math.log(100.0)) / 2.0
-    assert noise_scale(params) == pytest.approx(expected, rel=1e-12)
-    assert noise_scale(params) == pytest.approx(6.4379, abs=5e-4)
+    assert b == pytest.approx(expected, rel=1e-12)
+    assert b == pytest.approx(6.4379, abs=5e-4)
 
 
 def test_noise_scale_rejects_bad_delta():
     with pytest.raises(InvalidConfigError):
-        PeelingParams(s=3, epsilon=1.0, delta=1.5, lam=1.0)
+        noise_scale(1.0, 3, PrivacyParams(epsilon=1.0, delta=1.5))
 
 
 def test_peel_zero_noise_example():
     v = np.array([5.0, -7.0, 1.0, 0.0, 3.0])
-    out, support = peel(v, nonprivate(2))
+    out, support = peel(v, 2, 0.0)
     np.testing.assert_array_equal(out, [5.0, -7.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(support, [0, 1])
 
 
 def test_peel_s_equals_d():
     v = np.array([1.0, -2.0, 0.5])
-    out, support = peel(v, nonprivate(3))
+    out, support = peel(v, 3, 0.0)
     np.testing.assert_array_equal(out, v)
     np.testing.assert_array_equal(support, [0, 1, 2])
 
@@ -62,7 +60,7 @@ def test_peel_zero_noise_equals_brute_force():
         # integer-valued entries force magnitude ties, exercising the
         # lowest-index rule
         v = rng.integers(-4, 5, size=d).astype(float)
-        out, support = peel(v, nonprivate(s))
+        out, support = peel(v, s, 0.0)
         np.testing.assert_array_equal(support, brute_force_top_s(v, s))
         expected = np.zeros(d)
         expected[support] = v[support]
@@ -71,10 +69,10 @@ def test_peel_zero_noise_equals_brute_force():
 
 def test_peel_support_size_and_zeros_outside():
     rng = np.random.default_rng(1)
-    params = PeelingParams(s=4, epsilon=1.0, delta=0.05, lam=0.3)
+    b = noise_scale(0.3, 4, PrivacyParams(epsilon=1.0, delta=0.05))
     for trial in range(50):
         v = rng.standard_normal(20)
-        out, support = peel(v, params, RngHandle(trial))
+        out, support = peel(v, 4, b, RngHandle(trial))
         assert support.size == 4
         mask = np.ones(20, dtype=bool)
         mask[support] = False
@@ -83,16 +81,23 @@ def test_peel_support_size_and_zeros_outside():
 
 def test_peel_deterministic_given_handle():
     v = np.random.default_rng(2).standard_normal(15)
-    params = PeelingParams(s=3, epsilon=0.7, delta=0.01, lam=0.5)
-    out1, s1 = peel(v, params, RngHandle(9, 4))
-    out2, s2 = peel(v, params, RngHandle(9, 4))
+    b = noise_scale(0.5, 3, PrivacyParams(epsilon=0.7, delta=0.01))
+    out1, s1 = peel(v, 3, b, RngHandle(9, 4))
+    out2, s2 = peel(v, 3, b, RngHandle(9, 4))
     np.testing.assert_array_equal(out1, out2)
     np.testing.assert_array_equal(s1, s2)
 
 
 def test_peel_rejects_s_larger_than_d():
     with pytest.raises(InvalidConfigError):
-        peel(np.ones(3), nonprivate(4))
+        peel(np.ones(3), 4, 0.0)
+
+
+def test_peel_rejects_a_negative_scale_and_non_finite_input():
+    with pytest.raises(InvalidParameterError):
+        peel(np.ones(3), 1, -0.5, RngHandle(0))
+    with pytest.raises(InvalidInputError):
+        peel(np.array([1.0, np.nan, 2.0]), 1, 0.0)
 
 
 def test_peel_output_noise_variance():
@@ -100,11 +105,10 @@ def test_peel_output_noise_variance():
     # (output - v) on a surely-selected coordinate is within 10% of 2b^2.
     v = np.zeros(6)
     v[0] = 100.0  # dominates selection for every noise draw
-    params = PeelingParams(s=1, epsilon=2.0, delta=0.1, lam=0.05)
-    b = noise_scale(params)
+    b = noise_scale(0.05, 1, PrivacyParams(epsilon=2.0, delta=0.1))
     diffs = []
     for rep in range(10_000):
-        out, support = peel(v, params, RngHandle(4242, rep))
+        out, support = peel(v, 1, b, RngHandle(4242, rep))
         assert support[0] == 0
         diffs.append(out[0] - v[0])
     var = float(np.var(diffs))
@@ -124,8 +128,8 @@ def test_peel_selection_degrades_with_noise():
         v[top] += 2.0 + gap  # separated top block
         exact = set(brute_force_top_s(v, s))
         for lam in scales:
-            params = PeelingParams(s=s, epsilon=1.0, delta=0.1, lam=lam)
-            _, support = peel(v, params, RngHandle(trial, int(lam * 1000)))
+            b = noise_scale(lam, s, PrivacyParams(epsilon=1.0, delta=0.1))
+            _, support = peel(v, s, b, RngHandle(trial, int(lam * 1000)))
             agreement[lam].append(len(exact & set(support)) / s)
     assert np.mean([a == 1.0 for a in agreement[scales[0]]]) >= 0.95
     medians = [float(np.median(agreement[lam])) for lam in scales]
