@@ -8,6 +8,7 @@ and an experiment harness with a CLI.
 
 from ._kernels import backend_name
 from .core import (
+    OUTPUT_VERSION,
     ConstantStep,
     Dataset,
     Estimate,
@@ -72,6 +73,7 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "OUTPUT_VERSION",
     "AbsoluteL1",
     "ConstantStep",
     "CsvParseError",

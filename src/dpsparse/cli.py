@@ -3,8 +3,9 @@
 Subcommands: synth-gen, fit, sweep, real, probe. Configuration comes from a
 JSON file plus flag overrides (flags win); the resolved configuration is
 echoed to ``effective_config.json`` in the output directory so any run can be
-reproduced from its own output. Exit codes: 0 success, 1 validation error,
-2 runtime failure.
+reproduced from its own output. That file and ``estimate.json`` record the
+output version (``OUTPUT_VERSION``); a rerun from a config that names another
+version exits 1. Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,16 @@ import sys
 from dataclasses import MISSING, fields
 
 from .core import (
-    RULES, ConstantStep, TwoPhaseStep, field_problems, l2_error, load_csv, mae, save_csv
+    OUTPUT_VERSION,
+    RULES,
+    ConstantStep,
+    TwoPhaseStep,
+    field_problems,
+    is_int,
+    l2_error,
+    load_csv,
+    mae,
+    save_csv,
 )
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
 from .estimators import ESTIMATORS, EstimatorKind, fit_estimator
@@ -112,10 +122,10 @@ def _build_parser() -> _Parser:
 _SYNTHETIC_KEYS = tuple(f.name for f in fields(SyntheticConfig))
 _FIT_KEYS = tuple(f.name for f in fields(ExperimentBase) if f.name != "synthetic")
 # Keys of a run rather than of its fits: the sweep grid, the fit's data CSV,
-# and what `real` echoes of its flags.
+# what `real` echoes of its flags, and the output version of the echo.
 _RUN_KEYS = (
     "axis", "values", "repeats", "estimators", "data",
-    "csv", "response_col", "train_fraction", "standardize",
+    "csv", "response_col", "train_fraction", "standardize", "output_version",
 )
 _KEYS = frozenset(_SYNTHETIC_KEYS + _FIT_KEYS + _RUN_KEYS)
 # The run keys checked here, so that one pass names every bad field; the grid
@@ -125,6 +135,9 @@ _RUN_RULES = (
     RULES["train_fraction"],
     ("estimators", f"a list of {_ALL_ESTIMATORS}",
      lambda v: isinstance(v, list) and all(e in _ALL_ESTIMATORS for e in v)),
+    # A config echoed at another output version would rerun to other bytes.
+    ("output_version", f"{OUTPUT_VERSION}, the output version of this dpsparse",
+     lambda v: is_int(v) and v == OUTPUT_VERSION),
 )
 # The defaults echoed to effective_config.json, read from the dataclasses.
 _DEFAULTS = {
@@ -227,7 +240,7 @@ def _flags(args) -> dict:
 def _write_effective_config(cfg: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+        json.dump({**cfg, "output_version": OUTPUT_VERSION}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -286,6 +299,7 @@ def _cmd_fit(args) -> int:
         "beta": [float(v) for v in beta],
         "support": [int(j) for j in report.estimate.support],
         "iterations_run": report.iterations_run,
+        "output_version": OUTPUT_VERSION,
         "mae_in_sample": mae(ds.x @ beta, ds.y),
     }
     if beta_star is not None:

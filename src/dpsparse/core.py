@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import CsvParseError, InvalidConfigError, InvalidInputError
 
+OUTPUT_VERSION = 1
+"""Version of the output bits: the same seed, the same output version and the
+same numpy major version give the same bytes. A change that moves any output
+bit bumps it and re-records the pinned digests under the new version."""
+
 # Norms within this tolerance of the radius count as inside the ball, so that
 # repeated projections do not churn on floating-point rounding.
 PROJECTION_TOL = 1e-12

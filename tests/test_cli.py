@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsparse import load_csv
+from dpsparse import OUTPUT_VERSION, load_csv
 from dpsparse.cli import load_config, main, resolve_config
 from dpsparse.errors import InvalidConfigError
 
@@ -266,6 +266,45 @@ def test_probe_subcommand(tmp_path, capsys):
     assert report["passed"] is True
     assert {r["estimator"] for r in report["results"]} == {"dp-iht-h", "dp-iht-l", "dp-slr"}
     assert "pass" in capsys.readouterr().out
+
+
+# output version --------------------------------------------------------------------
+
+
+def test_every_subcommand_records_the_output_version(tmp_path):
+    gen = tmp_path / "gen"
+    runs = {
+        "synth-gen": ("synth-gen", "--n", "40", "--d", "6", "--seed", "1"),
+        "fit": ("fit", "--estimator", "dp-iht-l", "--data", str(gen / "dataset.csv"),
+                "--T", "3"),
+        "sweep": ("sweep", "--config", str(sweep_config(tmp_path, values=[40], repeats=1))),
+        "real": ("real", "--csv", str(gen / "dataset.csv"), "--response-col", "y"),
+        "probe": ("probe", "--trials", "1"),
+    }
+    for name, argv in runs.items():
+        out = gen if name == "synth-gen" else tmp_path / name
+        assert run_cli(*argv, "--out", str(out)) == 0
+        eff = json.loads((out / "effective_config.json").read_text())
+        assert eff["output_version"] == OUTPUT_VERSION
+    est = json.loads((tmp_path / "fit" / "estimate.json").read_text())
+    assert est["output_version"] == OUTPUT_VERSION
+
+
+@pytest.mark.parametrize("version", [OUTPUT_VERSION - 1, OUTPUT_VERSION + 1, True, "1"])
+def test_rerun_at_another_output_version_exits_one(tmp_path, capsys, version):
+    out1 = tmp_path / "r1"
+    argv = ["fit", "--estimator", "dp-iht-l", "--n", "80", "--d", "12", "--T", "4"]
+    assert run_cli(*argv, "--out", str(out1)) == 0
+    eff_path = out1 / "effective_config.json"
+    eff = json.loads(eff_path.read_text())
+    eff["output_version"] = version
+    eff_path.write_text(json.dumps(eff))
+    code = run_cli("fit", "--estimator", "dp-iht-l", "--config", str(eff_path),
+                   "--out", str(tmp_path / "r2"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"output_version must be {OUTPUT_VERSION}" in err and f"got {version!r}" in err
+    assert not (tmp_path / "r2").exists()
 
 
 # exit codes ------------------------------------------------------------------------

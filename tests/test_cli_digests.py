@@ -1,8 +1,8 @@
 """The CLI's output bytes for fixed configs.
 
-The pinned digests were recorded before the run config became one typed
-``ExperimentBase``; a change that moves a single output byte of these runs
-fails here. Two sweeps and two real runs set no ``T``, ``K`` or ``delta``,
+The digests are pinned per output version: a change that moves a single
+output byte of these runs fails here until it bumps ``OUTPUT_VERSION`` and
+records the new digests under the new version. Two sweeps and two real runs set no ``T``, ``K`` or ``delta``,
 so the derived defaults are pinned as well. ``effective_config.json`` is
 pinned only for runs whose echo holds no file path.
 """
@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from dpsparse import Dataset, save_csv
+from dpsparse import OUTPUT_VERSION, Dataset, save_csv
 from dpsparse.cli import main
 
 TWO_PHASE = {"kind": "two-phase", "eta0": 0.3, "decay": 0.2, "switch_iter": 2, "eta_const": 0.05}
@@ -95,51 +95,61 @@ RUNS = {
     ],
 }
 
-# name -> {output file: sha256}
+# output version -> name -> {output file: sha256}. The digests of a version
+# are recorded once, in the change that bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    "fit-ada-csv": {
-        "estimate.json": "a78f59dd6218ab0b76002ecbbe5019964b4499898b4744c058e92d84f95a3c14",
-    },
-    "fit-h-csv-narrow": {
-        "estimate.json": "4a9266e18a42c4a39dabc84310fce959c560d7e5e59c94d84a677f029ba544a4",
-    },
-    "fit-h-flags": {
-        "effective_config.json": "75eeadbda176ad68a9dbc614935c1fdb49c7eb2e647ea10794e21185414845ea",
-        "estimate.json": "74aa704f5b447002beb1d1560cb4731187aa7afba56ef8cf2c90dd584b007c68",
-    },
-    "fit-l-schedule": {
-        "effective_config.json": "097b13ce85252f015e1d66d914b65f0a5906d02f6efda22b33ae706ca3e81983",
-        "estimate.json": "229317bb5f5d403aa41737838988325b304b5497b3877ad75fcba8ba6f5d40d7",
-    },
-    "fit-slr-derived": {
-        "effective_config.json": "e6399940c87f3731b531a9ea2844a6e17109eac1e975f8db6ee4d12b5117d3a0",
-        "estimate.json": "83bbf0911440c526d5e9943772c68561b49c98ae9d471a4254301e1ed2a6ebf7",
-    },
-    "real-derived": {
-        "real_results.csv": "49ecac719816665356528a8ae4e4cec760f327961fc936615ed1a95bb16d608f",
-    },
-    "real-fixed": {
-        "real_results.csv": "5edf14f0bfced9c4a3ee121d968192bf94df69c41b8c4356ca285b138d385c89",
-    },
-    "sweep-d-derived": {
-        "aggregates.json": "d4883f7deebc3fac2d87edbca9415c59da344f72a4e1b111a3fe281dec38536e",
-        "effective_config.json": "1218625c4f200123ef3a7eb0ccb8856d62f2c5bf472146c087e09b29c73054c1",
-        "results.csv": "95de543ea426d6782e6cf1859cf7f2f1d5ddc52f3f4cb6faa2a6688b88fd3f59",
-    },
-    "sweep-n": {
-        "aggregates.json": "7de095bf991002838f61b9079309d3e85b5330c9420862139d5346ad0be4e330",
-        "effective_config.json": "1e5131486a4566029d2e9bf45d9aec8a58929f78e1b9a860f8a74ee919d2ce46",
-        "results.csv": "37ab6cbf979b0ba5bec559708fbfd2646110d65cca6f51930195b884baab3e02",
-    },
-    "sweep-n-derived": {
-        "aggregates.json": "67123df3bdd0530c5de0740a737e61a621a5879d9ff066d030e002de00cfb58d",
-        "effective_config.json": "b3b86d57e1c62f6a89436eb65ff3259691e33c959746f5ffe4a0b57d39ff461a",
-        "results.csv": "374abdba50a5f0244864ffa6fe8b33cda94871c80c1c89affdebf27fe42ff57b",
-    },
-    "synth-gen": {
-        "dataset.csv": "abcc7c9ab00f1c78e8fa7487f7494277814c4519767f2031a9a5894b2218ac66",
-        "effective_config.json": "6200ebb048497fae52808c8e9df07008135def0508a9afc62f5b5a4bc7a914a3",
-        "synth_meta.json": "f7aed3428a36426d39ac101bafa4d2a713de474168a780e677625b7ab3f7de72",
+    1: {
+        "fit-ada-csv": {
+            "estimate.json": "6b9af14b2d3ae88147b6ea556899d97ed91d6f8ccbd8ddc985ce9f5fc94b0d42",
+        },
+        "fit-h-csv-narrow": {
+            "estimate.json": "0c5b0ba847e4abb7c894fda4ef5dced578f7b21aabb67e75de7ced9b2b7c61a2",
+        },
+        "fit-h-flags": {
+            "effective_config.json":
+                "d659127c7c3d38bd8c3eef2abce065203f7c163d04b56898cf35c85eb66efe11",
+            "estimate.json": "06499dad5a7fff3aa933a336d0cd4071710a3693bd8a55cccb4e3ffec18356d9",
+        },
+        "fit-l-schedule": {
+            "effective_config.json":
+                "596f15e846ee7c218b062ba11f317ac1c4d294a5ae19dd79412a3b4784b26cd1",
+            "estimate.json": "665bcf5b8c6f717fa8ba966136a1f6175f1c8226844f76e12678239fcaaca40a",
+        },
+        "fit-slr-derived": {
+            "effective_config.json":
+                "95c2dcfdd0321270c0ab1680a02eb8053e73acd0e6e0c90817a8e46b785c4b67",
+            "estimate.json": "667870914b04206de8fa54382ced2fb2080769e41f5eb59e03fde1d43279c588",
+        },
+        "real-derived": {
+            "real_results.csv": "49ecac719816665356528a8ae4e4cec760f327961fc936615ed1a95bb16d608f",
+        },
+        "real-fixed": {
+            "real_results.csv": "5edf14f0bfced9c4a3ee121d968192bf94df69c41b8c4356ca285b138d385c89",
+        },
+        "sweep-d-derived": {
+            "aggregates.json": "d4883f7deebc3fac2d87edbca9415c59da344f72a4e1b111a3fe281dec38536e",
+            "effective_config.json":
+                "2e2967eb61fce03bd020206e7ee3e74757be20e02a828bb287e85bd3a6c49879",
+            "results.csv": "95de543ea426d6782e6cf1859cf7f2f1d5ddc52f3f4cb6faa2a6688b88fd3f59",
+        },
+        "sweep-n": {
+            "aggregates.json": "7de095bf991002838f61b9079309d3e85b5330c9420862139d5346ad0be4e330",
+            "effective_config.json":
+                "12d0e5fa3012b60595fbd330a7f21c7f2ab9b5fc194fa00c59a34456c57ff7bc",
+            "results.csv": "37ab6cbf979b0ba5bec559708fbfd2646110d65cca6f51930195b884baab3e02",
+        },
+        "sweep-n-derived": {
+            "aggregates.json": "67123df3bdd0530c5de0740a737e61a621a5879d9ff066d030e002de00cfb58d",
+            "effective_config.json":
+                "70e7d575381f852f750418bc1b1283d2be6c3a2e3b650f91a27b6ce92eaa13a4",
+            "results.csv": "374abdba50a5f0244864ffa6fe8b33cda94871c80c1c89affdebf27fe42ff57b",
+        },
+        "synth-gen": {
+            "dataset.csv": "abcc7c9ab00f1c78e8fa7487f7494277814c4519767f2031a9a5894b2218ac66",
+            "effective_config.json":
+                "8641e85ffdbac436c65309a6c6442d979de80e3631930f505194519734636dd6",
+            "synth_meta.json": "f7aed3428a36426d39ac101bafa4d2a713de474168a780e677625b7ab3f7de72",
+        },
     },
 }
 
@@ -147,9 +157,10 @@ DIGESTS = {
 def _digests(tmp_path, name):
     out = tmp_path / "out"
     assert main(RUNS[name](tmp_path) + ["--out", str(out)]) == 0
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in DIGESTS[name]}
+    pinned = DIGESTS[OUTPUT_VERSION][name]
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pinned}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_output_bytes_match_pinned_digests(tmp_path, capsys, name):
-    assert _digests(tmp_path, name) == DIGESTS[name]
+    assert _digests(tmp_path, name) == DIGESTS[OUTPUT_VERSION][name]

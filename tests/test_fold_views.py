@@ -1,7 +1,7 @@
 """Zero-copy folds: fits read the dataset in place and keep their output bits.
 
-The pinned digests were recorded before folds became views; a fit that
-changes a single output bit fails here.
+The digests are pinned per output version; a fit that changes a single
+output bit fails here.
 """
 
 import hashlib
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dpsparse import (
+    OUTPUT_VERSION,
     ConstantStep,
     Dataset,
     EstimatorConfig,
@@ -24,24 +25,28 @@ from dpsparse import (
 from dpsparse.core import clip_responses
 from dpsparse.estimators import _update
 
-# sha256 of (beta bytes, support as int64 bytes) per estimator.
+# output version -> estimator -> sha256 of (beta bytes, support as int64
+# bytes). The digests of a version are recorded once, in the change that
+# bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    "dp-iht-h": (
-        "34ae2a0f0e77e4ac5949872bf2520d888b5125cd3a1d1e192778ca6c939210d1",
-        "191cd091cabbe98044c0db487d65a456a656fe777350578f45d628ae83ed4bf9",
-    ),
-    "dp-iht-l": (
-        "aa2c2c2546e15cece02c669994e8452739ef39b182058d6a45cd446f7c613b6c",
-        "bf24cfcb3baefcf4d95234faeb0c6cc2760187e612e0c7a4de0529ba85e4a0e7",
-    ),
-    "ada-huber": (
-        "2c93198c82be4d87551d29c3da084563d05d50c4e2afe3ad89813fa1d318c1e7",
-        "e34f7e32b106247d94c452404ea997392c48889b25dcb7864c561eae809aad1e",
-    ),
-    "dp-slr": (
-        "b8426999ecf8ab9eb66f8d9e55d4f652241436fbf4ba0d0a78230a195e8ab3a7",
-        "cf36085ecc216eef8dc225ea204e1636bbe59efc896cfe729d98a29d238ec766",
-    ),
+    1: {
+        "dp-iht-h": (
+            "34ae2a0f0e77e4ac5949872bf2520d888b5125cd3a1d1e192778ca6c939210d1",
+            "191cd091cabbe98044c0db487d65a456a656fe777350578f45d628ae83ed4bf9",
+        ),
+        "dp-iht-l": (
+            "aa2c2c2546e15cece02c669994e8452739ef39b182058d6a45cd446f7c613b6c",
+            "bf24cfcb3baefcf4d95234faeb0c6cc2760187e612e0c7a4de0529ba85e4a0e7",
+        ),
+        "ada-huber": (
+            "2c93198c82be4d87551d29c3da084563d05d50c4e2afe3ad89813fa1d318c1e7",
+            "e34f7e32b106247d94c452404ea997392c48889b25dcb7864c561eae809aad1e",
+        ),
+        "dp-slr": (
+            "b8426999ecf8ab9eb66f8d9e55d4f652241436fbf4ba0d0a78230a195e8ab3a7",
+            "cf36085ecc216eef8dc225ea204e1636bbe59efc896cfe729d98a29d238ec766",
+        ),
+    },
 }
 
 
@@ -64,7 +69,7 @@ def test_fit_bytes_match_pinned_digests(kind):
         hashlib.sha256(est.beta.tobytes()).hexdigest(),
         hashlib.sha256(est.support.astype(np.int64).tobytes()).hexdigest(),
     )
-    assert got == DIGESTS[kind.value]
+    assert got == DIGESTS[OUTPUT_VERSION][kind.value]
 
 
 def test_folds_are_read_only_views_covering_rows_disjointly():
