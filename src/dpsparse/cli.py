@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import MISSING, fields
 
+from . import _kernels
 from .core import (
     OUTPUT_VERSION,
     RULES,
@@ -300,7 +301,7 @@ def _cmd_fit(args) -> int:
         "support": [int(j) for j in report.estimate.support],
         "iterations_run": report.iterations_run,
         "output_version": OUTPUT_VERSION,
-        "mae_in_sample": mae(ds.x @ beta, ds.y),
+        "mae_in_sample": mae(_kernels.support_matvec(ds.x, beta), ds.y),
     }
     if beta_star is not None:
         out["l2_error"] = l2_error(beta, beta_star)
@@ -346,9 +347,11 @@ def _cmd_real(args) -> int:
         "csv": args.csv,
         "response_col": args.response_col,
         "train_fraction": args.train_fraction,
-        "standardize": not args.no_standardize,
+        # The flag only turns standardization off; without it the file decides.
+        "standardize": False if args.no_standardize else None,
     }
     base, cfg = load_config(args.config, flags)
+    cfg.setdefault("standardize", RealDataSpec.standardize)
     spec = RealDataSpec(
         csv_path=args.csv,
         response_col=args.response_col,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CsvParseError, InvalidConfigError, InvalidInputError
 
-OUTPUT_VERSION = 1
+OUTPUT_VERSION = 2
 """Version of the output bits: the same seed, the same output version and the
 same numpy major version give the same bytes. A change that moves any output
 bit bumps it and re-records the pinned digests under the new version."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from .core import (
     RULES,
     ConstantStep,
@@ -239,7 +240,7 @@ def _run_unit(args) -> list[SweepRow]:
         try:
             beta = fit_estimator(kind, ds, cfg, priv, beta_star).estimate.beta
             wall_ms = (time.perf_counter() - start) * 1000.0
-            l2, err, status = l2_error(beta, beta_star), mae(ds.x @ beta, ds.y), "ok"
+            l2, err, status = l2_error(beta, beta_star), mae(_kernels.support_matvec(ds.x, beta), ds.y), "ok"
         except DpSparseError as exc:  # a failed fit becomes a row, not an abort
             wall_ms = (time.perf_counter() - start) * 1000.0
             l2 = err = float("nan")
@@ -432,7 +433,7 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
         rows.append(
             RealDataRow(
                 estimator=kind.value,
-                mae=mae(x_test @ beta, y_test),
+                mae=mae(_kernels.support_matvec(x_test, beta), y_test),
                 support_size=int(support.size),
                 selected=tuple(names[j] for j in support),
                 l2_vs_proxy=None if kind is spec.proxy else l2_error(beta, proxy_beta),

@@ -255,6 +255,34 @@ def test_real_subcommand(tmp_path):
     assert "x3" in lines[1]
 
 
+def test_real_honours_a_config_file_standardize_false(tmp_path):
+    # Features off unit scale, so standardizing them changes the fit.
+    rng = np.random.default_rng(6)
+    x = 3.0 * rng.standard_normal((100, 5)) + 2.0
+    from dpsparse import Dataset, save_csv
+
+    csvp = tmp_path / "data.csv"
+    save_csv(Dataset(x, x[:, 2] - 1.0), csvp)
+    fit = {"s": 1, "T": 8, "eta": 0.5, "tau": 20.0, "K": 100.0, "estimators": ["ada-huber"]}
+    runs = {
+        "file-false": ({**fit, "standardize": False}, []),
+        "flag": (fit, ["--no-standardize"]),
+        "default": (fit, []),
+    }
+    for name, (cfg, flags) in runs.items():
+        cfgp = tmp_path / f"{name}.json"
+        cfgp.write_text(json.dumps(cfg))
+        assert run_cli("real", "--csv", str(csvp), "--response-col", "y", "--config", str(cfgp),
+                       *flags, "--out", str(tmp_path / name)) == 0
+    echoed = {
+        name: json.loads((tmp_path / name / "effective_config.json").read_text())["standardize"]
+        for name in runs
+    }
+    assert echoed == {"file-false": False, "flag": False, "default": True}
+    table = {name: (tmp_path / name / "real_results.csv").read_bytes() for name in runs}
+    assert table["file-false"] == table["flag"] != table["default"]
+
+
 # probe -----------------------------------------------------------------------------
 
 

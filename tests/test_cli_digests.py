@@ -98,56 +98,56 @@ RUNS = {
 # output version -> name -> {output file: sha256}. The digests of a version
 # are recorded once, in the change that bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    1: {
+    2: {
         "fit-ada-csv": {
-            "estimate.json": "6b9af14b2d3ae88147b6ea556899d97ed91d6f8ccbd8ddc985ce9f5fc94b0d42",
+            "estimate.json": "77fd9edbc36e053a08a1f5b1d53574bf8499f01dd0dc1429a18c91f3d059373e",
         },
         "fit-h-csv-narrow": {
-            "estimate.json": "0c5b0ba847e4abb7c894fda4ef5dced578f7b21aabb67e75de7ced9b2b7c61a2",
+            "estimate.json": "1cc491c6a5616a2b4639e0e9cdfbcb2ffc450b825b125a3df5b104f7562b4109",
         },
         "fit-h-flags": {
             "effective_config.json":
-                "d659127c7c3d38bd8c3eef2abce065203f7c163d04b56898cf35c85eb66efe11",
-            "estimate.json": "06499dad5a7fff3aa933a336d0cd4071710a3693bd8a55cccb4e3ffec18356d9",
+                "220e3f82dc68b94c4d5448943b7b275a7668858c8cad8b76c1a16b1350c35eb2",
+            "estimate.json": "3f7febcbd3d818bb2f8d350287d990e09a5571c5ffc2f5aef310c0e5ad725074",
         },
         "fit-l-schedule": {
             "effective_config.json":
-                "596f15e846ee7c218b062ba11f317ac1c4d294a5ae19dd79412a3b4784b26cd1",
-            "estimate.json": "665bcf5b8c6f717fa8ba966136a1f6175f1c8226844f76e12678239fcaaca40a",
+                "e783c20954ba067f92eb63ab60c55743c082a7a74514fbcd3d9fa6e6f7209200",
+            "estimate.json": "cb3c8ff0522d194cc055d5f6b4a9ec3237cd1ca986c94133999f3eb41f839721",
         },
         "fit-slr-derived": {
             "effective_config.json":
-                "95c2dcfdd0321270c0ab1680a02eb8053e73acd0e6e0c90817a8e46b785c4b67",
-            "estimate.json": "667870914b04206de8fa54382ced2fb2080769e41f5eb59e03fde1d43279c588",
+                "8fa91c4687170fa758c4d4778ed51cd64f38856c084eac99927e9e5cff40a606",
+            "estimate.json": "2d4db43bb6c077e98364b751f1b4c4dd579531259f296cbe83fe02b5b55c1599",
         },
         "real-derived": {
-            "real_results.csv": "49ecac719816665356528a8ae4e4cec760f327961fc936615ed1a95bb16d608f",
+            "real_results.csv": "5f9769b1659f62c6af60d3b9c21b2a7a42ea63dba986143f858a19bfd009c337",
         },
         "real-fixed": {
             "real_results.csv": "5edf14f0bfced9c4a3ee121d968192bf94df69c41b8c4356ca285b138d385c89",
         },
         "sweep-d-derived": {
-            "aggregates.json": "d4883f7deebc3fac2d87edbca9415c59da344f72a4e1b111a3fe281dec38536e",
+            "aggregates.json": "695ff6a70c683edde3c661b80f47841aa80cd250617f8524a3c52c691a68ea08",
             "effective_config.json":
-                "2e2967eb61fce03bd020206e7ee3e74757be20e02a828bb287e85bd3a6c49879",
-            "results.csv": "95de543ea426d6782e6cf1859cf7f2f1d5ddc52f3f4cb6faa2a6688b88fd3f59",
+                "7aee18b4970cd3a7b0f9fb446c6cf86117aae16e35d203d21eff597444bfa93d",
+            "results.csv": "fb0113a21c0e3e87e4be07061e4856ed70d94a36a06ee235e4802787a0b3246a",
         },
         "sweep-n": {
             "aggregates.json": "7de095bf991002838f61b9079309d3e85b5330c9420862139d5346ad0be4e330",
             "effective_config.json":
-                "12d0e5fa3012b60595fbd330a7f21c7f2ab9b5fc194fa00c59a34456c57ff7bc",
+                "fdfda4548a8bd70034a261bcd4c4c20575f3890140dd91b57884d0ddbd03d77b",
             "results.csv": "37ab6cbf979b0ba5bec559708fbfd2646110d65cca6f51930195b884baab3e02",
         },
         "sweep-n-derived": {
-            "aggregates.json": "67123df3bdd0530c5de0740a737e61a621a5879d9ff066d030e002de00cfb58d",
+            "aggregates.json": "86eebffa2c3ae093cf5c0cc86129bf48a4b7ec5cd446608c73ea039dcf2f28dd",
             "effective_config.json":
-                "70e7d575381f852f750418bc1b1283d2be6c3a2e3b650f91a27b6ce92eaa13a4",
-            "results.csv": "374abdba50a5f0244864ffa6fe8b33cda94871c80c1c89affdebf27fe42ff57b",
+                "44477b1cbb4df245c94c96e5b9ff39196160968d36a9a71a19f92383b48896bf",
+            "results.csv": "c5351158360bba7ce2d723102d2de58e04e9a781533f034fc8d5f09185b2e9c2",
         },
         "synth-gen": {
             "dataset.csv": "abcc7c9ab00f1c78e8fa7487f7494277814c4519767f2031a9a5894b2218ac66",
             "effective_config.json":
-                "8641e85ffdbac436c65309a6c6442d979de80e3631930f505194519734636dd6",
+                "f422ad85c6a88d683fc9c7e8b0213bbde4f5d81d820fa28ca594e2c7ff0a19fc",
             "synth_meta.json": "f7aed3428a36426d39ac101bafa4d2a713de474168a780e677625b7ab3f7de72",
         },
     },

@@ -29,7 +29,7 @@ from dpsparse.estimators import _update
 # bytes). The digests of a version are recorded once, in the change that
 # bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    1: {
+    2: {
         "dp-iht-h": (
             "34ae2a0f0e77e4ac5949872bf2520d888b5125cd3a1d1e192778ca6c939210d1",
             "191cd091cabbe98044c0db487d65a456a656fe777350578f45d628ae83ed4bf9",
