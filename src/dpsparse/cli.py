@@ -19,16 +19,8 @@ from dataclasses import MISSING, fields
 
 from . import _kernels
 from .core import (
-    OUTPUT_VERSION,
-    RULES,
-    ConstantStep,
-    TwoPhaseStep,
-    field_problems,
-    is_int,
-    l2_error,
-    load_csv,
-    mae,
-    save_csv,
+    OUTPUT_VERSION, RULES, ConstantStep, TwoPhaseStep, field_problems, is_int, l2_error,
+    load_csv, mae, save_csv,
 )
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
 from .estimators import ESTIMATORS, EstimatorKind, fit_estimator

@@ -240,7 +240,8 @@ def _run_unit(args) -> list[SweepRow]:
         try:
             beta = fit_estimator(kind, ds, cfg, priv, beta_star).estimate.beta
             wall_ms = (time.perf_counter() - start) * 1000.0
-            l2, err, status = l2_error(beta, beta_star), mae(_kernels.support_matvec(ds.x, beta), ds.y), "ok"
+            err = mae(_kernels.support_matvec(ds.x, beta), ds.y)
+            l2, status = l2_error(beta, beta_star), "ok"
         except DpSparseError as exc:  # a failed fit becomes a row, not an abort
             wall_ms = (time.perf_counter() - start) * 1000.0
             l2 = err = float("nan")

@@ -2,8 +2,8 @@
 
 The digests are pinned per output version: a change that moves a single
 output byte of these runs fails here until it bumps ``OUTPUT_VERSION`` and
-records the new digests under the new version. Two sweeps and two real runs set no ``T``, ``K`` or ``delta``,
-so the derived defaults are pinned as well. ``effective_config.json`` is
+records the new digests under the new version. Two sweeps and two real runs
+set no ``T``, ``K`` or ``delta``, so the derived defaults are pinned as well. ``effective_config.json`` is
 pinned only for runs whose echo holds no file path.
 """
 
