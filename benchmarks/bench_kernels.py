@@ -1,17 +1,22 @@
 """Benchmark the numpy kernels and the hot-loop stages around them.
 
 Run: python benchmarks/bench_kernels.py
-The kernel cells time each gradient kernel and the peeling selection loop
-at fixed shapes, and beside them a zero-noise ``peel`` (the non-private fit's
-selection, which runs no selection rounds). The stage cells time ``batch_gradient`` on a fold within K
-(read in place) and on a fold beyond K (clipped first), and the Laplace
-block draw of one peel with fresh arrays (the public ``laplace``) and with
-the reused workspace a fit passes to every iteration. Each cell is the
-median and interquartile range (IQR) over REPEATS separately timed calls,
-after one untimed warmup call. BLAS runs on one thread unless
-OPENBLAS_NUM_THREADS (or OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS
-on a 2-vCPU host gave a huber_grad median of 16 ms at 2000x1000 in one run
-and 0.8 ms in the next.
+The kernel cells time each gradient kernel and the peeling selection at fixed
+shapes, and beside them a zero-noise ``peel`` (the non-private fit's
+selection, which runs no selection rounds). A selection cell runs the
+selection of one private peel from its (s+1) x d uniforms, at a noise scale
+far above the magnitudes as in the benchmark's private fits. From
+d = _DENSE_BELOW_D on it prints the mean candidates per round and the share
+of rounds that fell back to scoring all d indices; below, every round is
+dense. The stage cells time ``batch_gradient`` on a fold within K (read in
+place) and on a fold beyond K (clipped first), the public
+``laplace`` block draw (fresh arrays, every entry transformed), and the
+uniform draw a private peel makes into the (s+1) x d block its fit reuses
+(the Laplace map then runs inside the selection). Each cell is the median
+and interquartile range (IQR) over REPEATS separately timed calls, after one
+untimed warmup call. BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or
+OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS on a 2-vCPU host gave a
+huber_grad median of 16 ms at 2000x1000 in one run and 0.8 ms in the next.
 """
 
 import os
@@ -26,10 +31,12 @@ import numpy as np
 
 from dpsparse import Dataset, Huber, RngHandle, batch_gradient, laplace, peel
 from dpsparse import _kernels as k
-from dpsparse.sampling import _laplace_fill
 
 SIZES = [(400, 1000), (2000, 1000), (500, 10000)]
-PEEL_SIZES = [(1000, 5), (10000, 5), (10000, 50)]
+PEEL_SIZES = [(1000, 5), (10000, 50)]
+# A private fit's half-step entries are about 1e-3 against a noise scale of
+# about 0.05 on the benchmark's fit shapes.
+PEEL_MAGNITUDE, PEEL_SCALE = 1e-3, 0.05
 FOLD_SHAPE = (1000, 1000)
 NOISE_SHAPE = (51, 10000)
 REPEATS = 41
@@ -43,7 +50,8 @@ def bench(fn, *args) -> tuple[float, float]:
         start = time.perf_counter()
         fn(*args)
         samples.append((time.perf_counter() - start) * 1e3)
-    q1, median, q3 = statistics.quantiles(samples, n=4)
+    median = statistics.median(samples)
+    q1, _, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else (median,) * 3
     return median, q3 - q1
 
 
@@ -55,9 +63,29 @@ def sparse_beta(rng, d: int) -> np.ndarray:
     return beta
 
 
-def row(name: str, shape: str, fn, args) -> None:
+def row(name: str, shape: str, fn, args, note: str = "") -> None:
     med, iqr = bench(fn, *args)
-    print(f"{name:<16}{shape:<16}{med:>10.3f}{iqr:>9.3f}")
+    print(f"{name:<16}{shape:<16}{med:>10.3f}{iqr:>9.3f}{note}")
+
+
+def selection_stats(absv, uniforms, b) -> str:
+    """Mean candidates per round, and the share of rounds scored over all d."""
+    rounds, d = uniforms.shape[0] - 1, uniforms.shape[1]
+    if d < k._DENSE_BELOW_D:
+        return f"  dense: every round scores all d (d < {k._DENSE_BELOW_D})"
+    flat = k._candidates(absv, uniforms[:rounds], b)[0]
+    dense_round, fallbacks = k._dense_round, []
+
+    def counted(*args):
+        fallbacks.append(1)
+        return dense_round(*args)
+
+    k._dense_round = counted
+    try:
+        k.peel_select(absv, uniforms, b)
+    finally:
+        k._dense_round = dense_round
+    return f"  candidates/round {flat.size / rounds:.1f}, fallback rounds {len(fallbacks) / rounds:.3f}"
 
 
 def main() -> None:
@@ -72,9 +100,10 @@ def main() -> None:
         row("l1_grad", f"{m}x{d}", k.l1_grad, (xc, xc, y, beta))
         row("squared_grad", f"{m}x{d}", k.squared_grad, (xc, y, beta))
     for d, s in PEEL_SIZES:
-        absv = np.abs(rng.standard_normal(d))
-        noise = rng.standard_normal((s, d)) * 0.1
-        row("peel_select", f"d={d},s={s}", k.peel_select, (absv, noise))
+        absv = np.abs(rng.standard_normal(d)) * PEEL_MAGNITUDE
+        uniforms = rng.random((s + 1, d))
+        args = (absv, uniforms, PEEL_SCALE)
+        row("peel_select", f"d={d},s={s}", k.peel_select, args, selection_stats(*args))
     row("peel zero-noise", "d=10000,s=50", peel, (rng.standard_normal(10000), 50, 0.0))
     stage_rows(rng)
 
@@ -91,9 +120,10 @@ def stage_rows(rng) -> None:
     for label, fold in (("within K", within), ("beyond K", beyond)):
         row(f"grad {label}", f"{m}x{d}", batch_gradient, (fold, beta, Huber(1.0), K))
     row("laplace fresh", "x".join(map(str, NOISE_SHAPE)), laplace, (0.5, RngHandle(1), NOISE_SHAPE))
-    out, scratch = np.empty(NOISE_SHAPE), np.empty(NOISE_SHAPE)
     gen = RngHandle(1).generator()
-    row("laplace reused", "x".join(map(str, NOISE_SHAPE)), _laplace_fill, (0.5, gen, out, scratch))
+    for d, s in PEEL_SIZES:
+        block = np.empty((s + 1, d))
+        row("laplace reused", f"{s + 1}x{d}", lambda: gen.random(out=block), ())
 
 
 if __name__ == "__main__":

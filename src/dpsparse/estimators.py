@@ -180,10 +180,8 @@ def fit_estimator(
     folds = split_folds(ds, cfg.T)
     m = folds[0].n
     # One selection-noise workspace per private fit, overwritten by every
-    # iteration's peel: it draws (s+1) x d Laplace variates per iteration.
-    noise = scratch = None
-    if priv.is_private:
-        noise, scratch = np.empty((cfg.s + 1, ds.d)), np.empty((cfg.s + 1, ds.d))
+    # iteration's peel: it draws (s+1) x d uniforms per iteration.
+    uniforms = np.empty((cfg.s + 1, ds.d)) if priv.is_private else None
     beta = np.zeros(ds.d)
     support = np.arange(0)
     trace: list[float] | None = [] if beta_star is not None else None
@@ -200,7 +198,7 @@ def fit_estimator(
         half_trace.append(float(np.max(np.abs(update))) if update.size else 0.0)
         b = noise_scale(spec.lam(cfg, eta, m), cfg.s, priv) if priv.is_private else 0.0
         rng = RngHandle(cfg.seed, stream=t) if priv.is_private else None
-        peeled, support = _peel(half, cfg.s, b, rng, noise, scratch)
+        peeled, support = _peel(half, cfg.s, b, rng, uniforms)
         beta = project_l2(peeled, cfg.L)
         if trace is not None:
             trace.append(l2_error(beta, beta_star))

@@ -1,10 +1,22 @@
 """Iterative top-s selection with Laplace perturbation.
 
 One call performs s selection rounds. Round i draws a fresh d-dimensional
-Laplace noise vector, picks the unselected index maximizing |v_j| + w_ij
+Laplace noise vector w_i, picks the unselected index maximizing |v_j| + w_ij
 (ties break to the lowest index), then a final noise vector perturbs the kept
 entries. With the noise scale at zero this is exactly hard thresholding onto
 the s largest-magnitude entries, which is computed directly.
+
+With noise, the (s+1) x d uniforms behind the draws are drawn as one block.
+From d = 2048 on (``_kernels._DENSE_BELOW_D``), a draw is computed only where
+it can matter. Round i's candidates are the s indices of largest |v| and
+every j whose uniform is at most t0 = min(1/2, Q/d), about Q of them (Q = 8).
+The inverse-CDF map decreases in the uniform, so any other index scores below
+a_rest + b ln(1/(2 t0)), where a_rest is the largest |v| outside the s. A
+best candidate scoring above that floor, plus a relative margin for rounding,
+is therefore the round's winner; a round that fails the test is run over all
+d indices. Candidate draws and the kept entries' value noise go through the
+same map as a dense block, so support and values are the dense selection's,
+bit for bit. Below d = 2048 every round is dense, which is cheaper there.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .core import PrivacyParams, is_int
 from .errors import InvalidConfigError, InvalidInputError, InvalidParameterError
-from .sampling import RngHandle, _as_generator, _laplace_fill
+from .sampling import RngHandle, _as_generator
 
 
 def noise_scale(lam: float, s: int, priv: PrivacyParams) -> float:
@@ -61,25 +73,24 @@ def _peel(
     s: int,
     b: float,
     rng: RngHandle | np.random.Generator | None,
-    noise: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    uniforms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     # The body of peel for a checked finite float64 vector v. When b > 0,
-    # ``noise`` and ``scratch`` are (s+1) x d C-contiguous work arrays that
-    # are overwritten (allocated here when None); a private fit passes the
-    # same two arrays to every iteration. At b == 0 neither is touched.
+    # ``uniforms`` is an (s+1) x d C-contiguous work array that is
+    # overwritten (allocated here when None); a private fit passes the same
+    # array to every iteration. At b == 0 it is not touched.
     d = v.shape[0]
     absv = np.abs(v)
     if b > 0.0:
         if rng is None:
             raise InvalidConfigError("peel with positive noise scale needs an rng")
-        if noise is None:
-            noise, scratch = np.empty((s + 1, d)), np.empty((s + 1, d))
-        # Rows 0..s-1 are the per-round selection noise, row s the value noise;
-        # one block draw matches s+1 sequential d-sized draws in row order.
-        _laplace_fill(b, _as_generator(rng), noise, scratch)
-        selected = _kernels.peel_select(absv, noise[:s])
-        kept = v[selected] + noise[s, selected]
+        if uniforms is None:
+            uniforms = np.empty((s + 1, d))
+        # Rows 0..s-1 drive the selection rounds, row s the value noise; one
+        # block draw matches s+1 sequential d-sized draws in row order.
+        _as_generator(rng).random(out=uniforms)
+        selected, noise = _kernels.peel_select(absv, uniforms, b)
+        kept = v[selected] + noise
     else:
         # The s rounds without noise keep every entry above the s-th largest
         # magnitude, then the lowest-index entries equal to it.

@@ -70,24 +70,35 @@ def laplace(
     if b == 0.0:
         return 0.0 if size is None else np.zeros(size)
     out = np.empty(() if size is None else size)
-    _laplace_fill(b, _as_generator(rng), out, np.empty_like(out))
+    _laplace_fill(b, _as_generator(rng), out)
     return float(out) if size is None else out
 
 
-def _laplace_fill(b: float, gen: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
-    # The body of laplace for b > 0: fills ``out`` with out.size draws, using
-    # ``scratch`` (same shape) as the one work array. Both are C-contiguous
-    # float64; every step runs in place, in the order of the plain expression
-    # b * sign(u) * log1p(-2|u|), so the draws keep their bytes.
+def _laplace_fill(b: float, gen: np.random.Generator, out: np.ndarray) -> None:
+    # The body of laplace for b > 0: fills the C-contiguous float64 ``out``
+    # with out.size draws.
     gen.random(out=out)
+    _laplace_icdf(out, b)
+
+
+def _laplace_icdf(r: np.ndarray, b: float) -> np.ndarray:
+    """Map uniforms r on [0, 1) to Laplace draws at scale b > 0, in place; return r.
+
+    The one inverse-CDF map: a whole block and a gathered handful of entries
+    go through the same ufunc sequence, in the order of the plain expression
+    b * sign(u) * log1p(-2|u|) with u = r - 1/2, so equal uniforms give equal
+    bytes. On (0, 1) the draw decreases in r, so for t <= 1/2 every r > t
+    gives a draw below b * ln(1 / (2t)), up to rounding.
+    """
     # random() covers [0, 1); remap the measure-zero r == 0 to 0.5 so that
     # u = -1/2 (a log(0)) cannot occur.
-    if not out.all():
-        out[out == 0.0] = 0.5
-    np.subtract(out, 0.5, out=out)  # u
-    np.multiply(b, np.sign(out, out=scratch), out=scratch)
-    np.multiply(-2.0, np.abs(out, out=out), out=out)
-    np.multiply(scratch, np.log1p(out, out=out), out=out)
+    if not r.all():
+        r[r == 0.0] = 0.5
+    np.subtract(r, 0.5, out=r)  # u
+    sign = np.sign(r, out=np.empty_like(r))
+    np.multiply(b, sign, out=sign)
+    np.multiply(-2.0, np.abs(r, out=r), out=r)
+    return np.multiply(sign, np.log1p(r, out=r), out=r)
 
 
 def student_t(

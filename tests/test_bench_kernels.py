@@ -1,0 +1,34 @@
+"""Smoke test of benchmarks/bench_kernels.py: every cell runs once.
+
+The script calls private kernels by their current signatures, so a signature
+change breaks it; this test makes that show in the test run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+
+
+def test_every_bench_cell_runs_once(monkeypatch, capsys):
+    # The script pins BLAS threads with setdefault at import; set them here so
+    # that the environment is restored after the test.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    bench.main()
+    lines = capsys.readouterr().out.splitlines()
+    cells = [line.split()[0] for line in lines[2:]]
+    peels = len(bench.PEEL_SIZES)
+    assert cells == (
+        len(bench.SIZES) * ["huber_grad", "l1_grad", "squared_grad"]
+        + peels * ["peel_select"]
+        + ["peel", "grad", "grad", "laplace"]
+        + peels * ["laplace"]
+    )
+    selection = [line for line in lines if line.startswith("peel_select")]
+    assert ["dense:" in line for line in selection] == [d < bench.k._DENSE_BELOW_D for d, _ in bench.PEEL_SIZES]
+    assert all("dense:" in line or "fallback rounds" in line for line in selection)

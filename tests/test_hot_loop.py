@@ -165,9 +165,8 @@ def test_laplace_keeps_the_bytes_of_the_plain_expression(size):
 
 def test_laplace_through_a_reused_workspace_equals_the_public_call():
     out = np.full((51, 1000), np.nan)
-    scratch = np.full_like(out, -7.0)
     for stream in range(3):
-        _laplace_fill(1.5, RngHandle(4, stream).generator(), out, scratch)
+        _laplace_fill(1.5, RngHandle(4, stream).generator(), out)
         assert out.tobytes() == laplace(1.5, RngHandle(4, stream), size=(51, 1000)).tobytes()
 
 
@@ -175,13 +174,12 @@ def test_laplace_through_a_reused_workspace_equals_the_public_call():
 def test_peel_through_a_reused_workspace_equals_the_public_call(epsilon):
     s, d = 4, 300
     b = noise_scale(0.02, s, PrivacyParams(epsilon=epsilon, delta=1e-3))
-    noise = np.full((s + 1, d), np.nan)
-    scratch = np.full_like(noise, np.inf)
+    uniforms = np.full((s + 1, d), np.nan)
     gen = np.random.default_rng(0)
     for stream in range(3):
         v = gen.standard_normal(d)
         rng = RngHandle(5, stream) if epsilon is not None else None
-        got_v, got_s = _peel(v, s, b, rng, noise, scratch)
+        got_v, got_s = _peel(v, s, b, rng, uniforms)
         want_v, want_s = peel(v, s, b, rng)
         assert got_v.tobytes() == want_v.tobytes()
         assert got_s.tobytes() == want_s.tobytes()
@@ -192,7 +190,7 @@ def test_private_fit_allocates_no_noise_block_per_iteration(monkeypatch):
     # could reach (s+1) x d x 8 bytes are selection-noise arrays. Each
     # interval runs from one iteration's projection, when the previous peel
     # has returned and freed what it allocated, to the next iteration's
-    # selection, when its noise has been drawn. The allocation peak over an
+    # selection, when its uniforms have been drawn. The allocation peak over an
     # interval, above the memory held at its start, must stay below one block.
     n, d, s, iters = 17 * 20, 2000, 50, 17
     ds, _ = generate_synthetic(SyntheticConfig(n=n, d=d, s_star=5, seed=1))
@@ -207,10 +205,10 @@ def test_private_fit_allocates_no_noise_block_per_iteration(monkeypatch):
         tracemalloc.reset_peak()
         return project(v, L)
 
-    def end_interval(absv, noise):
+    def end_interval(absv, uniforms, b):
         if starts:
             rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
-        return select(absv, noise)
+        return select(absv, uniforms, b)
 
     monkeypatch.setattr(estimators, "project_l2", start_interval)
     monkeypatch.setattr(_kernels, "peel_select", end_interval)
@@ -227,7 +225,7 @@ def test_zero_noise_fit_runs_no_selection_rounds_and_holds_no_noise_block(monkey
     # ada-huber adds no noise, so each peel takes the top s from one partition
     # threshold: no argmax rounds and no (s+1) x d workspace. The digests
     # above pin its bytes.
-    def no_rounds(absv, noise):
+    def no_rounds(absv, uniforms, b):
         raise AssertionError("a zero-noise peel ran the selection rounds")
 
     monkeypatch.setattr(_kernels, "peel_select", no_rounds)

@@ -2,7 +2,8 @@
 
 The gradient oracles sum in another order than BLAS, so they agree to a
 relative 1e-12 (float64 sums over a few dozen terms). Selection involves no
-arithmetic order and must agree exactly.
+arithmetic order and must agree exactly: its oracle scores every index of
+every round, with the noise of the dense block draw.
 """
 
 import math
@@ -10,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from dpsparse import RngHandle, peel
 from dpsparse import _kernels as k
+from dpsparse.sampling import _laplace_fill
 
 
 def random_fold(m=37, d=11, seed=0):
@@ -48,14 +51,32 @@ def squared_oracle(xc, y, beta):
 
 
 def peel_oracle(absv, noise):
-    selected = []
-    for row in noise:
+    selected, taken = [], set()
+    for row in noise.tolist():
         best, best_score = -1, -math.inf
-        for j, a in enumerate(absv):
-            if j not in selected and a + row[j] > best_score:  # strict: lowest index wins ties
+        for j, a in enumerate(absv.tolist()):
+            if j not in taken and a + row[j] > best_score:  # strict: lowest index wins ties
                 best, best_score = j, a + row[j]
         selected.append(best)
+        taken.add(best)
     return selected
+
+
+class Replay:
+    """A generator stub whose random() writes one fixed block of uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        np.copyto(out, self.u)
+
+
+def dense_noise(u, b):
+    # The Laplace block the dense selection scored: every entry transformed.
+    noise = np.empty_like(u)
+    _laplace_fill(b, Replay(u), noise)
+    return noise
 
 
 def close(got, want):
@@ -89,26 +110,115 @@ def test_squared_grad_matches_row_loop(seed):
     close(k.squared_grad(xc, y, beta), squared_oracle(xc, y, beta))
 
 
+def both_paths(monkeypatch):
+    """Run the caller's loop body on the candidate path, then on the dense one."""
+    for dense_below in (0, math.inf):
+        monkeypatch.setattr(k, "_DENSE_BELOW_D", dense_below)
+        yield
+
+
+def check_select(absv, u, b):
+    s = u.shape[0] - 1
+    noise = dense_noise(u, b)
+    selected, value = k.peel_select(absv, u, b)
+    np.testing.assert_array_equal(selected, peel_oracle(absv, noise[:s]))
+    assert value.tobytes() == noise[s, selected].tobytes()
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_peel_select_matches_loop(seed):
+def test_peel_select_matches_loop(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     absv = np.abs(rng.standard_normal(80))
-    noise = rng.standard_normal((9, 80)) * 0.5
-    np.testing.assert_array_equal(k.peel_select(absv, noise), peel_oracle(absv, noise))
+    u = rng.random((10, 80))
+    for _ in both_paths(monkeypatch):
+        check_select(absv, u, 0.5)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_peel_select_ties_match_loop(seed):
-    # Small integer scores make ties common; both pick the lowest index.
+def test_peel_select_ties_match_loop(seed, monkeypatch):
+    # Small integer magnitudes and four uniform values (noise 0, +-b ln 2)
+    # make ties common; both pick the lowest index.
     rng = np.random.default_rng(100 + seed)
     absv = rng.integers(0, 4, 40).astype(float)
-    noise = rng.integers(-2, 3, (12, 40)).astype(float)
-    np.testing.assert_array_equal(k.peel_select(absv, noise), peel_oracle(absv, noise))
+    u = rng.integers(0, 4, (13, 40)) / 4.0
+    for _ in both_paths(monkeypatch):
+        check_select(absv, u, 1.0 / math.log(2.0))
 
 
-def test_peel_select_tie_breaks_lowest_index():
+def test_peel_select_tie_breaks_lowest_index(monkeypatch):
     absv = np.array([2.0, 3.0, 3.0, 1.0])
-    np.testing.assert_array_equal(k.peel_select(absv, np.zeros((2, 4))), [1, 2])
+    # u = 1/2 is a zero draw: the scores are absv.
+    for _ in both_paths(monkeypatch):
+        np.testing.assert_array_equal(k.peel_select(absv, np.full((3, 4), 0.5), 1.0)[0], [1, 2])
+
+
+def magnitudes(kind, d, s, rng):
+    if kind == "ties":
+        return rng.integers(-3, 4, d).astype(float)
+    v = rng.standard_normal(d)
+    if kind == "signal":  # s entries far above the rest
+        v[rng.choice(d, s, replace=False)] += 50.0 * np.sign(rng.standard_normal(s))
+    return v
+
+
+def uniforms(source, shape, seed):
+    if source == "zeros":  # every draw hits the r == 0 remap
+        return np.zeros(shape)
+    u = RngHandle(seed, 3).generator().random(shape)
+    if source == "planted zeros":
+        u.flat[::7] = 0.0
+    return u
+
+
+# (d, s): s up to d where the loop oracle stays fast.
+PEEL_SHAPES = [(1, 1), (2, 1), (2, 2), (5, 1), (5, 3), (5, 5), (30, 1), (30, 7), (30, 30),
+               (1000, 5), (1000, 50), (1000, 1000), (10000, 5), (10000, 50)]
+SCALES = [1e-300, 1e-12, 0.05, 1e12]
+KINDS = ["gaussian", "ties", "signal"]
+SOURCES = ["philox", "planted zeros", "zeros"]
+
+
+def peel_cases():
+    # Every (b, kind, source) on the small shapes; at d >= 1000 each scale
+    # once, with the kinds and sources in rotation.
+    for d, s in PEEL_SHAPES:
+        if d < 1000:
+            for b in SCALES:
+                for kind in KINDS:
+                    for source in SOURCES:
+                        yield d, s, b, kind, source
+        else:
+            for i, b in enumerate(SCALES):
+                yield d, s, b, KINDS[i % 3], SOURCES[i % 2]
+
+
+@pytest.mark.parametrize("dense_below", [0, k._DENSE_BELOW_D], ids=["candidates-at-every-d", "as-shipped"])
+def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch, dense_below):
+    # Forced onto the candidate path at every d, the set must run both
+    # certified rounds and fallback rounds (every _dense_round call is one).
+    monkeypatch.setattr(k, "_DENSE_BELOW_D", dense_below)
+    dense_round, rounds = k._dense_round, {"all": 0, "dense": 0}
+
+    def counted(*args):
+        rounds["dense"] += 1
+        return dense_round(*args)
+
+    monkeypatch.setattr(k, "_dense_round", counted)
+    for seed, (d, s, b, kind, source) in enumerate(peel_cases()):
+        rng = np.random.default_rng(seed)
+        v = magnitudes(kind, d, s, rng)
+        u = uniforms(source, (s + 1, d), seed)
+        got_v, got_s = peel(v, s, b, Replay(u))
+        noise = dense_noise(u, b)
+        selected = peel_oracle(np.abs(v), noise[:s])
+        want_v = np.zeros(d)
+        want_v[selected] = v[selected] + noise[s, selected]
+        case = f"d={d} s={s} b={b} {kind} {source}"
+        assert got_s.tobytes() == np.sort(np.array(selected, dtype=np.int64)).tobytes(), case
+        assert got_v.tobytes() == want_v.tobytes(), case
+        rounds["all"] += s
+    if dense_below == 0:
+        assert 0 < rounds["dense"] < rounds["all"]
 
 
 def test_backend_name_is_numpy():
