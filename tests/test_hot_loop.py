@@ -258,3 +258,21 @@ def test_generate_synthetic_adopts_its_arrays():
     again, _ = generate_synthetic(cfg)
     assert again.x.tobytes() == ds.x.tobytes() and again.y.tobytes() == ds.y.tobytes()
 
+
+
+@pytest.mark.parametrize("kind", [EstimatorKind.DP_IHT_H, EstimatorKind.DP_IHT_L])
+def test_private_fit_through_candidates_equals_the_dense_fit(kind, monkeypatch):
+    # d is past the dense cut, so the peels score candidates; forcing every
+    # round dense must give the same bytes.
+    n, d, s = 17 * 20, 3000, 20
+    ds, _ = generate_synthetic(SyntheticConfig(n=n, d=d, s_star=5, seed=3))
+    cfg = EstimatorConfig(
+        s=s, T=17, K=math.log(d), L=10.0, schedule=ConstantStep(0.05), tau=1.0, seed=4
+    )
+    priv = PrivacyParams(0.5, n ** -1.1)
+    assert d >= _kernels._DENSE_BELOW_D
+    got = fit_estimator(kind, ds, cfg, priv).estimate
+    monkeypatch.setattr(_kernels, "_DENSE_BELOW_D", math.inf)
+    want = fit_estimator(kind, ds, cfg, priv).estimate
+    assert got.beta.tobytes() == want.beta.tobytes()
+    assert got.support.tobytes() == want.support.tobytes()
