@@ -42,11 +42,18 @@ NOISE_SHAPE = (51, 10000)
 REPEATS = 41
 
 
-def bench(fn, *args) -> tuple[float, float]:
-    """Median and IQR in ms of REPEATS calls, each timed on its own."""
+def bench(fn, *args, refresh=None) -> tuple[float, float]:
+    """Median and IQR in ms of REPEATS calls, each timed on its own.
+
+    ``refresh``, when given, runs untimed before every call: it restores
+    inputs that the call overwrites.
+    """
+    refresh = refresh or (lambda: None)
+    refresh()
     fn(*args)  # warmup
     samples = []
     for _ in range(REPEATS):
+        refresh()
         start = time.perf_counter()
         fn(*args)
         samples.append((time.perf_counter() - start) * 1e3)
@@ -63,8 +70,8 @@ def sparse_beta(rng, d: int) -> np.ndarray:
     return beta
 
 
-def row(name: str, shape: str, fn, args, note: str = "") -> None:
-    med, iqr = bench(fn, *args)
+def row(name: str, shape: str, fn, args, note: str = "", refresh=None) -> None:
+    med, iqr = bench(fn, *args, refresh=refresh)
     print(f"{name:<16}{shape:<16}{med:>10.3f}{iqr:>9.3f}{note}")
 
 
@@ -82,7 +89,7 @@ def selection_stats(absv, uniforms, b) -> str:
 
     k._dense_round = counted
     try:
-        k.peel_select(absv, uniforms, b)
+        k.peel_select(absv, uniforms.copy(), b)
     finally:
         k._dense_round = dense_round
     return f"  candidates/round {flat.size / rounds:.1f}, fallback rounds {len(fallbacks) / rounds:.3f}"
@@ -101,9 +108,11 @@ def main() -> None:
         row("squared_grad", f"{m}x{d}", k.squared_grad, (xc, y, beta))
     for d, s in PEEL_SIZES:
         absv = np.abs(rng.standard_normal(d)) * PEEL_MAGNITUDE
-        uniforms = rng.random((s + 1, d))
+        drawn = rng.random((s + 1, d))
+        uniforms = drawn.copy()  # the work array peel_select may overwrite
         args = (absv, uniforms, PEEL_SCALE)
-        row("peel_select", f"d={d},s={s}", k.peel_select, args, selection_stats(*args))
+        note = selection_stats(absv, drawn, PEEL_SCALE)
+        row("peel_select", f"d={d},s={s}", k.peel_select, args, note, lambda: np.copyto(uniforms, drawn))
     row("peel zero-noise", "d=10000,s=50", peel, (rng.standard_normal(10000), 50, 0.0))
     stage_rows(rng)
 

@@ -72,13 +72,14 @@ def peel_select(absv: np.ndarray, uniforms: np.ndarray, b: float) -> tuple[np.nd
     From d = _DENSE_BELOW_D on, only the candidates of ``_candidates`` are
     scored, and a round whose best candidate does not clear the floor runs
     the dense round over all d indices instead. Either way the result is the
-    dense selection's, bit for bit. ``uniforms`` is not modified.
+    dense selection's, bit for bit. ``uniforms`` is a work array: the call
+    may overwrite it.
     """
     s, d = uniforms.shape[0] - 1, uniforms.shape[1]
     selected = np.empty(s, dtype=np.int64)
     taken = np.zeros(d, dtype=bool)
     if d < _DENSE_BELOW_D:
-        noise = _laplace_icdf(uniforms.copy(), b)
+        noise = _laplace_icdf(uniforms, b)
         for i in range(s):
             j = selected[i] = _dense_round(absv, noise[i], taken)
             taken[j] = True
@@ -98,7 +99,7 @@ def peel_select(absv: np.ndarray, uniforms: np.ndarray, b: float) -> tuple[np.nd
         if sc[k] > floor:
             j, noise[i] = c[k], value[lo + k]
         else:
-            j = _dense_round(absv, _laplace_icdf(uniforms[i].copy(), b), taken)
+            j = _dense_round(absv, _laplace_icdf(uniforms[i], b), taken)
             noise[i] = _laplace_icdf(uniforms[s, j : j + 1].copy(), b)[0]
         selected[i] = j
         taken[j] = True

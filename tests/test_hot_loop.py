@@ -260,7 +260,9 @@ def test_generate_synthetic_adopts_its_arrays():
 
 
 
-@pytest.mark.parametrize("kind", [EstimatorKind.DP_IHT_H, EstimatorKind.DP_IHT_L])
+@pytest.mark.parametrize(
+    "kind", [EstimatorKind.DP_IHT_H, EstimatorKind.DP_IHT_L], ids=lambda kind: kind.value
+)
 def test_private_fit_through_candidates_equals_the_dense_fit(kind, monkeypatch):
     # d is past the dense cut, so the peels score candidates; forcing every
     # round dense must give the same bytes.

@@ -120,7 +120,7 @@ def both_paths(monkeypatch):
 def check_select(absv, u, b):
     s = u.shape[0] - 1
     noise = dense_noise(u, b)
-    selected, value = k.peel_select(absv, u, b)
+    selected, value = k.peel_select(absv, u.copy(), b)
     np.testing.assert_array_equal(selected, peel_oracle(absv, noise[:s]))
     assert value.tobytes() == noise[s, selected].tobytes()
 
