@@ -5,11 +5,10 @@ The kernel cells time each gradient kernel and the peeling selection at fixed
 shapes, and beside them a zero-noise ``peel`` (the non-private fit's
 selection, which runs no selection rounds). A selection cell runs the
 selection of one private peel from its (s+1) x d uniforms, at a noise scale
-far above the magnitudes as in the benchmark's private fits. From
-d = _DENSE_BELOW_D on it prints the mean candidates per round and the share
-of rounds that fell back to scoring all d indices; below, every round is
-dense. The stage cells time ``batch_gradient`` on a fold within K (read in
-place) and on a fold beyond K (clipped first), the public
+far above the magnitudes as in the benchmark's private fits, and prints the
+mean candidates per round and the share of rounds that fell back to scoring
+all d indices. The stage cells time ``batch_gradient`` on a fold within K
+(read in place) and on a fold beyond K (clipped first), the public
 ``laplace`` block draw (fresh arrays, every entry transformed), and the
 uniform draw a private peel makes into the (s+1) x d block its fit reuses
 (the Laplace map then runs inside the selection). Each cell is the median
@@ -77,9 +76,7 @@ def row(name: str, shape: str, fn, args, note: str = "", refresh=None) -> None:
 
 def selection_stats(absv, uniforms, b) -> str:
     """Mean candidates per round, and the share of rounds scored over all d."""
-    rounds, d = uniforms.shape[0] - 1, uniforms.shape[1]
-    if d < k._DENSE_BELOW_D:
-        return f"  dense: every round scores all d (d < {k._DENSE_BELOW_D})"
+    rounds = uniforms.shape[0] - 1
     flat = k._candidates(absv, uniforms[:rounds], b)[0]
     dense_round, fallbacks = k._dense_round, []
 

@@ -4,9 +4,8 @@ Plain vectorized numpy. Each gradient takes its residual from
 ``support_matvec``, which reads only the columns of the features where beta is
 nonzero (at most s of them after hard thresholding, none at beta = 0), and
 then makes one dense BLAS matrix-vector product with the transposed features.
-From d = 2048 on, selection scores a few candidates per round and falls back
-to one argmax over d only when it cannot certify the winner; below, every
-round is one argmax over d (see ``peel_select``). All kernels
+Selection scores a few candidates per round and falls back to one argmax over
+d only when it cannot certify the winner (see ``peel_select``). All kernels
 are deterministic given their inputs; randomness (the uniform block that the
 selection noise comes from) is drawn by callers. Callers reach the kernels
 through this module's attributes.
@@ -54,12 +53,6 @@ _Q = 8
 # ones included.
 _REL_MARGIN = 1e-12
 _ABS_MARGIN = np.finfo(np.float64).tiny
-# Below this d a peel transforms the whole block and scores every index: a
-# dense round over d < 2048 costs no more than a candidate round, and in a fit,
-# right after a gradient pass over the fold, the candidate bookkeeping's fixed
-# cost exceeded the transform it saves (on a 2-vCPU Xeon, +16% per peel at
-# d=1000, s=5; -16% at d=10000, s=5; -32% at d=10000, s=50).
-_DENSE_BELOW_D = 2048
 
 
 def peel_select(absv: np.ndarray, uniforms: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -69,21 +62,15 @@ def peel_select(absv: np.ndarray, uniforms: np.ndarray, b: float) -> tuple[np.nd
     not yet taken as absv[j] + w_ij, with w_ij = _laplace_icdf(uniforms[i, j],
     b), and takes the highest score, ties to the lowest index. Row s gives
     the value noise, returned at the selected indices in selection order.
-    From d = _DENSE_BELOW_D on, only the candidates of ``_candidates`` are
-    scored, and a round whose best candidate does not clear the floor runs
-    the dense round over all d indices instead. Either way the result is the
-    dense selection's, bit for bit. ``uniforms`` is a work array: the call
-    may overwrite it.
+    Only the candidates of ``_candidates`` are scored, and a round whose best
+    candidate does not clear the floor runs ``_dense_round`` over all d
+    indices instead. Every draw, scored or kept, goes through the one map
+    ``_laplace_icdf``, so the result is the dense selection's, bit for bit.
+    ``uniforms`` is a work array: the call may overwrite it.
     """
     s, d = uniforms.shape[0] - 1, uniforms.shape[1]
     selected = np.empty(s, dtype=np.int64)
     taken = np.zeros(d, dtype=bool)
-    if d < _DENSE_BELOW_D:
-        noise = _laplace_icdf(uniforms, b)
-        for i in range(s):
-            j = selected[i] = _dense_round(absv, noise[i], taken)
-            taken[j] = True
-        return selected, noise[s, selected]
     flat, bounds, floor = _candidates(absv, uniforms[:s], b)
     cols = flat % d
     # One map call: the candidates' draws, then row s at the same columns.

@@ -289,11 +289,18 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     Deterministic for a fixed spec: every cell's data and noise seeds derive
     from the documented hash, and output ordering is canonical. A fit that
     raises a DpSparseError yields a row with status "failed: ..." and the
-    sweep continues; any other exception is a bug and propagates.
+    sweep continues; any other exception is a bug and propagates. ``workers``
+    defaults to the positive integer in DPSPARSE_WORKERS, or 1 when it is unset.
     """
     units = [(spec, value, repeat) for value in spec.values for repeat in range(spec.repeats)]
     if workers is None:
-        workers = int(os.environ.get("DPSPARSE_WORKERS", "1"))
+        raw = os.environ.get("DPSPARSE_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise InvalidConfigError(f"DPSPARSE_WORKERS must be a positive integer, got {raw!r}")
     rows: list[SweepRow] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -6,17 +6,10 @@ Laplace noise vector w_i, picks the unselected index maximizing |v_j| + w_ij
 entries. With the noise scale at zero this is exactly hard thresholding onto
 the s largest-magnitude entries, which is computed directly.
 
-With noise, the (s+1) x d uniforms behind the draws are drawn as one block.
-From d = 2048 on (``_kernels._DENSE_BELOW_D``), a draw is computed only where
-it can matter. Round i's candidates are the s indices of largest |v| and
-every j whose uniform is at most t0 = min(1/2, Q/d), about Q of them (Q = 8).
-The inverse-CDF map decreases in the uniform, so any other index scores below
-a_rest + b ln(1/(2 t0)), where a_rest is the largest |v| outside the s. A
-best candidate scoring above that floor, plus a relative margin for rounding,
-is therefore the round's winner; a round that fails the test is run over all
-d indices. Candidate draws and the kept entries' value noise go through the
-same map as a dense block, so support and values are the dense selection's,
-bit for bit. Below d = 2048 every round is dense, which is cheaper there.
+With noise, the (s+1) x d uniforms behind the draws are drawn as one block,
+and ``_kernels.peel_select`` turns into Laplace draws only the entries that
+can win a round or are kept. ``peel_select`` and ``_kernels._candidates``
+state the certificate that makes this the dense selection, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,11 +29,17 @@ def noise_scale(lam: float, s: int, priv: PrivacyParams) -> float:
 
     ``lam`` >= 0 is the per-entry sensitivity and ``s`` the selection size.
     Returns exactly 0 in non-private mode (and whenever lam is 0). Logs are
-    natural throughout.
+    natural throughout. A scale that overflows to a non-finite value (say,
+    at a subnormal epsilon) raises InvalidParameterError.
     """
     if not priv.is_private or lam == 0.0:
         return 0.0
-    return 2.0 * lam * math.sqrt(3.0 * s * math.log(1.0 / priv.delta)) / priv.epsilon
+    b = 2.0 * lam * math.sqrt(3.0 * s * math.log(1.0 / priv.delta)) / priv.epsilon
+    if not math.isfinite(b):
+        raise InvalidParameterError(
+            f"noise scale b={b} is not finite at epsilon={priv.epsilon!r} (lam={lam}, s={s})"
+        )
+    return b
 
 
 def peel(
@@ -61,8 +60,8 @@ def peel(
         raise InvalidConfigError(f"peel expects a vector, got shape {v.shape}")
     if not (is_int(s) and 1 <= s <= v.shape[0]):
         raise InvalidConfigError(f"s must be a positive integer <= {v.shape[0]}, got {s!r}")
-    if not b >= 0:
-        raise InvalidParameterError(f"scale b must be >= 0, got {b}")
+    if not (b >= 0 and math.isfinite(b)):
+        raise InvalidParameterError(f"scale b must be finite and >= 0, got {b}")
     if not np.isfinite(v).all():
         raise InvalidInputError("peel requires finite input")
     return _peel(v, s, b, rng)

@@ -70,15 +70,9 @@ def laplace(
     if b == 0.0:
         return 0.0 if size is None else np.zeros(size)
     out = np.empty(() if size is None else size)
-    _laplace_fill(b, _as_generator(rng), out)
-    return float(out) if size is None else out
-
-
-def _laplace_fill(b: float, gen: np.random.Generator, out: np.ndarray) -> None:
-    # The body of laplace for b > 0: fills the C-contiguous float64 ``out``
-    # with out.size draws.
-    gen.random(out=out)
+    _as_generator(rng).random(out=out)
     _laplace_icdf(out, b)
+    return float(out) if size is None else out
 
 
 def _laplace_icdf(r: np.ndarray, b: float) -> np.ndarray:

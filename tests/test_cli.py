@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsparse import OUTPUT_VERSION, load_csv
+from dpsparse import OUTPUT_VERSION, harness, load_csv
 from dpsparse.cli import load_config, main, resolve_config
 from dpsparse.errors import InvalidConfigError
 
@@ -90,6 +90,14 @@ def test_fit_missing_tau_exits_one(tmp_path, capsys):
                    "--out", str(tmp_path / "o"))
     assert code == 1
     assert "tau" in capsys.readouterr().err
+
+
+def test_fit_with_a_subnormal_epsilon_exits_one_naming_it(tmp_path, capsys):
+    code = run_cli("fit", "--estimator", "dp-iht-h", "--n", "60", "--d", "6", "--tau", "1.0",
+                   "--T", "3", "--epsilon", "1e-320", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilon=1e-320" in err and "noise scale" in err
 
 
 def test_fit_missing_data_source_exits_one(tmp_path, capsys):
@@ -202,6 +210,19 @@ def test_sweep_byte_identical_results(tmp_path):
     lines = (out1 / "results.csv").read_text().splitlines()
     assert lines[0] == "axis,value,estimator,seed,l2_error,mae,wall_ms,status"
     assert len(lines) == 1 + 2 * 2 * 2
+
+
+@pytest.mark.parametrize("workers", ["abc", "0"])
+def test_sweep_with_a_bad_workers_variable_exits_one_naming_it(tmp_path, capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("DPSPARSE_WORKERS", workers)
+    code = run_cli("sweep", "--config", str(sweep_config(tmp_path)), "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "DPSPARSE_WORKERS" in err and repr(workers) in err
 
 
 def test_sweep_missing_fields_exit_one(tmp_path, capsys):

@@ -34,7 +34,7 @@ from dpsparse import (
 )
 from dpsparse import _kernels, estimators
 from dpsparse.peeling import _peel
-from dpsparse.sampling import RngHandle, _laplace_fill
+from dpsparse.sampling import RngHandle, _laplace_icdf
 
 N, D, T = 600, 50, 13
 K = math.log(D)
@@ -164,9 +164,11 @@ def test_laplace_keeps_the_bytes_of_the_plain_expression(size):
 
 
 def test_laplace_through_a_reused_workspace_equals_the_public_call():
+    # A private fit draws into one block per fit and maps it in place.
     out = np.full((51, 1000), np.nan)
     for stream in range(3):
-        _laplace_fill(1.5, RngHandle(4, stream).generator(), out)
+        RngHandle(4, stream).generator().random(out=out)
+        _laplace_icdf(out, 1.5)
         assert out.tobytes() == laplace(1.5, RngHandle(4, stream), size=(51, 1000)).tobytes()
 
 
@@ -259,22 +261,33 @@ def test_generate_synthetic_adopts_its_arrays():
     assert again.x.tobytes() == ds.x.tobytes() and again.y.tobytes() == ds.y.tobytes()
 
 
+def dense_peel_select(absv, uniforms, b):
+    # The selection as defined: map the whole block, then s rounds over all d.
+    s, d = uniforms.shape[0] - 1, uniforms.shape[1]
+    noise = _laplace_icdf(uniforms, b)
+    selected, taken = np.empty(s, dtype=np.int64), np.zeros(d, dtype=bool)
+    for i in range(s):
+        j = selected[i] = _kernels._dense_round(absv, noise[i], taken)
+        taken[j] = True
+    return selected, noise[s, selected]
+
 
 @pytest.mark.parametrize(
     "kind", [EstimatorKind.DP_IHT_H, EstimatorKind.DP_IHT_L], ids=lambda kind: kind.value
 )
 def test_private_fit_through_candidates_equals_the_dense_fit(kind, monkeypatch):
-    # d is past the dense cut, so the peels score candidates; forcing every
-    # round dense must give the same bytes.
-    n, d, s = 17 * 20, 3000, 20
-    ds, _ = generate_synthetic(SyntheticConfig(n=n, d=d, s_star=5, seed=3))
-    cfg = EstimatorConfig(
-        s=s, T=17, K=math.log(d), L=10.0, schedule=ConstantStep(0.05), tau=1.0, seed=4
-    )
-    priv = PrivacyParams(0.5, n ** -1.1)
-    assert d >= _kernels._DENSE_BELOW_D
-    got = fit_estimator(kind, ds, cfg, priv).estimate
-    monkeypatch.setattr(_kernels, "_DENSE_BELOW_D", math.inf)
-    want = fit_estimator(kind, ds, cfg, priv).estimate
-    assert got.beta.tobytes() == want.beta.tobytes()
-    assert got.support.tobytes() == want.support.tobytes()
+    # At the fit-tall d and above it, a fit through the candidate selection
+    # must have the bytes of a fit whose every round scores all d indices.
+    n, s = 17 * 20, 20
+    for d in (1000, 3000):
+        ds, _ = generate_synthetic(SyntheticConfig(n=n, d=d, s_star=5, seed=3))
+        cfg = EstimatorConfig(
+            s=s, T=17, K=math.log(d), L=10.0, schedule=ConstantStep(0.05), tau=1.0, seed=4
+        )
+        priv = PrivacyParams(0.5, n ** -1.1)
+        got = fit_estimator(kind, ds, cfg, priv).estimate
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "peel_select", dense_peel_select)
+            want = fit_estimator(kind, ds, cfg, priv).estimate
+        assert got.beta.tobytes() == want.beta.tobytes(), d
+        assert got.support.tobytes() == want.support.tobytes(), d

@@ -13,7 +13,7 @@ import pytest
 
 from dpsparse import RngHandle, peel
 from dpsparse import _kernels as k
-from dpsparse.sampling import _laplace_fill
+from dpsparse.sampling import _laplace_icdf
 
 
 def random_fold(m=37, d=11, seed=0):
@@ -74,9 +74,7 @@ class Replay:
 
 def dense_noise(u, b):
     # The Laplace block the dense selection scored: every entry transformed.
-    noise = np.empty_like(u)
-    _laplace_fill(b, Replay(u), noise)
-    return noise
+    return _laplace_icdf(u.copy(), b)
 
 
 def close(got, want):
@@ -110,13 +108,6 @@ def test_squared_grad_matches_row_loop(seed):
     close(k.squared_grad(xc, y, beta), squared_oracle(xc, y, beta))
 
 
-def both_paths(monkeypatch):
-    """Run the caller's loop body on the candidate path, then on the dense one."""
-    for dense_below in (0, math.inf):
-        monkeypatch.setattr(k, "_DENSE_BELOW_D", dense_below)
-        yield
-
-
 def check_select(absv, u, b):
     s = u.shape[0] - 1
     noise = dense_noise(u, b)
@@ -126,30 +117,27 @@ def check_select(absv, u, b):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_peel_select_matches_loop(seed, monkeypatch):
+def test_peel_select_matches_loop(seed):
     rng = np.random.default_rng(seed)
     absv = np.abs(rng.standard_normal(80))
     u = rng.random((10, 80))
-    for _ in both_paths(monkeypatch):
-        check_select(absv, u, 0.5)
+    check_select(absv, u, 0.5)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_peel_select_ties_match_loop(seed, monkeypatch):
+def test_peel_select_ties_match_loop(seed):
     # Small integer magnitudes and four uniform values (noise 0, +-b ln 2)
     # make ties common; both pick the lowest index.
     rng = np.random.default_rng(100 + seed)
     absv = rng.integers(0, 4, 40).astype(float)
     u = rng.integers(0, 4, (13, 40)) / 4.0
-    for _ in both_paths(monkeypatch):
-        check_select(absv, u, 1.0 / math.log(2.0))
+    check_select(absv, u, 1.0 / math.log(2.0))
 
 
-def test_peel_select_tie_breaks_lowest_index(monkeypatch):
+def test_peel_select_tie_breaks_lowest_index():
     absv = np.array([2.0, 3.0, 3.0, 1.0])
     # u = 1/2 is a zero draw: the scores are absv.
-    for _ in both_paths(monkeypatch):
-        np.testing.assert_array_equal(k.peel_select(absv, np.full((3, 4), 0.5), 1.0)[0], [1, 2])
+    np.testing.assert_array_equal(k.peel_select(absv, np.full((3, 4), 0.5), 1.0)[0], [1, 2])
 
 
 def magnitudes(kind, d, s, rng):
@@ -192,11 +180,9 @@ def peel_cases():
                 yield d, s, b, KINDS[i % 3], SOURCES[i % 2]
 
 
-@pytest.mark.parametrize("dense_below", [0, k._DENSE_BELOW_D], ids=["candidates-at-every-d", "as-shipped"])
-def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch, dense_below):
-    # Forced onto the candidate path at every d, the set must run both
-    # certified rounds and fallback rounds (every _dense_round call is one).
-    monkeypatch.setattr(k, "_DENSE_BELOW_D", dense_below)
+def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch):
+    # The case set must run both certified rounds and fallback rounds (every
+    # _dense_round call is one).
     dense_round, rounds = k._dense_round, {"all": 0, "dense": 0}
 
     def counted(*args):
@@ -217,8 +203,7 @@ def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch, dense
         assert got_s.tobytes() == np.sort(np.array(selected, dtype=np.int64)).tobytes(), case
         assert got_v.tobytes() == want_v.tobytes(), case
         rounds["all"] += s
-    if dense_below == 0:
-        assert 0 < rounds["dense"] < rounds["all"]
+    assert 0 < rounds["dense"] < rounds["all"]
 
 
 def test_backend_name_is_numpy():

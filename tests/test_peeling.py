@@ -38,6 +38,14 @@ def test_noise_scale_rejects_bad_delta():
         noise_scale(1.0, 3, PrivacyParams(epsilon=1.0, delta=1.5))
 
 
+def test_noise_scale_rejects_a_non_finite_scale_naming_epsilon():
+    # A subnormal epsilon passes its rule (> 0) but overflows the scale.
+    with pytest.raises(InvalidParameterError, match=r"b=inf .*epsilon=1e-320"):
+        noise_scale(1.0, 3, PrivacyParams(epsilon=1e-320, delta=0.01))
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        noise_scale(math.inf, 3, PrivacyParams(epsilon=1.0, delta=0.01))
+
+
 def test_peel_zero_noise_example():
     v = np.array([5.0, -7.0, 1.0, 0.0, 3.0])
     out, support = peel(v, 2, 0.0)
@@ -94,8 +102,9 @@ def test_peel_rejects_s_larger_than_d():
 
 
 def test_peel_rejects_a_negative_scale_and_non_finite_input():
-    with pytest.raises(InvalidParameterError):
-        peel(np.ones(3), 1, -0.5, RngHandle(0))
+    for b in (-0.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            peel(np.ones(3), 1, b, RngHandle(0))
     with pytest.raises(InvalidInputError):
         peel(np.array([1.0, np.nan, 2.0]), 1, 0.0)
 
