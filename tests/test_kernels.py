@@ -180,9 +180,11 @@ def peel_cases():
                 yield d, s, b, KINDS[i % 3], SOURCES[i % 2]
 
 
-def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch):
-    # The case set must run both certified rounds and fallback rounds (every
-    # _dense_round call is one).
+@pytest.mark.parametrize("entry", ["kernel", "peel"], ids=["candidates-at-every-d", "as-shipped"])
+def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch, entry):
+    # The candidate kernel alone (selection order and value noise), then the
+    # public peel (output vector and sorted support). The case set must run
+    # both certified rounds and fallback rounds (every _dense_round call is one).
     dense_round, rounds = k._dense_round, {"all": 0, "dense": 0}
 
     def counted(*args):
@@ -194,14 +196,19 @@ def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch):
         rng = np.random.default_rng(seed)
         v = magnitudes(kind, d, s, rng)
         u = uniforms(source, (s + 1, d), seed)
-        got_v, got_s = peel(v, s, b, Replay(u))
         noise = dense_noise(u, b)
-        selected = peel_oracle(np.abs(v), noise[:s])
-        want_v = np.zeros(d)
-        want_v[selected] = v[selected] + noise[s, selected]
+        selected = np.array(peel_oracle(np.abs(v), noise[:s]), dtype=np.int64)
         case = f"d={d} s={s} b={b} {kind} {source}"
-        assert got_s.tobytes() == np.sort(np.array(selected, dtype=np.int64)).tobytes(), case
-        assert got_v.tobytes() == want_v.tobytes(), case
+        if entry == "kernel":
+            got_s, got_noise = k.peel_select(np.abs(v), u.copy(), b)
+            assert got_s.tobytes() == selected.tobytes(), case
+            assert got_noise.tobytes() == noise[s, selected].tobytes(), case
+        else:
+            got_v, got_s = peel(v, s, b, Replay(u))
+            want_v = np.zeros(d)
+            want_v[selected] = v[selected] + noise[s, selected]
+            assert got_s.tobytes() == np.sort(selected).tobytes(), case
+            assert got_v.tobytes() == want_v.tobytes(), case
         rounds["all"] += s
     assert 0 < rounds["dense"] < rounds["all"]
 
