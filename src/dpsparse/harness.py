@@ -30,6 +30,7 @@ from .core import (
     PrivacyParams,
     StepSchedule,
     check_fields,
+    is_int,
     l2_error,
     load_csv,
     mae,
@@ -290,7 +291,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     from the documented hash, and output ordering is canonical. A fit that
     raises a DpSparseError yields a row with status "failed: ..." and the
     sweep continues; any other exception is a bug and propagates. ``workers``
-    defaults to the positive integer in DPSPARSE_WORKERS, or 1 when it is unset.
+    must be a positive integer; it defaults to the one in DPSPARSE_WORKERS, or
+    1 when that is unset.
     """
     units = [(spec, value, repeat) for value in spec.values for repeat in range(spec.repeats)]
     if workers is None:
@@ -301,6 +303,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             workers = 0
         if workers < 1:
             raise InvalidConfigError(f"DPSPARSE_WORKERS must be a positive integer, got {raw!r}")
+    elif not (is_int(workers) and workers >= 1):
+        raise InvalidConfigError(f"workers must be a positive integer, got {workers!r}")
     rows: list[SweepRow] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

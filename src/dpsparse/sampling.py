@@ -1,13 +1,15 @@
 """Seeded random sources and the synthetic heavy-tailed data generator.
 
-Reproducibility contract: every draw flows through a Philox 4x64 counter-based
-generator keyed by (seed, stream), so identical (seed, stream) pairs yield
-identical sequences across runs and platforms. Parallel trials take distinct
-stream ids instead of sharing generator state.
+Reproducibility contract: every draw flows through an SFC64 generator seeded
+by ``SeedSequence([seed, stream])``, so identical (seed, stream) pairs yield
+identical sequences for the same output version and numpy major version.
+Parallel trials take distinct stream ids instead of sharing generator state.
+The synthetic responses read only the support columns of the features.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +30,10 @@ class RngHandle:
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
+        m = 0xFFFFFFFFFFFFFFFF
+        return np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence([self.seed & m, self.stream & m]))
         )
-        return np.random.Generator(np.random.Philox(key=key))
 
 
 def _as_generator(rng: RngHandle | np.random.Generator) -> np.random.Generator:
@@ -65,8 +66,8 @@ def laplace(
     scaling b therefore scales the draws exactly. b = 0 returns exact zeros
     without consuming generator state (the non-private mode contract).
     """
-    if b < 0:
-        raise InvalidParameterError(f"scale b must be >= 0, got {b}")
+    if not (b >= 0 and math.isfinite(b)):
+        raise InvalidParameterError(f"scale b must be finite and >= 0, got {b}")
     if b == 0.0:
         return 0.0 if size is None else np.zeros(size)
     out = np.empty(() if size is None else size)
@@ -144,7 +145,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     at uniformly chosen distinct indices with values beta_scale * N(0, 1).
     Noise is noise_scale * Student-t(nu(zeta)). Draw order is fixed (support,
     values, features, noise) on stream 0 of the config seed, so output is a
-    deterministic function of the config.
+    deterministic function of the config. y reads only the s_star support
+    columns of x: y = x[:, support] @ values + noise.
     """
     gen = RngHandle(cfg.seed, stream=0).generator()
     support = np.sort(gen.choice(cfg.d, size=cfg.s_star, replace=False))
@@ -156,6 +158,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
         noise = cfg.noise_scale * student_t(cfg.nu, gen, size=cfg.n)
     else:
         noise = np.zeros(cfg.n)
-    y = x @ beta_star + noise
+    y = x.take(support, axis=1) @ values + noise
     # x and y are fresh and held nowhere else: check and freeze them in place.
     return _adopt(x, y), beta_star

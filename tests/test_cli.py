@@ -339,7 +339,9 @@ def test_every_subcommand_records_the_output_version(tmp_path):
     assert est["output_version"] == OUTPUT_VERSION
 
 
-@pytest.mark.parametrize("version", [OUTPUT_VERSION - 1, OUTPUT_VERSION + 1, True, "1"])
+# Ids that do not move when OUTPUT_VERSION is bumped.
+@pytest.mark.parametrize("version", [OUTPUT_VERSION - 1, OUTPUT_VERSION + 1, True, "1"],
+                         ids=["previous", "next", "True", "string"])
 def test_rerun_at_another_output_version_exits_one(tmp_path, capsys, version):
     out1 = tmp_path / "r1"
     argv = ["fit", "--estimator", "dp-iht-l", "--n", "80", "--d", "12", "--T", "4"]

@@ -98,57 +98,57 @@ RUNS = {
 # output version -> name -> {output file: sha256}. The digests of a version
 # are recorded once, in the change that bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    2: {
+    3: {
         "fit-ada-csv": {
-            "estimate.json": "77fd9edbc36e053a08a1f5b1d53574bf8499f01dd0dc1429a18c91f3d059373e",
+            "estimate.json": "65afdf7a10e2d0651e3a9486c7fb2036b915e8dc3317bdd60a09fbba0c67514e",
         },
         "fit-h-csv-narrow": {
-            "estimate.json": "1cc491c6a5616a2b4639e0e9cdfbcb2ffc450b825b125a3df5b104f7562b4109",
+            "estimate.json": "4b1fc14a8afcc858c727671f8b1522cd565797ba92efd7c0217e87f598663451",
         },
         "fit-h-flags": {
             "effective_config.json":
-                "220e3f82dc68b94c4d5448943b7b275a7668858c8cad8b76c1a16b1350c35eb2",
-            "estimate.json": "3f7febcbd3d818bb2f8d350287d990e09a5571c5ffc2f5aef310c0e5ad725074",
+                "9261858badd9931d7b65549c057e6f7537a18e8df5242411000e526fb93abdcf",
+            "estimate.json": "6ea938c5e5d9f9f20852456665cd3978d877c8de8c408fd7d4b6f9d7dfdd001b",
         },
         "fit-l-schedule": {
             "effective_config.json":
-                "e783c20954ba067f92eb63ab60c55743c082a7a74514fbcd3d9fa6e6f7209200",
-            "estimate.json": "cb3c8ff0522d194cc055d5f6b4a9ec3237cd1ca986c94133999f3eb41f839721",
+                "0ca233a9455c18608252ba11dbb0734e1ee84ec84cf0871ed3898296574a7a17",
+            "estimate.json": "f4ee557fa4cec077c7d8f3bc64bf5ca606ffd5eee95ad992c9cf5b29981b4568",
         },
         "fit-slr-derived": {
             "effective_config.json":
-                "8fa91c4687170fa758c4d4778ed51cd64f38856c084eac99927e9e5cff40a606",
-            "estimate.json": "2d4db43bb6c077e98364b751f1b4c4dd579531259f296cbe83fe02b5b55c1599",
+                "46f64ceacef63d7546953c94737266355c3d02db0d111e833f5aa0ecf5bbf643",
+            "estimate.json": "9bae16263958d55df18eae2465f6433b151cafb5a481dd380ef5d185b0088b67",
         },
         "real-derived": {
-            "real_results.csv": "5f9769b1659f62c6af60d3b9c21b2a7a42ea63dba986143f858a19bfd009c337",
+            "real_results.csv": "fbe59548c95c80ac185f9e3666ac6cd227bbf1c6aa74eb2fe93388cef02a343c",
         },
         "real-fixed": {
-            "real_results.csv": "5edf14f0bfced9c4a3ee121d968192bf94df69c41b8c4356ca285b138d385c89",
+            "real_results.csv": "0aed5f064ca5d574f0dff34ece2fd2c186d594621b02a4fe7523d05628c45435",
         },
         "sweep-d-derived": {
-            "aggregates.json": "695ff6a70c683edde3c661b80f47841aa80cd250617f8524a3c52c691a68ea08",
+            "aggregates.json": "ec620425edb878784e8842a60f4c87fe9bb05b1b5349daef685fbb464f2e58d8",
             "effective_config.json":
-                "7aee18b4970cd3a7b0f9fb446c6cf86117aae16e35d203d21eff597444bfa93d",
-            "results.csv": "fb0113a21c0e3e87e4be07061e4856ed70d94a36a06ee235e4802787a0b3246a",
+                "9b6bb9a57c097af43e735f0fc77083e423588e2f44233c47f7868a52f94df9e8",
+            "results.csv": "cf957f8b3ed955d1f6adf5dbbd9c1fa03fd805cffa66c3462bf9955478747668",
         },
         "sweep-n": {
-            "aggregates.json": "7de095bf991002838f61b9079309d3e85b5330c9420862139d5346ad0be4e330",
+            "aggregates.json": "49c1e47bed83b73f8a589589f202344915fdbd182ae1a583660c1149b41eb2df",
             "effective_config.json":
-                "fdfda4548a8bd70034a261bcd4c4c20575f3890140dd91b57884d0ddbd03d77b",
-            "results.csv": "37ab6cbf979b0ba5bec559708fbfd2646110d65cca6f51930195b884baab3e02",
+                "2775a415be8d97aa3a2f71ca89f003c928ae1e6abb4ca2d12983bb7f34c61a72",
+            "results.csv": "e2079e68ad0620c67863e39efcb1c67f50df9d9c117bab595ea54fc95f70efd5",
         },
         "sweep-n-derived": {
-            "aggregates.json": "86eebffa2c3ae093cf5c0cc86129bf48a4b7ec5cd446608c73ea039dcf2f28dd",
+            "aggregates.json": "73977d16334c85d6958e9272a2cd06a52adbbd4a7c2e4e023baab4587554829c",
             "effective_config.json":
-                "44477b1cbb4df245c94c96e5b9ff39196160968d36a9a71a19f92383b48896bf",
-            "results.csv": "c5351158360bba7ce2d723102d2de58e04e9a781533f034fc8d5f09185b2e9c2",
+                "1e429ef9b8d16442bbe29ffb5fe2447e5686440a3322e39fd91ffed5369ed273",
+            "results.csv": "2f6bc965ade0414dfe5cb87da9b8101742f8c310ee27396ea705e90b5c64e5b8",
         },
         "synth-gen": {
-            "dataset.csv": "abcc7c9ab00f1c78e8fa7487f7494277814c4519767f2031a9a5894b2218ac66",
+            "dataset.csv": "f7ac528cc5f44f2fae947dc048e7ec09d8991ccd159b6371859198a75ea20719",
             "effective_config.json":
-                "f422ad85c6a88d683fc9c7e8b0213bbde4f5d81d820fa28ca594e2c7ff0a19fc",
-            "synth_meta.json": "f7aed3428a36426d39ac101bafa4d2a713de474168a780e677625b7ab3f7de72",
+                "1d0ebee8ff689016c12a0e15161dc267bd70077afd6f8d5df30e04e7efea17d0",
+            "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
         },
     },
 }

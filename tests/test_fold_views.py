@@ -29,22 +29,22 @@ from dpsparse.estimators import _update
 # bytes). The digests of a version are recorded once, in the change that
 # bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    2: {
+    3: {
         "dp-iht-h": (
-            "34ae2a0f0e77e4ac5949872bf2520d888b5125cd3a1d1e192778ca6c939210d1",
-            "191cd091cabbe98044c0db487d65a456a656fe777350578f45d628ae83ed4bf9",
+            "3be2ea038f7df09aaa75b71cafe8df2e0d0c5f735362a7236a8151ee2f689c66",
+            "3f90ac142f16a2b22264737699c9451bc29de8cb2473bdd621b04d419bf37ce8",
         ),
         "dp-iht-l": (
-            "aa2c2c2546e15cece02c669994e8452739ef39b182058d6a45cd446f7c613b6c",
-            "bf24cfcb3baefcf4d95234faeb0c6cc2760187e612e0c7a4de0529ba85e4a0e7",
+            "3d95edd8bdb16cfef8b57a1991e6ee075876b3e6acfd9acc36ce8608fcdaf817",
+            "3f90ac142f16a2b22264737699c9451bc29de8cb2473bdd621b04d419bf37ce8",
         ),
         "ada-huber": (
-            "2c93198c82be4d87551d29c3da084563d05d50c4e2afe3ad89813fa1d318c1e7",
-            "e34f7e32b106247d94c452404ea997392c48889b25dcb7864c561eae809aad1e",
+            "2745f40536e181f32d3784c67cf4579e0dc7149961fa8f7db00cd5fd5187f000",
+            "2d74025c7732b897e2ab5cbc169e504bb69c69677728343a08f7e19278920a37",
         ),
         "dp-slr": (
-            "b8426999ecf8ab9eb66f8d9e55d4f652241436fbf4ba0d0a78230a195e8ab3a7",
-            "cf36085ecc216eef8dc225ea204e1636bbe59efc896cfe729d98a29d238ec766",
+            "de44398131b391dceda934e0e3ba2842f3acf7e9e2279c8811c80d668915bce6",
+            "c00e659b789e3e295c447fb5ee76ba044f164764664fff4f0571e7a3b3232f97",
         ),
     },
 }

@@ -213,6 +213,16 @@ def test_sweep_workers_parallel_matches_serial():
     ]
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_a_bad_workers_argument_before_any_pool(monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(InvalidConfigError, match=rf"workers must be a positive integer, got {workers}"):
+        run_sweep(small_spec(estimators=(ADA,), values=(40,), repeats=1), workers=workers)
+
+
 def test_sweep_workers_env_var(monkeypatch):
     monkeypatch.setenv("DPSPARSE_WORKERS", "2")
     spec = small_spec(estimators=(ADA,), values=(40,), repeats=2)

@@ -48,21 +48,21 @@ FOLDS_BEYOND_K = {1, 4, 9}
 # bytes). The digests of a version are recorded once, in the change that
 # bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    2: {
+    3: {
         "dp-iht-h": (
-            "b278bdd931c0c254b3e1b141aea88a21d700ab53e19e221463e7784ae3182eb5",
-            "91f98b6165226b285c438caa0aada960056bc83ec73c537e127c3387cc84eaf2",
-        ),
-        "dp-iht-l": (
-            "a148bdba59769363576ac0713bff069ba501c8258cf8e66d1e621db8227793f4",
+            "7c56628f19ccaa72500ad04fdef04342c0992c2265d0ac34d1570c69553df53b",
             "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
         ),
+        "dp-iht-l": (
+            "e07bd28aa9567604cff987828882413279e31fc153f9953a67bb3d705c051100",
+            "76de4d04f52355e6f4d6d0d507f7a4737cf3e65952d9902a8bca6e0960eeb47e",
+        ),
         "ada-huber": (
-            "7ff4f98421a4c17fb80e3811d12a9610d67e77bfcb9f4063345c3630c06ed4eb",
-            "91f98b6165226b285c438caa0aada960056bc83ec73c537e127c3387cc84eaf2",
+            "fbabaa7796378f2783e1f6908939c42b19f91c42248d6d3b62253ede68e8273f",
+            "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
         ),
         "dp-slr": (
-            "0f7fd0befd9202b8d36021a930d6e3506df691822177edc271961b2c63d2b3fb",
+            "49bee3fe315c65acdcbb4d0e86ac378708f49a920b0cc2df738ac23646bc8b1f",
             "7ae721e2d13b6e466ac197a2cbac9cf9d859ef8a92030ee1517e30e45ab6b7a7",
         ),
     },

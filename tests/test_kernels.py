@@ -163,7 +163,7 @@ PEEL_SHAPES = [(1, 1), (2, 1), (2, 2), (5, 1), (5, 3), (5, 5), (30, 1), (30, 7),
                (1000, 5), (1000, 50), (1000, 1000), (10000, 5), (10000, 50)]
 SCALES = [1e-300, 1e-12, 0.05, 1e12]
 KINDS = ["gaussian", "ties", "signal"]
-SOURCES = ["philox", "planted zeros", "zeros"]
+SOURCES = ["generator", "planted zeros", "zeros"]
 
 
 def peel_cases():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,27 @@ def test_laplace_zero_scale_is_exact_zero():
     np.testing.assert_array_equal(laplace(0.0, RngHandle(0), size=10), np.zeros(10))
 
 
+def test_rng_handle_is_sfc64_keyed_by_seed_sequence():
+    m = 0xFFFFFFFFFFFFFFFF
+    gen = RngHandle(42, 3).generator()
+    assert isinstance(gen.bit_generator, np.random.SFC64)
+    hand = np.random.Generator(np.random.SFC64(np.random.SeedSequence([42 & m, 3 & m])))
+    np.testing.assert_array_equal(gen.random(8), hand.random(8))
+    # Negative seeds are masked to 64 bits, so -1 and 2**64 - 1 name one stream.
+    np.testing.assert_array_equal(
+        RngHandle(-1, 3).generator().random(8), RngHandle(2**64 - 1, 3).generator().random(8)
+    )
+
+
 def test_laplace_negative_scale_rejected():
     with pytest.raises(InvalidParameterError):
         laplace(-0.1, RngHandle(0))
+
+
+@pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_laplace_rejects_a_non_finite_scale(b):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        laplace(b, RngHandle(0), size=4)
 
 
 def test_laplace_moments():
@@ -98,7 +118,10 @@ def test_nu_from_zeta_anchors_and_linear_rule():
 def test_generate_synthetic_noiseless_model():
     cfg = SyntheticConfig(n=50, d=8, s_star=3, noise_scale=0.0, seed=9)
     ds, beta_star = generate_synthetic(cfg)
-    np.testing.assert_array_equal(ds.y, ds.x @ beta_star)
+    support = np.flatnonzero(beta_star)
+    # y reads only the support columns; the dense product agrees to rounding.
+    np.testing.assert_array_equal(ds.y, ds.x.take(support, axis=1) @ beta_star[support])
+    np.testing.assert_allclose(ds.y, ds.x @ beta_star, rtol=1e-12)
 
 
 def test_generate_synthetic_deterministic():
