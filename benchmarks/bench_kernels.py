@@ -4,14 +4,15 @@ Run: python benchmarks/bench_kernels.py
 The kernel cells time each gradient kernel and the peeling selection at fixed
 shapes, and beside them a zero-noise ``peel`` (the non-private fit's
 selection, which runs no selection rounds). A selection cell runs the
-selection of one private peel from its (s+1) x d uniforms, at a noise scale
-far above the magnitudes as in the benchmark's private fits, and prints the
-mean candidates per round and the share of rounds that fell back to scoring
-all d indices. The stage cells time ``batch_gradient`` on a fold within K
-(read in place) and on a fold beyond K (clipped first), the public
-``laplace`` block draw (fresh arrays, every entry transformed), and the
-uniform draw a private peel makes into the (s+1) x d block its fit reuses
-(the Laplace map then runs inside the selection). Each cell is the median
+selection of one private peel from its sparse uniforms (the hits outside the
+top s, then the top columns), at a noise scale far above the magnitudes as
+in the benchmark's private fits, and prints the mean candidates per round
+and the share of rounds that fell back to scoring all d indices. The stage
+cells time ``batch_gradient`` on a fold within K (read in place) and on a
+fold beyond K (clipped first), the public ``laplace`` block draw (fresh
+arrays, every entry transformed), and the sparse draw of one private peel:
+its hit positions and its uniforms (the Laplace map then runs inside the
+selection). Each cell is the median
 and interquartile range (IQR) over REPEATS separately timed calls, after one
 untimed warmup call. BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or
 OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS on a 2-vCPU host gave a
@@ -30,6 +31,7 @@ import numpy as np
 
 from dpsparse import Dataset, Huber, RngHandle, batch_gradient, laplace, peel
 from dpsparse import _kernels as k
+from dpsparse.peeling import _hit_positions
 
 SIZES = [(400, 1000), (2000, 1000), (500, 10000)]
 PEEL_SIZES = [(1000, 5), (10000, 50)]
@@ -74,10 +76,17 @@ def row(name: str, shape: str, fn, args, note: str = "", refresh=None) -> None:
     print(f"{name:<16}{shape:<16}{med:>10.3f}{iqr:>9.3f}{note}")
 
 
-def selection_stats(absv, uniforms, b) -> str:
+def sparse_draw(gen, s: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One private peel's hit positions and uniforms, drawn as ``peeling._peel`` draws them."""
+    t0 = k.hit_rate(d)
+    pos = _hit_positions(gen, s * (d - s), t0)
+    u = gen.random(pos.size + s * s)
+    u[: pos.size] *= t0
+    return pos, u
+
+
+def selection_stats(absv, s, pos, u, b, fallback_row) -> str:
     """Mean candidates per round, and the share of rounds scored over all d."""
-    rounds = uniforms.shape[0] - 1
-    flat = k._candidates(absv, uniforms[:rounds], b)[0]
     dense_round, fallbacks = k._dense_round, []
 
     def counted(*args):
@@ -86,10 +95,10 @@ def selection_stats(absv, uniforms, b) -> str:
 
     k._dense_round = counted
     try:
-        k.peel_select(absv, uniforms.copy(), b)
+        k.peel_select(absv, s, pos, u, b, fallback_row)
     finally:
         k._dense_round = dense_round
-    return f"  candidates/round {flat.size / rounds:.1f}, fallback rounds {len(fallbacks) / rounds:.3f}"
+    return f"  candidates/round {u.size / s:.1f}, fallback rounds {len(fallbacks) / s:.3f}"
 
 
 def main() -> None:
@@ -105,11 +114,9 @@ def main() -> None:
         row("squared_grad", f"{m}x{d}", k.squared_grad, (xc, y, beta))
     for d, s in PEEL_SIZES:
         absv = np.abs(rng.standard_normal(d)) * PEEL_MAGNITUDE
-        drawn = rng.random((s + 1, d))
-        uniforms = drawn.copy()  # the work array peel_select may overwrite
-        args = (absv, uniforms, PEEL_SCALE)
-        note = selection_stats(absv, drawn, PEEL_SCALE)
-        row("peel_select", f"d={d},s={s}", k.peel_select, args, note, lambda: np.copyto(uniforms, drawn))
+        t0 = k.hit_rate(d)
+        args = (absv, s, *sparse_draw(rng, s, d), PEEL_SCALE, lambda i: t0 + (1.0 - t0) * rng.random(d))
+        row("peel_select", f"d={d},s={s}", k.peel_select, args, selection_stats(*args))
     row("peel zero-noise", "d=10000,s=50", peel, (rng.standard_normal(10000), 50, 0.0))
     stage_rows(rng)
 
@@ -128,8 +135,7 @@ def stage_rows(rng) -> None:
     row("laplace fresh", "x".join(map(str, NOISE_SHAPE)), laplace, (0.5, RngHandle(1), NOISE_SHAPE))
     gen = RngHandle(1).generator()
     for d, s in PEEL_SIZES:
-        block = np.empty((s + 1, d))
-        row("laplace reused", f"{s + 1}x{d}", lambda: gen.random(out=block), ())
+        row("sparse draw", f"d={d},s={s}", sparse_draw, (gen, s, d))
 
 
 if __name__ == "__main__":

@@ -6,14 +6,15 @@ nonzero (at most s of them after hard thresholding, none at beta = 0), and
 then makes one dense BLAS matrix-vector product with the transposed features.
 Selection scores a few candidates per round and falls back to one argmax over
 d only when it cannot certify the winner (see ``peel_select``). All kernels
-are deterministic given their inputs; randomness (the uniform block that the
-selection noise comes from) is drawn by callers. Callers reach the kernels
-through this module's attributes.
+are deterministic given their inputs; randomness (the sparse selection
+uniforms, and a fallback round's row through the callback it is handed) is
+drawn by callers. Callers reach the kernels through this module's attributes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -55,28 +56,44 @@ _REL_MARGIN = 1e-12
 _ABS_MARGIN = np.finfo(np.float64).tiny
 
 
-def peel_select(absv: np.ndarray, uniforms: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The noise of one peel from its (s+1) x d uniforms: (selected, value noise).
+def hit_rate(d: int) -> float:
+    """t0 = min(1/2, Q/d): the chance that a uniform outside the top s is a hit."""
+    return min(0.5, _Q / d)
 
-    Rows 0..s-1 drive s report-noisy-max rounds. Round i scores each index j
-    not yet taken as absv[j] + w_ij, with w_ij = _laplace_icdf(uniforms[i, j],
-    b), and takes the highest score, ties to the lowest index. Row s gives
-    the value noise, returned at the selected indices in selection order.
-    Only the candidates of ``_candidates`` are scored, and a round whose best
-    candidate does not clear the floor runs ``_dense_round`` over all d
-    indices instead. Every draw, scored or kept, goes through the one map
-    ``_laplace_icdf``, so the result is the dense selection's, bit for bit.
-    ``uniforms`` is a work array: the call may overwrite it.
+
+def peel_select(
+    absv: np.ndarray,
+    s: int,
+    pos: np.ndarray,
+    u: np.ndarray,
+    b: float,
+    fallback_row: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """The s indices one peel selects, in selection order, from its sparse uniforms.
+
+    The peel's s x d selection uniforms are given by their hits. Outside the
+    s columns ``top`` of largest absv, the uniforms at or below t0 =
+    ``hit_rate(d)`` are the hits: ``pos`` holds their ascending positions in
+    the round-major s x (d - s) block of the other columns ``rest``, in
+    ascending order, and ``u[:pos.size]`` their values. ``u[pos.size:]``
+    holds the s x s uniforms of the top columns, round-major, in ``top``'s
+    order. Every other uniform is above t0.
+
+    Round i scores each index j not yet taken as absv[j] + w_ij, with w_ij =
+    _laplace_icdf(uniform, b), and takes the highest score, ties to the
+    lowest index. Only the round's candidates (its hits and the top columns)
+    are scored. A round whose best candidate does not clear the floor of
+    ``_candidates`` calls ``fallback_row(i)`` for a d-vector of uniforms,
+    writes the candidates' uniforms into it, and runs ``_dense_round`` over
+    all d indices. So when the fallback rows' other entries are above t0,
+    the result is the selection over the whole block, bit for bit.
     """
-    s, d = uniforms.shape[0] - 1, uniforms.shape[1]
+    d = absv.shape[0]
     selected = np.empty(s, dtype=np.int64)
     taken = np.zeros(d, dtype=bool)
-    flat, bounds, floor = _candidates(absv, uniforms[:s], b)
+    flat, cand_u, bounds, floor = _candidates(absv, s, pos, u, b)
     cols = flat % d
-    # One map call: the candidates' draws, then row s at the same columns.
-    w = _laplace_icdf(uniforms.take(np.concatenate((flat, cols + s * d))), b)
-    scores, value = absv[cols] + w[: flat.size], w[flat.size :]
-    noise = np.empty(s)
+    scores = absv[cols] + _laplace_icdf(cand_u.copy(), b)
     bounds = bounds.tolist()
     for i in range(s):
         lo, hi = bounds[i], bounds[i + 1]
@@ -84,42 +101,45 @@ def peel_select(absv: np.ndarray, uniforms: np.ndarray, b: float) -> tuple[np.nd
         sc[taken[c]] = -np.inf
         k = sc.argmax()  # candidates ascend, so ties go to the lowest index
         if sc[k] > floor:
-            j, noise[i] = c[k], value[lo + k]
+            j = c[k]
         else:
-            j = _dense_round(absv, _laplace_icdf(uniforms[i], b), taken)
-            noise[i] = _laplace_icdf(uniforms[s, j : j + 1].copy(), b)[0]
+            row = fallback_row(i)
+            row[c] = cand_u[lo:hi]
+            j = _dense_round(absv, _laplace_icdf(row, b), taken)
         selected[i] = j
         taken[j] = True
-    return selected, noise
+    return selected
 
 
-def _candidates(absv: np.ndarray, uniforms: np.ndarray, b: float):
+def _candidates(absv: np.ndarray, s: int, pos: np.ndarray, u: np.ndarray, b: float):
     """Each round's candidates and the floor that certifies a round's winner.
 
-    Returns (flat, bounds, floor): ``flat`` holds the flat indices into
-    ``uniforms`` of the candidates, in ascending order, with round i's at
-    flat[bounds[i]:bounds[i + 1]]. Round i's candidates are the s indices
-    of largest absv and every j with uniforms[i, j] <= t0 = min(1/2, Q/d).
-    Any other index j has absv[j] <= a_rest, the largest absv outside the
-    s, and a draw below b * ln(1 / (2 t0)), as the map decreases in r. So
-    its score is below a_rest + b * ln(1 / (2 t0)), which ``floor`` bounds
-    with slack for rounding: a candidate scoring above ``floor`` beats every
-    index that is not a candidate.
+    Returns (flat, cand_u, bounds, floor): ``flat`` holds the candidates as
+    ascending flat indices i * d + j into the s x d block, ``cand_u`` their
+    uniforms, and round i's are at [bounds[i], bounds[i + 1]). ``top`` is
+    the s indices of largest absv (all of them when d <= s). Any index j
+    that is not a candidate has absv[j] <= a_rest, the largest absv outside
+    ``top``, and a uniform above t0, so a draw below b * ln(1 / (2 t0)), as
+    the map decreases in r. So its score is below a_rest + b * ln(1 / (2 t0)),
+    which ``floor`` bounds with slack for rounding: a candidate scoring above
+    ``floor`` beats every index that is not a candidate.
     """
-    s, d = uniforms.shape
-    t0 = min(0.5, _Q / d)
-    hits = uniforms <= t0
+    d = absv.shape[0]
     if d > s:
         part = np.argpartition(absv, d - s - 1)
-        hits[:, part[d - s :]] = True
-        a_rest = absv[part[d - s - 1]]
+        top, a_rest = part[d - s :], absv[part[d - s - 1]]
+        outside = np.ones(d, dtype=bool)
+        outside[top] = False
+        rounds, k = np.divmod(pos, d - s)
+        hits = rounds * d + np.flatnonzero(outside)[k]
     else:
-        hits[:] = True
-        a_rest = -np.inf
-    flat = np.flatnonzero(hits)
+        top, a_rest, hits = np.arange(d), -np.inf, pos
+    keys = np.concatenate((hits, (np.arange(s)[:, None] * d + top).ravel()))
+    order = keys.argsort()
+    flat = keys[order]
     bounds = np.searchsorted(flat, np.arange(s + 1) * d)
-    floor = (a_rest - b * math.log(2.0 * t0)) * (1.0 + _REL_MARGIN) + _ABS_MARGIN
-    return flat, bounds, floor
+    floor = (a_rest - b * math.log(2.0 * hit_rate(d))) * (1.0 + _REL_MARGIN) + _ABS_MARGIN
+    return flat, u[order], bounds, floor
 
 
 def _dense_round(absv: np.ndarray, noise_row: np.ndarray, taken: np.ndarray) -> int:

@@ -7,7 +7,8 @@ onto the radius-L ball. What tells the estimators apart sits in one table,
 ``ESTIMATORS``: the loss, the per-entry sensitivity passed to the selection
 step, whether noise is added at all, and whether responses are clipped. The
 step schedule comes with the config. The sensitivity probes read the same
-table.
+table. A private fit draws all its selection and value noise from one SFC64
+generator keyed (seed, 0), peel after peel.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ class FitReport:
     estimate: Estimate
     iterations_run: int
     half_step_linf_trace: list[float]
-    rng_streams_consumed: int
 
 
 def _validate_fit(ds: Dataset, cfg: EstimatorConfig, priv: PrivacyParams) -> None:
@@ -179,9 +179,8 @@ def fit_estimator(
     _validate_fit(ds, cfg, priv)
     folds = split_folds(ds, cfg.T)
     m = folds[0].n
-    # One selection-noise workspace per private fit, overwritten by every
-    # iteration's peel: it draws (s+1) x d uniforms per iteration.
-    uniforms = np.empty((cfg.s + 1, ds.d)) if priv.is_private else None
+    # One generator per private fit: every iteration's peel draws from it in turn.
+    gen = RngHandle(cfg.seed, stream=0).generator() if priv.is_private else None
     beta = np.zeros(ds.d)
     support = np.arange(0)
     trace: list[float] | None = [] if beta_star is not None else None
@@ -197,18 +196,12 @@ def fit_estimator(
             )
         half_trace.append(float(np.max(np.abs(update))) if update.size else 0.0)
         b = noise_scale(spec.lam(cfg, eta, m), cfg.s, priv) if priv.is_private else 0.0
-        rng = RngHandle(cfg.seed, stream=t) if priv.is_private else None
-        peeled, support = _peel(half, cfg.s, b, rng, uniforms)
+        peeled, support = _peel(half, cfg.s, b, gen)
         beta = project_l2(peeled, cfg.L)
         if trace is not None:
             trace.append(l2_error(beta, beta_star))
     estimate = Estimate(beta=beta, support=support, trace=trace)
-    return FitReport(
-        estimate=estimate,
-        iterations_run=cfg.T,
-        half_step_linf_trace=half_trace,
-        rng_streams_consumed=cfg.T if priv.is_private else 0,
-    )
+    return FitReport(estimate=estimate, iterations_run=cfg.T, half_step_linf_trace=half_trace)
 
 
 # Sensitivity probes ---------------------------------------------------------

@@ -226,7 +226,9 @@ def _unit_base(base: ExperimentBase, axis: str, value, data_seed: int) -> Experi
 def _run_unit(args) -> list[SweepRow]:
     """One (axis value, repeat) unit: generate data once, fit every estimator."""
     spec, value, repeat = args
-    data_seed = derive_seed("data", spec.base.synthetic.seed, spec.axis, value, repeat)
+    # Every epsilon of a repeat fits the same data, so its comparisons are paired.
+    data_value = () if spec.axis == "epsilon" else (value,)
+    data_seed = derive_seed("data", spec.base.synthetic.seed, spec.axis, *data_value, repeat)
     base = _unit_base(spec.base, spec.axis, value, data_seed)
     syn = base.synthetic
     ds, beta_star = generate_synthetic(syn)

@@ -6,10 +6,25 @@ Laplace noise vector w_i, picks the unselected index maximizing |v_j| + w_ij
 entries. With the noise scale at zero this is exactly hard thresholding onto
 the s largest-magnitude entries, which is computed directly.
 
-With noise, the (s+1) x d uniforms behind the draws are drawn as one block,
-and ``_kernels.peel_select`` turns into Laplace draws only the entries that
-can win a round or are kept. ``peel_select`` and ``_kernels._candidates``
-state the certificate that makes this the dense selection, bit for bit.
+With noise, the s x d selection uniforms are drawn sparsely, with the law of
+the dense block. Outside the s columns ``top`` of largest |v| (as
+``np.argpartition(|v|, d - s - 1)`` takes them), each uniform is a hit (at
+or below t0 = min(1/2, 8/d)) with chance t0, independently: one peel draws,
+in this order from one generator,
+
+1. the hit positions in the round-major s x (d - s) block of the other
+   columns, in ascending order, by geometric gaps (``_hit_positions``);
+2. one sequence of uniforms: t0 * U for each hit in position order, then
+   U for the s x s top-column entries, round-major, in ``top``'s order;
+3. for each round whose winner the candidates cannot certify, in round
+   order, a full row t0 + (1 - t0) * U (its candidates' uniforms are then
+   written in), inside ``_kernels.peel_select``;
+4. the s value-noise draws, in selection order.
+
+When d = s every column is in ``top`` and there are no hits. Conditional on
+the hit pattern every other uniform is U(t0, 1), so this is
+exact in law. ``peel_select`` and ``_kernels._candidates`` state the
+certificate that makes the selection that of the whole block, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .core import PrivacyParams, is_int
 from .errors import InvalidConfigError, InvalidInputError, InvalidParameterError
-from .sampling import RngHandle, _as_generator
+from .sampling import RngHandle, _as_generator, _laplace_icdf
 
 
 def noise_scale(lam: float, s: int, priv: PrivacyParams) -> float:
@@ -72,24 +87,23 @@ def _peel(
     s: int,
     b: float,
     rng: RngHandle | np.random.Generator | None,
-    uniforms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # The body of peel for a checked finite float64 vector v. When b > 0,
-    # ``uniforms`` is an (s+1) x d C-contiguous work array that is
-    # overwritten (allocated here when None); a private fit passes the same
-    # array to every iteration. At b == 0 it is not touched.
+    # The body of peel for a checked finite float64 vector v.
     d = v.shape[0]
     absv = np.abs(v)
     if b > 0.0:
         if rng is None:
             raise InvalidConfigError("peel with positive noise scale needs an rng")
-        if uniforms is None:
-            uniforms = np.empty((s + 1, d))
-        # Rows 0..s-1 drive the selection rounds, row s the value noise; one
-        # block draw matches s+1 sequential d-sized draws in row order.
-        _as_generator(rng).random(out=uniforms)
-        selected, noise = _kernels.peel_select(absv, uniforms, b)
-        kept = v[selected] + noise
+        gen = _as_generator(rng)
+        t0 = _kernels.hit_rate(d)
+        pos = _hit_positions(gen, s * (d - s), t0)
+        # The hits' uniforms (scaled onto [0, t0)), then the top columns'.
+        u = gen.random(pos.size + s * s)
+        u[: pos.size] *= t0
+        selected = _kernels.peel_select(
+            absv, s, pos, u, b, lambda i: t0 + (1.0 - t0) * gen.random(d)
+        )
+        kept = v[selected] + _laplace_icdf(gen.random(s), b)
     else:
         # The s rounds without noise keep every entry above the s-th largest
         # magnitude, then the lowest-index entries equal to it.
@@ -101,3 +115,20 @@ def _peel(
     out = np.zeros(d)
     out[selected] = kept
     return out, np.sort(selected)
+
+
+def _hit_positions(gen: np.random.Generator, n: int, t0: float) -> np.ndarray:
+    """The ascending positions in [0, n) of independent Bernoulli(t0) hits.
+
+    The gaps between hits are geometric: drawn in one chunk sized to cover n
+    with high probability, then in further chunks until the last position
+    reaches n.
+    """
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    mu = n * t0
+    pos = np.cumsum(gen.geometric(t0, size=int(mu + 4 * math.sqrt(mu) + 16))) - 1
+    while pos[-1] < n:
+        more = pos[-1] + np.cumsum(gen.geometric(t0, size=int(mu) + 16))
+        pos = np.concatenate((pos, more))
+    return pos[: np.searchsorted(pos, n)]

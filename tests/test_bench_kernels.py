@@ -27,7 +27,7 @@ def test_every_bench_cell_runs_once(monkeypatch, capsys):
         len(bench.SIZES) * ["huber_grad", "l1_grad", "squared_grad"]
         + peels * ["peel_select"]
         + ["peel", "grad", "grad", "laplace"]
-        + peels * ["laplace"]
+        + peels * ["sparse"]
     )
     selection = [line for line in lines if line.startswith("peel_select")]
     assert all("candidates/round" in line and "fallback rounds" in line for line in selection)

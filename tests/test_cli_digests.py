@@ -98,56 +98,56 @@ RUNS = {
 # output version -> name -> {output file: sha256}. The digests of a version
 # are recorded once, in the change that bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    3: {
+    4: {
         "fit-ada-csv": {
-            "estimate.json": "65afdf7a10e2d0651e3a9486c7fb2036b915e8dc3317bdd60a09fbba0c67514e",
+            "estimate.json": "66b24f7cb26febdc0ffa1ade6d7eefd69935f9059d367079930d61353429f808",
         },
         "fit-h-csv-narrow": {
-            "estimate.json": "4b1fc14a8afcc858c727671f8b1522cd565797ba92efd7c0217e87f598663451",
+            "estimate.json": "301488ebf69311ef36879bfa76dc39c30cea838bc41468e87eb254c16a586424",
         },
         "fit-h-flags": {
             "effective_config.json":
-                "9261858badd9931d7b65549c057e6f7537a18e8df5242411000e526fb93abdcf",
-            "estimate.json": "6ea938c5e5d9f9f20852456665cd3978d877c8de8c408fd7d4b6f9d7dfdd001b",
+                "0fef7fd84654927b392651d18ac7bfb0b0475cd063679dc9f978e983bfa3f946",
+            "estimate.json": "cf5c2ab15bb9406879f50618603ff989f3282bc8a61014bc51000bee68359a96",
         },
         "fit-l-schedule": {
             "effective_config.json":
-                "0ca233a9455c18608252ba11dbb0734e1ee84ec84cf0871ed3898296574a7a17",
-            "estimate.json": "f4ee557fa4cec077c7d8f3bc64bf5ca606ffd5eee95ad992c9cf5b29981b4568",
+                "9c99f27372cea17a4b3c278393aab5ec2a835b4f2db5d055fedd966e87ab8f9f",
+            "estimate.json": "cef609d9c3bdec6c278eab8cfa70f6119f73575c37f83bb8afb11475437540b6",
         },
         "fit-slr-derived": {
             "effective_config.json":
-                "46f64ceacef63d7546953c94737266355c3d02db0d111e833f5aa0ecf5bbf643",
-            "estimate.json": "9bae16263958d55df18eae2465f6433b151cafb5a481dd380ef5d185b0088b67",
+                "4c2bf0141a5c09de0884763952cdc81887740b7e1e27ae0a554c74ef5b52fd4a",
+            "estimate.json": "bcd91c47c9236281ace7c0e447f68883f44fe53a946b177ae5d5076fda0e7161",
         },
         "real-derived": {
-            "real_results.csv": "fbe59548c95c80ac185f9e3666ac6cd227bbf1c6aa74eb2fe93388cef02a343c",
+            "real_results.csv": "29852328e2258f0160a94d133f3a7185a53c03fceb0f7860acf39b9d75e845ed",
         },
         "real-fixed": {
             "real_results.csv": "0aed5f064ca5d574f0dff34ece2fd2c186d594621b02a4fe7523d05628c45435",
         },
         "sweep-d-derived": {
-            "aggregates.json": "ec620425edb878784e8842a60f4c87fe9bb05b1b5349daef685fbb464f2e58d8",
+            "aggregates.json": "79c0a50d1f3b1ab15329db2b898b424a768d71aed47ec597fe781cc54d8bde34",
             "effective_config.json":
-                "9b6bb9a57c097af43e735f0fc77083e423588e2f44233c47f7868a52f94df9e8",
-            "results.csv": "cf957f8b3ed955d1f6adf5dbbd9c1fa03fd805cffa66c3462bf9955478747668",
+                "17cec3347efdcc2c26867060d2ea92e9bd856026dfaa8bd47f8b284048de1e23",
+            "results.csv": "d1dfa824ae0b0b538ecd6ed3a290d43d89147fe88c96315a519079f362ae2e03",
         },
         "sweep-n": {
-            "aggregates.json": "49c1e47bed83b73f8a589589f202344915fdbd182ae1a583660c1149b41eb2df",
+            "aggregates.json": "d497fcd18ca8a74d5e8ec9c3b2c1b0ccf42718ac9b615e984e0aff31c1d80c45",
             "effective_config.json":
-                "2775a415be8d97aa3a2f71ca89f003c928ae1e6abb4ca2d12983bb7f34c61a72",
-            "results.csv": "e2079e68ad0620c67863e39efcb1c67f50df9d9c117bab595ea54fc95f70efd5",
+                "116067662042ece8b1f1cf7f3d1240b41f0869552dfa2e095b140d8a62e8bd78",
+            "results.csv": "e399f888b0656d2184455803da23f845b3677e19ffab97d65aa46c0b1d521a60",
         },
         "sweep-n-derived": {
-            "aggregates.json": "73977d16334c85d6958e9272a2cd06a52adbbd4a7c2e4e023baab4587554829c",
+            "aggregates.json": "309ff7ee84b070169122a81f08165e637d10c33d243660781468e7cff4827027",
             "effective_config.json":
-                "1e429ef9b8d16442bbe29ffb5fe2447e5686440a3322e39fd91ffed5369ed273",
-            "results.csv": "2f6bc965ade0414dfe5cb87da9b8101742f8c310ee27396ea705e90b5c64e5b8",
+                "08a8f5129f357fd06ccaac431eeb450a559166c1563de5af3b7c6edbe1188ad3",
+            "results.csv": "ffbf0c6eb394ae26aa62719a868b302d440f6a662b7bedabd8782484a1f5a935",
         },
         "synth-gen": {
             "dataset.csv": "f7ac528cc5f44f2fae947dc048e7ec09d8991ccd159b6371859198a75ea20719",
             "effective_config.json":
-                "1d0ebee8ff689016c12a0e15161dc267bd70077afd6f8d5df30e04e7efea17d0",
+                "962a6fa3209ced1986bab1ddb619edf689992dce0ca82770f59be8f8e3038429",
             "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
         },
     },

@@ -18,6 +18,7 @@ from dpsparse import (
     probe_bound,
     sensitivity_probe,
 )
+from dpsparse import estimators
 from dpsparse.estimators import ESTIMATORS
 
 NON_PRIVATE = PrivacyParams.non_private()
@@ -122,15 +123,18 @@ def test_private_fit_deterministic_in_seed():
     a = fit_estimator(H, ds, cfg, priv)
     b = fit_estimator(H, ds, cfg, priv)
     np.testing.assert_array_equal(a.estimate.beta, b.estimate.beta)
-    assert a.rng_streams_consumed == b.rng_streams_consumed == 12
     c = fit_estimator(H, ds, base_config(s=3, T=12, seed=100), priv)
     assert not np.array_equal(a.estimate.beta, c.estimate.beta)
 
 
-def test_nonprivate_consumes_no_streams():
+def test_nonprivate_consumes_no_streams(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a non-private fit built a random stream")
+
+    monkeypatch.setattr(estimators, "RngHandle", no_stream)
     ds = zero_dataset(seed=8)
     rep = fit_estimator(H, ds, base_config(T=5), NON_PRIVATE)
-    assert rep.rng_streams_consumed == 0
+    assert rep.iterations_run == 5
 
 
 def test_support_recovery_ada_huber():

@@ -29,22 +29,22 @@ from dpsparse.estimators import _update
 # bytes). The digests of a version are recorded once, in the change that
 # bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    3: {
+    4: {
         "dp-iht-h": (
-            "3be2ea038f7df09aaa75b71cafe8df2e0d0c5f735362a7236a8151ee2f689c66",
-            "3f90ac142f16a2b22264737699c9451bc29de8cb2473bdd621b04d419bf37ce8",
+            "4f1f629e6dfd7a2775c6391dea75d614fbf6a98f6a0f24882ce762e6b556c74b",
+            "3a644653f12029bdf1140b049c7d2c1437734bb3235fbebd5ac4249cb1d96ae2",
         ),
         "dp-iht-l": (
-            "3d95edd8bdb16cfef8b57a1991e6ee075876b3e6acfd9acc36ce8608fcdaf817",
-            "3f90ac142f16a2b22264737699c9451bc29de8cb2473bdd621b04d419bf37ce8",
+            "cfb6bcd61f3cf02afcda74837f3053f69abf8d4c060188a68ff8d9c803571d8e",
+            "3a644653f12029bdf1140b049c7d2c1437734bb3235fbebd5ac4249cb1d96ae2",
         ),
         "ada-huber": (
             "2745f40536e181f32d3784c67cf4579e0dc7149961fa8f7db00cd5fd5187f000",
             "2d74025c7732b897e2ab5cbc169e504bb69c69677728343a08f7e19278920a37",
         ),
         "dp-slr": (
-            "de44398131b391dceda934e0e3ba2842f3acf7e9e2279c8811c80d668915bce6",
-            "c00e659b789e3e295c447fb5ee76ba044f164764664fff4f0571e7a3b3232f97",
+            "db56549e846cc9a1ba9009698e57a2da266c1cb02e513db874f9199709db54ab",
+            "70d5178c8af27137dd25c7a70f10c8bab4483c62cde83ea40f2d482da73cc754",
         ),
     },
 }

@@ -3,7 +3,8 @@
 The gradient oracles sum in another order than BLAS, so they agree to a
 relative 1e-12 (float64 sums over a few dozen terms). Selection involves no
 arithmetic order and must agree exactly: its oracle scores every index of
-every round, with the noise of the dense block draw.
+every round, with the noise of a dense uniform block, and the kernel reads
+that block's sparse representation.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsparse import RngHandle, peel
+from dpsparse import RngHandle
 from dpsparse import _kernels as k
 from dpsparse.sampling import _laplace_icdf
 
@@ -62,14 +63,24 @@ def peel_oracle(absv, noise):
     return selected
 
 
-class Replay:
-    """A generator stub whose random() writes one fixed block of uniforms."""
+def sparse_select(absv, u, b):
+    """``peel_select`` on the sparse representation of an (s+1) x d block ``u``.
 
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, out):
-        np.copyto(out, self.u)
+    Outside the top s columns (as ``_candidates`` takes them), the hits are
+    the entries of rows 0..s-1 at or below t0, by their positions in the
+    round-major s x (d - s) block of the other columns; the top columns take
+    their block values; a fallback round's row is its block row, whose other
+    entries are above t0. Returns the selection and the value noise, which
+    row s gives at the selected columns.
+    """
+    s, d = u.shape[0] - 1, u.shape[1]
+    top = np.argpartition(absv, d - s - 1)[d - s :] if d > s else np.arange(d)
+    rest = np.setdiff1d(np.arange(d), top)
+    block = u[:s, rest].ravel()
+    pos = np.flatnonzero(block <= k.hit_rate(d))
+    values = np.concatenate((block[pos], u[:s, top].ravel()))
+    selected = k.peel_select(absv, s, pos, values, b, lambda i: u[i].copy())
+    return selected, _laplace_icdf(u[s, selected], b)
 
 
 def dense_noise(u, b):
@@ -111,7 +122,7 @@ def test_squared_grad_matches_row_loop(seed):
 def check_select(absv, u, b):
     s = u.shape[0] - 1
     noise = dense_noise(u, b)
-    selected, value = k.peel_select(absv, u.copy(), b)
+    selected, value = sparse_select(absv, u, b)
     np.testing.assert_array_equal(selected, peel_oracle(absv, noise[:s]))
     assert value.tobytes() == noise[s, selected].tobytes()
 
@@ -137,7 +148,7 @@ def test_peel_select_ties_match_loop(seed):
 def test_peel_select_tie_breaks_lowest_index():
     absv = np.array([2.0, 3.0, 3.0, 1.0])
     # u = 1/2 is a zero draw: the scores are absv.
-    np.testing.assert_array_equal(k.peel_select(absv, np.full((3, 4), 0.5), 1.0)[0], [1, 2])
+    np.testing.assert_array_equal(sparse_select(absv, np.full((3, 4), 0.5), 1.0)[0], [1, 2])
 
 
 def magnitudes(kind, d, s, rng):
@@ -180,11 +191,10 @@ def peel_cases():
                 yield d, s, b, KINDS[i % 3], SOURCES[i % 2]
 
 
-@pytest.mark.parametrize("entry", ["kernel", "peel"], ids=["candidates-at-every-d", "as-shipped"])
-def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch, entry):
-    # The candidate kernel alone (selection order and value noise), then the
-    # public peel (output vector and sorted support). The case set must run
-    # both certified rounds and fallback rounds (every _dense_round call is one).
+def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch):
+    # The kernel on each block's sparse representation: selection order and
+    # value noise. The case set must run both certified rounds and fallback
+    # rounds (every _dense_round call is one).
     dense_round, rounds = k._dense_round, {"all": 0, "dense": 0}
 
     def counted(*args):
@@ -194,21 +204,14 @@ def test_certified_peel_equals_the_dense_oracle_byte_for_byte(monkeypatch, entry
     monkeypatch.setattr(k, "_dense_round", counted)
     for seed, (d, s, b, kind, source) in enumerate(peel_cases()):
         rng = np.random.default_rng(seed)
-        v = magnitudes(kind, d, s, rng)
+        absv = np.abs(magnitudes(kind, d, s, rng))
         u = uniforms(source, (s + 1, d), seed)
         noise = dense_noise(u, b)
-        selected = np.array(peel_oracle(np.abs(v), noise[:s]), dtype=np.int64)
+        selected = np.array(peel_oracle(absv, noise[:s]), dtype=np.int64)
         case = f"d={d} s={s} b={b} {kind} {source}"
-        if entry == "kernel":
-            got_s, got_noise = k.peel_select(np.abs(v), u.copy(), b)
-            assert got_s.tobytes() == selected.tobytes(), case
-            assert got_noise.tobytes() == noise[s, selected].tobytes(), case
-        else:
-            got_v, got_s = peel(v, s, b, Replay(u))
-            want_v = np.zeros(d)
-            want_v[selected] = v[selected] + noise[s, selected]
-            assert got_s.tobytes() == np.sort(selected).tobytes(), case
-            assert got_v.tobytes() == want_v.tobytes(), case
+        got_s, got_noise = sparse_select(absv, u, b)
+        assert got_s.tobytes() == selected.tobytes(), case
+        assert got_noise.tobytes() == noise[s, selected].tobytes(), case
         rounds["all"] += s
     assert 0 < rounds["dense"] < rounds["all"]
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dpsparse import (
     InvalidConfigError,
@@ -9,9 +10,11 @@ from dpsparse import (
     InvalidParameterError,
     PrivacyParams,
     RngHandle,
+    laplace,
     noise_scale,
     peel,
 )
+from dpsparse import _kernels
 
 
 def brute_force_top_s(v, s):
@@ -143,3 +146,56 @@ def test_peel_selection_degrades_with_noise():
     assert np.mean([a == 1.0 for a in agreement[scales[0]]]) >= 0.95
     medians = [float(np.median(agreement[lam])) for lam in scales]
     assert all(b <= a + 1e-12 for a, b in zip(medians, medians[1:])), medians
+
+
+def dense_peel_counts(v, s, b, gen, reps, chunk=500):
+    """Selected-index counts of ``reps`` peels that draw the whole (s+1) x d block.
+
+    Each round scores every index not yet taken; ties have probability zero.
+    """
+    absv, d = np.abs(v), v.size
+    counts = np.zeros(d, dtype=np.int64)
+    for start in range(0, reps, chunk):
+        r = min(chunk, reps - start)
+        scores = absv + laplace(b, gen, size=(r, s, d))
+        rows = np.arange(r)
+        for i in range(s):
+            j = scores[:, i].argmax(axis=1)
+            scores[rows, i + 1 :, j] = -np.inf
+            counts += np.bincount(j, minlength=d)
+    return counts
+
+
+@pytest.mark.parametrize("d,s,reps", [(30, 3, 20_000), (1000, 5, 6_000)])
+def test_sparse_peel_has_the_law_of_the_dense_peel(d, s, reps, monkeypatch):
+    # One generator serves every peel, as in a fit. The magnitudes span 3b,
+    # so the hits outside the top s win often and some rounds fall back.
+    dense_round, fallbacks = _kernels._dense_round, []
+
+    def counted(*args):
+        fallbacks.append(1)
+        return dense_round(*args)
+
+    monkeypatch.setattr(_kernels, "_dense_round", counted)
+    b = 0.5
+    v = np.linspace(0.0, 3.0 * b, d) * np.where(np.arange(d) % 2, 1.0, -1.0)
+    gen = RngHandle(31, 0).generator()
+    counts, noise = np.zeros(d, dtype=np.int64), []
+    for _ in range(reps):
+        out, support = peel(v, s, b, gen)
+        counts[support] += 1
+        noise.append(out[support] - v[support])
+    assert 0 < len(fallbacks) < reps * s
+    want = dense_peel_counts(v, s, b, RngHandle(32, 0).generator(), reps)
+    # Chi-square on the indices both samplers select at least 20 times, the
+    # rest pooled into one cell when there are any.
+    table = np.array([counts, want])
+    keep = table.min(axis=0) >= 20
+    pooled = table[:, ~keep].sum(axis=1)
+    if pooled.any():
+        table = np.column_stack((table[:, keep], pooled))
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+    # The value noise is Laplace(b), whatever was selected.
+    noise = np.concatenate(noise)
+    assert stats.kstest(noise, "laplace", args=(0.0, b)).pvalue > 1e-3
+    assert abs(np.var(noise) - 2 * b * b) < 0.05 * 2 * b * b
