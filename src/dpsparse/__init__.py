@@ -56,9 +56,7 @@ from .losses import (
     Squared,
     batch_gradient,
     default_clip_level,
-    huber_deriv,
     huber_value,
-    l1_subgrad,
 )
 from .peeling import noise_scale, peel
 from .sampling import (
@@ -106,9 +104,7 @@ __all__ = [
     "derive_seed",
     "fit_estimator",
     "generate_synthetic",
-    "huber_deriv",
     "huber_value",
-    "l1_subgrad",
     "l2_error",
     "laplace",
     "load_csv",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -224,21 +225,24 @@ def _unit_base(base: ExperimentBase, axis: str, value, data_seed: int) -> Experi
 
 
 def _run_unit(args) -> list[SweepRow]:
-    """One (axis value, repeat) unit: generate data once, fit every estimator."""
-    spec, value, repeat = args
-    # Every epsilon of a repeat fits the same data, so its comparisons are paired.
-    data_value = () if spec.axis == "epsilon" else (value,)
+    """Generate one dataset and fit every estimator at each of ``values`` on it.
+
+    A unit is one (axis value, repeat), or on the epsilon axis one repeat
+    with every epsilon: those fit the same data, so their comparisons are
+    paired.
+    """
+    spec, values, repeat = args
+    data_value = () if spec.axis == "epsilon" else values
     data_seed = derive_seed("data", spec.base.synthetic.seed, spec.axis, *data_value, repeat)
-    base = _unit_base(spec.base, spec.axis, value, data_seed)
-    syn = base.synthetic
+    bases = [(value, _unit_base(spec.base, spec.axis, value, data_seed)) for value in values]
+    syn = bases[0][1].synthetic
     ds, beta_star = generate_synthetic(syn)
-    priv = base.privacy(syn.n)
     rows = []
-    for kind in spec.estimators:
+    for (value, base), kind in itertools.product(bases, spec.estimators):
         fit_seed = derive_seed(
             "fit", spec.base.synthetic.seed, spec.axis, value, repeat, kind.value
         )
-        cfg = base.fit_config(kind, syn.n, syn.d, fit_seed)
+        cfg, priv = base.fit_config(kind, syn.n, syn.d, fit_seed), base.privacy(syn.n)
         start = time.perf_counter()
         try:
             beta = fit_estimator(kind, ds, cfg, priv, beta_star).estimate.beta
@@ -296,7 +300,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     must be a positive integer; it defaults to the one in DPSPARSE_WORKERS, or
     1 when that is unset.
     """
-    units = [(spec, value, repeat) for value in spec.values for repeat in range(spec.repeats)]
+    groups = [spec.values] if spec.axis == "epsilon" else [(value,) for value in spec.values]
+    units = [(spec, values, repeat) for values in groups for repeat in range(spec.repeats)]
     if workers is None:
         raw = os.environ.get("DPSPARSE_WORKERS", "1")
         try:

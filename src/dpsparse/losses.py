@@ -44,24 +44,6 @@ def huber_value(r: float, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def huber_deriv(r: float, tau: float):
-    """Derivative of the loss: r inside (-tau, tau), tau*sign(r) outside."""
-    if not tau > 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
-    r = np.asarray(r, dtype=np.float64)
-    out = np.clip(r, -tau, tau)
-    return float(out) if out.ndim == 0 else out
-
-
-def l1_subgrad(r: float):
-    """Subgradient of |r|: sign(r), with the kink resolved as sign(0) = 0."""
-    r = np.asarray(r, dtype=np.float64)
-    if not np.isfinite(r).all():
-        raise InvalidInputError("l1_subgrad requires finite input")
-    out = np.sign(r)
-    return float(out) if out.ndim == 0 else out
-
-
 def batch_gradient(
     fold: Dataset,
     beta: np.ndarray,

@@ -4,12 +4,22 @@ Reproducibility contract: every draw flows through an SFC64 generator seeded
 by ``SeedSequence([seed, stream])``, so identical (seed, stream) pairs yield
 identical sequences for the same output version and numpy major version.
 Parallel trials take distinct stream ids instead of sharing generator state.
-The synthetic responses read only the support columns of the features.
+
+Synthetic features are drawn in fixed row blocks of ``_BLOCK_ENTRIES // d``
+rows (at least one). Stream 0 draws the support, the coefficient values,
+block 0 and, once every block is filled, the noise; block k >= 1 is stream k
+alone. The blocks are filled on a thread pool, each by its own generator, so
+the bytes do not depend on the thread count, and the features of an n-row
+draw are the first n rows of any larger draw with the same seed, d and
+s_star. The synthetic responses read only the support columns of the
+features.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +30,9 @@ from .errors import InvalidConfigError, InvalidParameterError
 # (tail index -> Student-t degrees of freedom) anchors; other tail indices use
 # the linear rule nu = 1 + 2 * zeta.
 _ZETA_NU_ANCHORS = {0.5: 1.75, 1.0: 3.0}
+
+# Feature entries per row block of a synthetic draw (32 MiB of float64).
+_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -138,22 +151,52 @@ class SyntheticConfig:
         return nu_from_zeta(self.zeta)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     """Generate (dataset, true coefficients) for y = <x, beta*> + eps.
 
     Features are i.i.d. standard Gaussian. beta* has exactly s_star nonzeros
     at uniformly chosen distinct indices with values beta_scale * N(0, 1).
-    Noise is noise_scale * Student-t(nu(zeta)). Draw order is fixed (support,
-    values, features, noise) on stream 0 of the config seed, so output is a
-    deterministic function of the config. y reads only the s_star support
-    columns of x: y = x[:, support] @ values + noise.
+    Noise is noise_scale * Student-t(nu(zeta)). y reads only the s_star
+    support columns of x: y = x[:, support] @ values + noise.
+
+    The features fill row blocks of R = max(1, _BLOCK_ENTRIES // d) rows in
+    place. Stream 0 of the config seed draws, in this order, the support,
+    the values, block 0 (rows [0, R)) and the noise; block k >= 1 (rows
+    [kR, (k+1)R)) is the whole of stream k. The blocks are filled on up to
+    one thread per CPU, which have all finished when this returns. Every
+    block has its own generator, so the output is a deterministic function
+    of the config whatever the thread count, and the features of a draw are
+    a row prefix of any larger draw at the same seed, d and s_star (its
+    noise is not).
     """
     gen = RngHandle(cfg.seed, stream=0).generator()
     support = np.sort(gen.choice(cfg.d, size=cfg.s_star, replace=False))
     values = cfg.beta_scale * gen.standard_normal(cfg.s_star)
     beta_star = np.zeros(cfg.d)
     beta_star[support] = values
-    x = gen.standard_normal((cfg.n, cfg.d))
+    x = np.empty((cfg.n, cfg.d))
+    rows = max(1, _BLOCK_ENTRIES // cfg.d)
+    blocks = -(-cfg.n // rows)
+
+    def fill(k: int) -> None:
+        block_gen = gen if k == 0 else RngHandle(cfg.seed, stream=k).generator()
+        block_gen.standard_normal(out=x[k * rows : (k + 1) * rows])
+
+    workers = min(_cpu_count(), blocks)
+    if workers > 1:
+        # numpy releases the GIL while it fills a block.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(blocks)))
+    else:
+        for k in range(blocks):
+            fill(k)
     if cfg.noise_scale > 0:
         noise = cfg.noise_scale * student_t(cfg.nu, gen, size=cfg.n)
     else:

@@ -98,27 +98,27 @@ RUNS = {
 # output version -> name -> {output file: sha256}. The digests of a version
 # are recorded once, in the change that bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    4: {
+    5: {
         "fit-ada-csv": {
-            "estimate.json": "66b24f7cb26febdc0ffa1ade6d7eefd69935f9059d367079930d61353429f808",
+            "estimate.json": "1b157f2a48e7ce26a1549d0512295377ab055ec5b8929e7231ceae52c036816c",
         },
         "fit-h-csv-narrow": {
-            "estimate.json": "301488ebf69311ef36879bfa76dc39c30cea838bc41468e87eb254c16a586424",
+            "estimate.json": "bc3168cbbac2795c5498e6d2859f69a03fd7cd23e92e5f3cb851158813ede745",
         },
         "fit-h-flags": {
             "effective_config.json":
-                "0fef7fd84654927b392651d18ac7bfb0b0475cd063679dc9f978e983bfa3f946",
-            "estimate.json": "cf5c2ab15bb9406879f50618603ff989f3282bc8a61014bc51000bee68359a96",
+                "3a92e2ee41afcb289d8cb6eba1e760208482f17bf5b76d488ce53a8b7cf61ce2",
+            "estimate.json": "2efdc4bdd9faa0172a0053bad83d8b88bac7c5fb96882b4b92fb38246b44e1d9",
         },
         "fit-l-schedule": {
             "effective_config.json":
-                "9c99f27372cea17a4b3c278393aab5ec2a835b4f2db5d055fedd966e87ab8f9f",
-            "estimate.json": "cef609d9c3bdec6c278eab8cfa70f6119f73575c37f83bb8afb11475437540b6",
+                "59a6a708f9aed76c5b9004fdbb7d542682a836334ebbe4e326e41e2b7d7d8bcb",
+            "estimate.json": "0f1ff544c7a6a3bc9f6b4447f6b93ef9dcb72eedefcd2e98e36b31589bdf350b",
         },
         "fit-slr-derived": {
             "effective_config.json":
-                "4c2bf0141a5c09de0884763952cdc81887740b7e1e27ae0a554c74ef5b52fd4a",
-            "estimate.json": "bcd91c47c9236281ace7c0e447f68883f44fe53a946b177ae5d5076fda0e7161",
+                "fc9465b94591d1e7084589ce21faa06123eb4be07f79a516fd745513605ed31e",
+            "estimate.json": "5200a8b10ed25962bcb7900cf9db28f44ea6f04bbeccb5b7bde1cf03e4baea2a",
         },
         "real-derived": {
             "real_results.csv": "29852328e2258f0160a94d133f3a7185a53c03fceb0f7860acf39b9d75e845ed",
@@ -129,25 +129,25 @@ DIGESTS = {
         "sweep-d-derived": {
             "aggregates.json": "79c0a50d1f3b1ab15329db2b898b424a768d71aed47ec597fe781cc54d8bde34",
             "effective_config.json":
-                "17cec3347efdcc2c26867060d2ea92e9bd856026dfaa8bd47f8b284048de1e23",
+                "698df7567d5af754f9aae1a89e317a3835e4608a31eee8fc081eb065d6cfafff",
             "results.csv": "d1dfa824ae0b0b538ecd6ed3a290d43d89147fe88c96315a519079f362ae2e03",
         },
         "sweep-n": {
             "aggregates.json": "d497fcd18ca8a74d5e8ec9c3b2c1b0ccf42718ac9b615e984e0aff31c1d80c45",
             "effective_config.json":
-                "116067662042ece8b1f1cf7f3d1240b41f0869552dfa2e095b140d8a62e8bd78",
+                "4a09bb7339d011673eb0fbb16545b931570264486f44b6443315a72bd2dcb2a3",
             "results.csv": "e399f888b0656d2184455803da23f845b3677e19ffab97d65aa46c0b1d521a60",
         },
         "sweep-n-derived": {
             "aggregates.json": "309ff7ee84b070169122a81f08165e637d10c33d243660781468e7cff4827027",
             "effective_config.json":
-                "08a8f5129f357fd06ccaac431eeb450a559166c1563de5af3b7c6edbe1188ad3",
+                "0815d3c58be14d6d98279f2cba1b455328f2cbe9c83502fe13174ec355b97bc7",
             "results.csv": "ffbf0c6eb394ae26aa62719a868b302d440f6a662b7bedabd8782484a1f5a935",
         },
         "synth-gen": {
             "dataset.csv": "f7ac528cc5f44f2fae947dc048e7ec09d8991ccd159b6371859198a75ea20719",
             "effective_config.json":
-                "962a6fa3209ced1986bab1ddb619edf689992dce0ca82770f59be8f8e3038429",
+                "2fb020555f30860fdb305c3cde92ead729f98117cd87abd4762ca27b58f4890c",
             "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
         },
     },

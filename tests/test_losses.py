@@ -8,9 +8,7 @@ from dpsparse import (
     Squared,
     batch_gradient,
     clip_features,
-    huber_deriv,
     huber_value,
-    l1_subgrad,
 )
 from dpsparse.errors import InvalidInputError
 from dpsparse.losses import huber_objective
@@ -23,29 +21,6 @@ def test_huber_value_branches():
     tau = 0.7
     assert huber_value(tau, tau) == pytest.approx(tau * tau / 2)
     assert huber_value(tau - 1e-12, tau) == pytest.approx(tau * tau / 2, abs=1e-9)
-
-
-def test_huber_deriv_examples():
-    assert huber_deriv(0.5, 1.0) == 0.5
-    assert huber_deriv(-2.5, 1.0) == -1.0
-    assert huber_deriv(0.0, 3.0) == 0.0
-
-
-def test_huber_deriv_bounded_and_odd():
-    rng = np.random.default_rng(0)
-    r = rng.standard_normal(1000) * 10
-    for tau in (0.3, 1.0, 4.0):
-        d = huber_deriv(r, tau)
-        assert np.max(np.abs(d)) <= tau
-        np.testing.assert_allclose(huber_deriv(-r, tau), -d)
-
-
-def test_l1_subgrad():
-    assert l1_subgrad(3.7) == 1.0
-    assert l1_subgrad(-0.2) == -1.0
-    assert l1_subgrad(0.0) == 0.0
-    with pytest.raises(InvalidInputError):
-        l1_subgrad(float("nan"))
 
 
 def _random_fold(rng, m=50, d=8):

@@ -1,7 +1,9 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dpsparse import (
     InvalidConfigError,
@@ -11,6 +13,7 @@ from dpsparse import (
     generate_synthetic,
     laplace,
     nu_from_zeta,
+    sampling,
     student_t,
 )
 
@@ -155,3 +158,86 @@ def test_generate_synthetic_validates_config():
         SyntheticConfig(n=10, d=5, s_star=6)
     with pytest.raises(InvalidConfigError):
         SyntheticConfig(n=10, d=5, s_star=2, zeta=0.0)
+
+
+# Row blocks of a synthetic draw, shrunk so that small shapes span many
+# blocks: at d = 8 a block holds 256 // 8 = 32 rows.
+BLOCK_ENTRIES = 256
+BLOCK_D = 8
+BLOCK_ROWS = BLOCK_ENTRIES // BLOCK_D
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", BLOCK_ENTRIES)
+
+
+def block_config(n, seed=5):
+    return SyntheticConfig(n=n, d=BLOCK_D, s_star=3, zeta=0.5, seed=seed)
+
+
+def test_blocked_bytes_do_not_depend_on_the_thread_count(small_blocks, monkeypatch):
+    cfg = block_config(10 * BLOCK_ROWS + 7)
+    draws = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(sampling, "_cpu_count", lambda cpus=cpus: cpus)
+        draws.append(generate_synthetic(cfg))
+    (one, b1), (three, b3) = draws
+    assert one.x.tobytes() == three.x.tobytes()
+    assert one.y.tobytes() == three.y.tobytes()
+    assert b1.tobytes() == b3.tobytes()
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 5, BLOCK_ROWS])
+def test_a_single_block_draw_is_the_one_stream_draw(small_blocks, n):
+    # Oracle: every draw in order from stream 0, the features as one n x d
+    # array (the layout before row blocks).
+    cfg = block_config(n)
+    gen = RngHandle(cfg.seed, stream=0).generator()
+    support = np.sort(gen.choice(cfg.d, size=cfg.s_star, replace=False))
+    values = gen.standard_normal(cfg.s_star)
+    x = gen.standard_normal((n, cfg.d))
+    z = gen.standard_normal(n)
+    noise = z / np.sqrt(gen.chisquare(cfg.nu, n) / cfg.nu)
+    beta_star = np.zeros(cfg.d)
+    beta_star[support] = values
+    ds, got_beta = generate_synthetic(cfg)
+    assert got_beta.tobytes() == beta_star.tobytes()
+    assert ds.x.tobytes() == x.tobytes()
+    assert ds.y.tobytes() == (x.take(support, axis=1) @ values + noise).tobytes()
+
+
+def test_each_later_block_is_its_own_stream(small_blocks):
+    cfg = block_config(4 * BLOCK_ROWS + 9)
+    ds, _ = generate_synthetic(cfg)
+    for k in range(1, 5):
+        block = ds.x[k * BLOCK_ROWS : (k + 1) * BLOCK_ROWS]
+        want = RngHandle(cfg.seed, stream=k).generator().standard_normal(block.shape)
+        assert block.tobytes() == want.tobytes()
+
+
+def test_features_are_a_row_prefix_of_a_larger_draw(small_blocks):
+    full, beta_full = generate_synthetic(block_config(5 * BLOCK_ROWS + 3))
+    for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17):
+        ds, beta_star = generate_synthetic(block_config(n))
+        assert ds.x.tobytes() == full.x[:n].tobytes()
+        assert beta_star.tobytes() == beta_full.tobytes()
+
+
+def test_blocked_features_are_standard_normal_across_block_boundaries(small_blocks):
+    # 125 blocks of 32 rows. The entries as a whole, and the pairs of
+    # entries that face each other across a boundary (last row of block
+    # k - 1, first row of block k), which come from different streams.
+    ds, _ = generate_synthetic(block_config(125 * BLOCK_ROWS, seed=8))
+    assert stats.kstest(ds.x.ravel(), "norm").pvalue > 1e-3
+    last = ds.x[BLOCK_ROWS - 1 : -1 : BLOCK_ROWS].ravel()
+    first = ds.x[BLOCK_ROWS::BLOCK_ROWS].ravel()
+    assert stats.kstest(np.concatenate([last, first]), "norm").pvalue > 1e-3
+    assert stats.pearsonr(last, first).pvalue > 1e-3
+
+
+def test_blocked_draw_leaves_no_thread_running(small_blocks, monkeypatch):
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 3)
+    before = threading.active_count()
+    generate_synthetic(block_config(10 * BLOCK_ROWS))
+    assert threading.active_count() == before
