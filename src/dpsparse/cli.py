@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: synth-gen, fit, sweep, real, probe. Configuration comes from a
-JSON file plus flag overrides (flags win); the resolved configuration is
-echoed to ``effective_config.json`` in the output directory so any run can be
-reproduced from its own output. That file and ``estimate.json`` record the
-output version (``OUTPUT_VERSION``); a rerun from a config that names another
-version exits 1. Exit codes: 0 success, 1 validation error, 2 runtime failure.
+JSON file plus flag overrides (flags win); that configuration, defaults
+filled in, is echoed to ``effective_config.json`` in the output directory so
+any run can be reproduced from its own output. K, delta, s and T are echoed
+only when set: unset, every fit derives them at its own data shape. That
+file and ``estimate.json`` record the output version (``OUTPUT_VERSION``); a
+rerun from a config that names another version exits 1. Exit codes: 0
+success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .harness import (
     run_sensitivity_suite,
     run_sweep,
     write_aggregates_json,
+    write_failures_json,
     write_real_csv,
     write_results_csv,
 )
@@ -170,11 +173,10 @@ def resolve_config(
 
     Flags (overrides that are not None) win over the file, and the file over
     the dataclass defaults. ``shape`` is the (n, d) of a data CSV: the run
-    then has no synthetic config, and n and d must agree with it. When n and
-    d are known, K, delta, s and T are fixed at them, also for every row of
-    a sweep. Returns the ExperimentBase and the effective config echoed to
-    effective_config.json. Raises one InvalidConfigError that lists every
-    problem, unknown keys included.
+    then has no synthetic config, and n and d must agree with it. Returns the
+    ExperimentBase and the effective config echoed to effective_config.json.
+    Raises one InvalidConfigError that lists every problem, unknown keys
+    included.
     """
     cfg = {**_DEFAULTS, **raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     problems = [f"unknown config key {key!r}" for key in sorted(set(cfg) - _KEYS)]
@@ -198,9 +200,6 @@ def resolve_config(
     base = _build(problems, ExperimentBase, {"synthetic": synthetic, **fit})
     if problems:
         raise InvalidConfigError("; ".join(problems))
-    if "n" in cfg and "d" in cfg:
-        base = base.resolved(cfg["n"], cfg["d"])
-        cfg.update(K=base.K, delta=base.delta, s=base.s, T=base.T)
     return base, cfg
 
 
@@ -326,6 +325,7 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(spec)
     write_results_csv(result, os.path.join(args.out, "results.csv"), include_timing=args.timing)
     write_aggregates_json(result, os.path.join(args.out, "aggregates.json"))
+    write_failures_json(result, os.path.join(args.out, "failures.json"))
     print(
         f"sweep over {spec.axis}: {len(result.rows)} rows, {result.n_failed} failed "
         f"-> {os.path.join(args.out, 'results.csv')}"

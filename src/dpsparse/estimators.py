@@ -149,7 +149,6 @@ class FitReport:
 
     estimate: Estimate
     iterations_run: int
-    half_step_linf_trace: list[float]
 
 
 def _validate_fit(ds: Dataset, cfg: EstimatorConfig, priv: PrivacyParams) -> None:
@@ -184,24 +183,21 @@ def fit_estimator(
     beta = np.zeros(ds.d)
     support = np.arange(0)
     trace: list[float] | None = [] if beta_star is not None else None
-    half_trace: list[float] = []
     for t in range(cfg.T):
         eta = cfg.schedule.step(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            update = _update(kind, folds[t], beta, eta, cfg)
-            half = beta - update
+            half = beta - _update(kind, folds[t], beta, eta, cfg)
         if not np.isfinite(half).all():
             raise NumericalFailureError(
                 f"non-finite iterate at iteration {t}", iteration=t
             )
-        half_trace.append(float(np.max(np.abs(update))) if update.size else 0.0)
         b = noise_scale(spec.lam(cfg, eta, m), cfg.s, priv) if priv.is_private else 0.0
         peeled, support = _peel(half, cfg.s, b, gen)
         beta = project_l2(peeled, cfg.L)
         if trace is not None:
             trace.append(l2_error(beta, beta_star))
     estimate = Estimate(beta=beta, support=support, trace=trace)
-    return FitReport(estimate=estimate, iterations_run=cfg.T, half_step_linf_trace=half_trace)
+    return FitReport(estimate=estimate, iterations_run=cfg.T)
 
 
 # Sensitivity probes ---------------------------------------------------------

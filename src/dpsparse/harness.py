@@ -93,7 +93,7 @@ class ExperimentBase:
 
     ``delta``, ``s``, ``T`` and ``K`` accept None, meaning: derive them at the
     dataset of each fit as 1/n^1.1, s_star (``S_STAR`` without a synthetic
-    config), the log-n default and ln(d). ``resolved`` and ``privacy`` are
+    config), the log-n default and ln(d). ``fit_config`` and ``privacy`` are
     the only code that derives them, so in a sweep they track the axis value.
     ``schedule_l`` optionally gives dp-iht-l its own step schedule (default:
     the shared constant step ``eta``).
@@ -120,33 +120,22 @@ class ExperimentBase:
         delta = default_delta(n) if self.delta is None else self.delta
         return PrivacyParams(epsilon=self.epsilon, delta=delta)
 
-    def resolved(self, n: int, d: int) -> ExperimentBase:
-        """This config with K, T, s and delta fixed at an n x d dataset."""
-        s_star = S_STAR if self.synthetic is None else self.synthetic.s_star
-        return replace(
-            self,
-            K=default_clip_level(d) if self.K is None else self.K,
-            T=default_iterations(n) if self.T is None else self.T,
-            s=s_star if self.s is None else self.s,
-            delta=self.privacy(n).delta,
-        )
-
     def fit_config(self, kind: EstimatorKind, n: int, d: int, seed: int) -> EstimatorConfig:
         """The config of one ``kind`` fit with noise seed ``seed`` on an n x d dataset."""
-        cfg = self.resolved(n, d)
-        if kind is EstimatorKind.DP_IHT_L and cfg.schedule_l is not None:
-            schedule = cfg.schedule_l
+        if kind is EstimatorKind.DP_IHT_L and self.schedule_l is not None:
+            schedule = self.schedule_l
         else:
-            schedule = ConstantStep(cfg.eta)
+            schedule = ConstantStep(self.eta)
+        s_star = S_STAR if self.synthetic is None else self.synthetic.s_star
         return EstimatorConfig(
-            s=cfg.s,
-            T=cfg.T,
-            K=cfg.K,
-            L=cfg.L,
+            s=s_star if self.s is None else self.s,
+            T=default_iterations(n) if self.T is None else self.T,
+            K=default_clip_level(d) if self.K is None else self.K,
+            L=self.L,
             schedule=schedule,
-            tau=cfg.tau,
-            response_clip=cfg.response_clip,
-            sign_on_clipped=cfg.sign_on_clipped,
+            tau=self.tau,
+            response_clip=self.response_clip,
+            sign_on_clipped=self.sign_on_clipped,
             seed=seed,
         )
 
@@ -354,8 +343,18 @@ def write_results_csv(result: SweepResult, path, include_timing: bool = False) -
 
 
 def write_aggregates_json(result: SweepResult, path) -> None:
+    _write_json(result.aggregates, path)
+
+
+def write_failures_json(result: SweepResult, path) -> None:
+    """Write the cell and full status of every failed row; [] when none failed."""
+    keys = ("axis", "value", "estimator", "repeat", "seed", "status")
+    _write_json([{k: getattr(r, k) for k in keys} for r in result.rows if r.status != "ok"], path)
+
+
+def _write_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.aggregates, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dpsparse import OUTPUT_VERSION, harness, load_csv
+from dpsparse import (
+    OUTPUT_VERSION, EstimatorKind, ExperimentBase, SweepSpec, SyntheticConfig, harness, load_csv,
+    run_sweep,
+)
 from dpsparse.cli import load_config, main, resolve_config
 from dpsparse.errors import InvalidConfigError
 
@@ -45,14 +48,19 @@ def test_synth_gen_deterministic(tmp_path):
 def test_load_config_fills_paper_defaults(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
-    _, cfg = load_config(path, {"n": 2000, "d": 1000})
+    base, cfg = load_config(path, {"n": 2000, "d": 1000})
     assert cfg["eta"] == 0.01
     assert cfg["tau"] == 1.0
-    assert cfg["K"] == pytest.approx(math.log(1000), abs=1e-4)
-    assert cfg["K"] == pytest.approx(6.9078, abs=1e-4)
-    assert cfg["delta"] == pytest.approx(2000.0**-1.1)
     assert cfg["epsilon"] == 0.5
-    assert cfg["s_star"] == 5 and cfg["s"] == 5
+    assert cfg["s_star"] == 5
+    # K, delta, s and T are derived per fit, at the fit's own n and d.
+    assert not {"K", "delta", "s", "T"} & set(cfg)
+    fit = base.fit_config(EstimatorKind.DP_IHT_H, 2000, 1000, seed=0)
+    assert fit.K == pytest.approx(math.log(1000), abs=1e-4)
+    assert fit.K == pytest.approx(6.9078, abs=1e-4)
+    assert base.privacy(2000).delta == pytest.approx(2000.0**-1.1)
+    assert fit.s == 5
+    assert fit.T == round(2 * math.log(2000)) == 15
 
 
 def test_load_config_rejects_bad_delta(tmp_path):
@@ -188,13 +196,15 @@ def test_fit_rejects_n_d_that_disagree_with_the_data(tmp_path, capsys):
 # sweep -----------------------------------------------------------------------------
 
 
-def sweep_config(tmp_path, **extra):
+def sweep_config(tmp_path, unset=(), **extra):
     cfg = {
         "n": 60, "d": 10, "s_star": 2, "axis": "n", "values": [40, 60],
         "repeats": 2, "estimators": ["ada-huber", "dp-iht-h"], "T": 3,
         "eta": 0.2, "tau": 2.0,
     }
     cfg.update(extra)
+    for key in unset:
+        del cfg[key]
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -207,6 +217,7 @@ def test_sweep_byte_identical_results(tmp_path):
     assert run_cli("sweep", "--config", str(cfgp), "--seed", "7", "--out", str(out2)) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out1 / "aggregates.json").read_bytes() == (out2 / "aggregates.json").read_bytes()
+    assert json.loads((out1 / "failures.json").read_text()) == []
     lines = (out1 / "results.csv").read_text().splitlines()
     assert lines[0] == "axis,value,estimator,seed,l2_error,mae,wall_ms,status"
     assert len(lines) == 1 + 2 * 2 * 2
@@ -242,13 +253,61 @@ def test_sweep_timing_flag(tmp_path):
     assert float(row[6]) > 0
 
 
-def test_sweep_effective_config_reproduces_run(tmp_path):
-    cfgp = sweep_config(tmp_path)
+# The axes whose rows derive K, delta, s or T at their own value.
+DERIVING_AXES = [("n", [40, 60]), ("d", [8, 12]), ("s_star", [1, 3])]
+
+
+@pytest.mark.parametrize("axis, values", DERIVING_AXES, ids=[a for a, _ in DERIVING_AXES])
+def test_sweep_effective_config_reproduces_run(tmp_path, axis, values):
+    cfgp = sweep_config(tmp_path, unset=("T",), axis=axis, values=values)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert run_cli("sweep", "--config", str(cfgp), "--seed", "3", "--out", str(out1)) == 0
     assert run_cli("sweep", "--config", str(out1 / "effective_config.json"),
                    "--out", str(out2)) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+SWEEP_AXES = DERIVING_AXES + [("epsilon", [0.5, 1.0]), ("zeta", [0.5, 1.0])]
+
+
+@pytest.mark.parametrize("axis, values", SWEEP_AXES, ids=[a for a, _ in SWEEP_AXES])
+def test_cli_sweep_rows_equal_the_library_sweep_rows(tmp_path, axis, values):
+    # K, delta, s and T are unset: the CLI must derive them per row, as the
+    # library does.
+    estimators = ["dp-iht-h", "dp-iht-l", "dp-slr"]
+    cfgp = sweep_config(
+        tmp_path, unset=("T",), axis=axis, values=values, repeats=1, estimators=estimators
+    )
+    out = tmp_path / "cli"
+    assert run_cli("sweep", "--config", str(cfgp), "--seed", "7", "--out", str(out)) == 0
+    base = ExperimentBase(
+        synthetic=SyntheticConfig(n=60, d=10, s_star=2, seed=7), eta=0.2, tau=2.0
+    )
+    spec = SweepSpec(
+        axis=axis, values=values, base=base, repeats=1,
+        estimators=[EstimatorKind.from_name(e) for e in estimators],
+    )
+    harness.write_results_csv(run_sweep(spec, workers=1), tmp_path / "library.csv")
+    assert (out / "results.csv").read_text() == (tmp_path / "library.csv").read_text()
+
+
+def test_sweep_writes_every_failure_reason(tmp_path):
+    # results.csv keeps only "failed"; failures.json keeps each full reason.
+    cfgp = sweep_config(tmp_path, estimators=["dp-slr", "dp-iht-h"], response_clip=None)
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--config", str(cfgp), "--out", str(out)) == 2
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    failed = [row for row in rows if row[-1] != "ok"]
+    assert [row[-1] for row in failed] == ["failed"] * 4
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["value"], f["estimator"], str(f["seed"])) for f in failures] == [
+        (float(row[1]), row[2], row[3]) for row in failed
+    ]
+    assert sorted(f["repeat"] for f in failures) == [0, 0, 1, 1]
+    assert {f["axis"] for f in failures} == {"n"}
+    assert {f["status"] for f in failures} == {
+        "failed: InvalidConfigError: dp-slr requires a response clip level R >= 0"
+    }
 
 
 # real ------------------------------------------------------------------------------

@@ -98,27 +98,27 @@ RUNS = {
 # output version -> name -> {output file: sha256}. The digests of a version
 # are recorded once, in the change that bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    5: {
+    6: {
         "fit-ada-csv": {
-            "estimate.json": "1b157f2a48e7ce26a1549d0512295377ab055ec5b8929e7231ceae52c036816c",
+            "estimate.json": "488f6ec8fec73973dfafe7a5cbd5b71afe6071c4fcb8c5e38802490ef92b3c8a",
         },
         "fit-h-csv-narrow": {
-            "estimate.json": "bc3168cbbac2795c5498e6d2859f69a03fd7cd23e92e5f3cb851158813ede745",
+            "estimate.json": "df40ee2897c409e1986b083e2c11b927ebd60e5401a0957c40900c5d52fed32d",
         },
         "fit-h-flags": {
             "effective_config.json":
-                "3a92e2ee41afcb289d8cb6eba1e760208482f17bf5b76d488ce53a8b7cf61ce2",
-            "estimate.json": "2efdc4bdd9faa0172a0053bad83d8b88bac7c5fb96882b4b92fb38246b44e1d9",
+                "20c45cc53ce7612de806d74970474069d679085c7d11310b74473c58cbdc28ab",
+            "estimate.json": "28de273e7542c6f665c626d516792c328eeb7a3cb50713b286caaef663ebd240",
         },
         "fit-l-schedule": {
             "effective_config.json":
-                "59a6a708f9aed76c5b9004fdbb7d542682a836334ebbe4e326e41e2b7d7d8bcb",
-            "estimate.json": "0f1ff544c7a6a3bc9f6b4447f6b93ef9dcb72eedefcd2e98e36b31589bdf350b",
+                "c15147e6c339d6b63134acbf7e3dce0601774d6adefda4b4a070065151d0a328",
+            "estimate.json": "66f0118ad4276f235c30934939bfa225f425e5ccf478c5254af8994be448f967",
         },
         "fit-slr-derived": {
             "effective_config.json":
-                "fc9465b94591d1e7084589ce21faa06123eb4be07f79a516fd745513605ed31e",
-            "estimate.json": "5200a8b10ed25962bcb7900cf9db28f44ea6f04bbeccb5b7bde1cf03e4baea2a",
+                "70b101f3787c3dbd35806526044ea34482d499e7574b3696c029bd1ed0c7ac6c",
+            "estimate.json": "6946e0475601a3798d4d655f62f80843fb4792cd63e863b872b714481d272f00",
         },
         "real-derived": {
             "real_results.csv": "29852328e2258f0160a94d133f3a7185a53c03fceb0f7860acf39b9d75e845ed",
@@ -127,27 +127,27 @@ DIGESTS = {
             "real_results.csv": "0aed5f064ca5d574f0dff34ece2fd2c186d594621b02a4fe7523d05628c45435",
         },
         "sweep-d-derived": {
-            "aggregates.json": "79c0a50d1f3b1ab15329db2b898b424a768d71aed47ec597fe781cc54d8bde34",
+            "aggregates.json": "ae5491f73928ee4482b247ffd4da57cc80ac1d9fdef2893cd8da5411559f99e4",
             "effective_config.json":
-                "698df7567d5af754f9aae1a89e317a3835e4608a31eee8fc081eb065d6cfafff",
-            "results.csv": "d1dfa824ae0b0b538ecd6ed3a290d43d89147fe88c96315a519079f362ae2e03",
+                "31c836c9eff31a18839da84c1fe792543874c0e045971676777cd995ad2e3357",
+            "results.csv": "57b2385532fe3b1b4de1d3099828a2a4852c2aed02489839eccd242a5b7d2d02",
         },
         "sweep-n": {
-            "aggregates.json": "d497fcd18ca8a74d5e8ec9c3b2c1b0ccf42718ac9b615e984e0aff31c1d80c45",
+            "aggregates.json": "5819c0d3c627fd0189101852481d284110238cc39879e1dce6ff23439676ba71",
             "effective_config.json":
-                "4a09bb7339d011673eb0fbb16545b931570264486f44b6443315a72bd2dcb2a3",
-            "results.csv": "e399f888b0656d2184455803da23f845b3677e19ffab97d65aa46c0b1d521a60",
+                "4f0b92f9110b39f1e7564296301f72e3a9db325997cf838fadc63e198981b8d5",
+            "results.csv": "0fa0afe129cbd07e1c87301ae4d1353c54e6468f59ca4e36afd5f45a6ad217a8",
         },
         "sweep-n-derived": {
-            "aggregates.json": "309ff7ee84b070169122a81f08165e637d10c33d243660781468e7cff4827027",
+            "aggregates.json": "b4996ef93f1647576a88393816c5b065b024c6b840b3cacc36e99e911cdb5b12",
             "effective_config.json":
-                "0815d3c58be14d6d98279f2cba1b455328f2cbe9c83502fe13174ec355b97bc7",
-            "results.csv": "ffbf0c6eb394ae26aa62719a868b302d440f6a662b7bedabd8782484a1f5a935",
+                "5c110a0b2274e57eed6a8964289267e7196294cc22cde6cdf6d84e13d9504772",
+            "results.csv": "ea72ef9c1084395da4a788b4cedeaf18feabc458712d19fb643f5e861496b0ff",
         },
         "synth-gen": {
             "dataset.csv": "f7ac528cc5f44f2fae947dc048e7ec09d8991ccd159b6371859198a75ea20719",
             "effective_config.json":
-                "2fb020555f30860fdb305c3cde92ead729f98117cd87abd4762ca27b58f4890c",
+                "6780d44bff2861e4983630e0797f4b97ea181b0d3c2de95795c0ab262c45137c",
             "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
         },
     },

@@ -98,7 +98,6 @@ def test_ada_huber_equals_nonprivate_h():
     np.testing.assert_array_equal(a.estimate.beta, b.estimate.beta)
     np.testing.assert_array_equal(a.estimate.support, b.estimate.support)
     assert a.estimate.trace == b.estimate.trace
-    assert a.half_step_linf_trace == b.half_step_linf_trace
 
 
 def test_sparsity_and_norm_invariants():

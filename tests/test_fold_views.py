@@ -29,7 +29,7 @@ from dpsparse.estimators import _update
 # bytes). The digests of a version are recorded once, in the change that
 # bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    5: {
+    6: {
         "dp-iht-h": (
             "4f1f629e6dfd7a2775c6391dea75d614fbf6a98f6a0f24882ce762e6b556c74b",
             "3a644653f12029bdf1140b049c7d2c1437734bb3235fbebd5ac4249cb1d96ae2",
@@ -127,14 +127,16 @@ def test_fit_builds_no_dataset(monkeypatch):
 
 
 def test_slr_probe_half_step_is_the_fit_half_step():
-    # With T=1 and beta0 = 0 the fit's first half-step is -eta * grad on the
-    # whole dataset; the probe's update must be exactly eta * grad.
+    # With T=1, beta0 = 0 and s = d the non-private fit keeps its whole first
+    # half-step, -eta * grad on the whole dataset, and the ball (L) leaves it
+    # unscaled; the probe's update must be exactly eta * grad.
     rng = np.random.default_rng(5)
     ds = Dataset(rng.standard_normal((30, 4)) * 3, rng.standard_cauchy(30) * 20)
     cfg = EstimatorConfig(
-        s=2, T=1, K=2.0, L=10.0, schedule=ConstantStep(0.1), response_clip=4.0
+        s=4, T=1, K=2.0, L=10.0, schedule=ConstantStep(0.1), response_clip=4.0
     )
     rep = fit_estimator(EstimatorKind.DP_SLR_LITE, ds, cfg, PrivacyParams.non_private())
     update = _update(EstimatorKind.DP_SLR_LITE, ds, np.zeros(4), 0.1, cfg)
-    assert rep.half_step_linf_trace[0] == float(np.max(np.abs(update)))
+    assert np.linalg.norm(update) < cfg.L  # inside the ball
+    assert rep.estimate.beta.tobytes() == (-update + 0.0).tobytes()
     assert np.abs(ds.y).max() > cfg.response_clip  # the clip is exercised

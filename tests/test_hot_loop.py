@@ -48,7 +48,7 @@ FOLDS_BEYOND_K = {1, 4, 9}
 # bytes). The digests of a version are recorded once, in the change that
 # bumps OUTPUT_VERSION to it.
 DIGESTS = {
-    5: {
+    6: {
         "dp-iht-h": (
             "d4844b4d5beaf4464fb13d9f20be4ba84f846acfc5b6ce405dd431dde8ba6fbe",
             "1b198d3a45dbafc6cf0eecd7d7db149be3a9abcc4e3dc657de6f090f46e95409",
