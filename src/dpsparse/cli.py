@@ -25,7 +25,7 @@ from .core import (
     load_csv, mae, save_csv,
 )
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
-from .estimators import ESTIMATORS, EstimatorKind, fit_estimator
+from .estimators import EstimatorKind, fit_estimator
 from .harness import (
     S_STAR,
     ExperimentBase,
@@ -36,6 +36,7 @@ from .harness import (
     run_sweep,
     write_aggregates_json,
     write_failures_json,
+    write_json,
     write_real_csv,
     write_results_csv,
 )
@@ -231,9 +232,8 @@ def _flags(args) -> dict:
 
 def _write_effective_config(cfg: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
-        json.dump({**cfg, "output_version": OUTPUT_VERSION}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = os.path.join(out_dir, "effective_config.json")
+    write_json({**cfg, "output_version": OUTPUT_VERSION}, path)
 
 
 # Subcommands -----------------------------------------------------------------
@@ -245,9 +245,7 @@ def _cmd_synth_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_csv(ds, os.path.join(args.out, "dataset.csv"))
     sidecar = {"beta_star": [float(v) for v in beta_star], "config": dataclasses.asdict(cfg)}
-    with open(os.path.join(args.out, "synth_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar, os.path.join(args.out, "synth_meta.json"))
     _write_effective_config(dataclasses.asdict(cfg), args.out)
     print(f"wrote {os.path.join(args.out, 'dataset.csv')} ({cfg.n} x {cfg.d})")
     return 0
@@ -255,16 +253,6 @@ def _cmd_synth_gen(args) -> int:
 
 def _cmd_fit(args) -> int:
     kind = EstimatorKind.from_name(args.estimator)
-    if args.config is None:
-        # Flag-only invocations carry no config-file defaults for the
-        # estimator-critical fields; report everything missing at once.
-        missing = []
-        if args.data is None and (args.n is None or args.d is None):
-            missing.append("data (a CSV path, or --n/--d for synthetic data, or --config)")
-        if ESTIMATORS[kind].needs_tau and args.tau is None:
-            missing.append("tau")
-        if missing:
-            raise InvalidConfigError("missing required field(s): " + ", ".join(missing))
     raw, flags = read_config(args.config), _flags(args)
     if args.non_private:
         raw["epsilon"] = flags["epsilon"] = None
@@ -297,9 +285,7 @@ def _cmd_fit(args) -> int:
     if beta_star is not None:
         out["l2_error"] = l2_error(beta, beta_star)
         out["trace"] = report.estimate.trace
-    with open(os.path.join(args.out, "estimate.json"), "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, os.path.join(args.out, "estimate.json"))
     msg = f"fit {kind.value}: support={out['support']}"
     if "l2_error" in out:
         msg += f" l2_error={out['l2_error']:.6g}"
@@ -368,9 +354,7 @@ def _cmd_real(args) -> int:
 def _cmd_probe(args) -> int:
     report = run_sensitivity_suite(args.trials, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "probe_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), os.path.join(args.out, "probe_report.json"))
     _write_effective_config({"trials": args.trials, "seed": args.seed}, args.out)
     for res in report.results:
         print(

@@ -291,7 +291,7 @@ def _view(x: np.ndarray, y: np.ndarray, row_peak: np.ndarray) -> Dataset:
 
 def clip_responses(ds: Dataset, R: float) -> Dataset:
     """Truncate each response to [-R, R]; the features and row peaks are shared."""
-    if not R >= 0:
+    if R is None or not R >= 0:
         raise InvalidInputError(f"response clip level R must be >= 0, got {R}")
     y = np.clip(ds.y, -R, R)
     y.setflags(write=False)

@@ -5,10 +5,11 @@ the data into T disjoint folds, then for each iteration take a gradient step
 on that iteration's fold, privately keep the top-s coordinates, and project
 onto the radius-L ball. What tells the estimators apart sits in one table,
 ``ESTIMATORS``: the loss, the per-entry sensitivity passed to the selection
-step, whether noise is added at all, and whether responses are clipped. The
-step schedule comes with the config. The sensitivity probes read the same
-table. A private fit draws all its selection and value noise from one SFC64
-generator keyed (seed, 0), peel after peel.
+step, whether noise is added at all, whether responses are clipped, and the
+config fields the fit needs, which ``fit_problems`` checks. The step schedule
+comes with the config. The sensitivity probes read the same table. A private
+fit draws all its selection and value noise from one SFC64 generator keyed
+(seed, 0), peel after peel.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     Estimate,
     EstimatorConfig,
     PrivacyParams,
+    check_fields,
     clip_responses,
     l2_error,
     project_l2,
@@ -58,8 +60,7 @@ Sensitivity = Callable[[EstimatorConfig, float, int], float]
 class EstimatorSpec:
     """What one estimator sets in the shared private IHT loop.
 
-    ``loss(cfg)`` builds the loss and raises InvalidConfigError when the
-    config lacks a parameter it needs. ``lam(cfg, eta, m)`` is the per-entry
+    ``loss(cfg)`` builds the loss. ``lam(cfg, eta, m)`` is the per-entry
     selection sensitivity of one iteration with step ``eta`` on folds of
     ``m`` records. An estimator that is not ``private`` runs without noise
     whatever budget it is given. ``clips_responses`` truncates each fold's
@@ -67,7 +68,8 @@ class EstimatorSpec:
     ``replace_one`` names the neighbour relation ``lam`` is calibrated for:
     the neighbour replaces one record (True) or nulls it out (False).
     ``bound`` is the half-step deviation bound the sensitivity probe checks,
-    where it differs from ``lam``.
+    where it differs from ``lam``. ``needs`` names the optional config
+    fields the fit reads; ``fit_problems`` requires them set.
     """
 
     loss: Callable[[EstimatorConfig], LossKind]
@@ -76,32 +78,18 @@ class EstimatorSpec:
     clips_responses: bool = False
     replace_one: bool = False
     bound: Sensitivity | None = None
-
-    @property
-    def needs_tau(self) -> bool:
-        """Whether the loss is the Huber loss, which reads the config's tau."""
-        return self.loss is _huber
-
-
-def _huber(cfg: EstimatorConfig) -> Huber:
-    if cfg.tau is None:
-        raise InvalidConfigError("Huber estimators require the Huber parameter tau")
-    return Huber(cfg.tau)
+    needs: tuple[str, ...] = ()
 
 
 def _huber_lam(cfg: EstimatorConfig, eta: float, m: int) -> float:
     return eta * cfg.tau * cfg.K / m
 
 
-def _response_clip(cfg: EstimatorConfig) -> float:
-    if cfg.response_clip is None:
-        raise InvalidConfigError("dp-slr requires a response clip level R >= 0")
-    return cfg.response_clip
-
-
 ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
     # Huber-loss private IHT: one record moves a gradient entry by at most tau*K.
-    EstimatorKind.DP_IHT_H: EstimatorSpec(loss=_huber, lam=_huber_lam),
+    EstimatorKind.DP_IHT_H: EstimatorSpec(
+        loss=lambda cfg: Huber(cfg.tau), lam=_huber_lam, needs=("tau",)
+    ),
     # Absolute-loss private IHT: the residual sign of a replaced record can
     # flip, so one record moves a gradient entry by up to 2*K. The step
     # schedule may be two-phase; lam uses the current iteration's step.
@@ -112,17 +100,20 @@ ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
     ),
     # The Huber fit with all noise disabled: the reference-coefficient proxy
     # for real-data comparisons.
-    EstimatorKind.ADA_HUBER_LITE: EstimatorSpec(loss=_huber, lam=_huber_lam, private=False),
+    EstimatorKind.ADA_HUBER_LITE: EstimatorSpec(
+        loss=lambda cfg: Huber(cfg.tau), lam=_huber_lam, private=False, needs=("tau",)
+    ),
     # Squared-loss private IHT baseline on responses clipped to [-R, R].
     EstimatorKind.DP_SLR_LITE: EstimatorSpec(
         loss=lambda cfg: Squared(),
-        lam=lambda cfg, eta, m: eta * cfg.K * (_response_clip(cfg) + cfg.K * cfg.L) / m,
+        lam=lambda cfg, eta, m: eta * cfg.K * (cfg.response_clip + cfg.K * cfg.L) / m,
         clips_responses=True,
+        needs=("response_clip",),
         # The fit's lam drops the sqrt(s) factor of the strict per-record
         # bound, |x_c . beta| <= K ||beta||_1 <= K sqrt(s) L, that the probe
         # checks. Closing the gap changes output bits (ROADMAP item 4).
         bound=lambda cfg, eta, m: (
-            eta * cfg.K * (_response_clip(cfg) + np.sqrt(cfg.s) * cfg.K * cfg.L) / m
+            eta * cfg.K * (cfg.response_clip + np.sqrt(cfg.s) * cfg.K * cfg.L) / m
         ),
     ),
 }
@@ -139,7 +130,7 @@ def _update(
     """
     spec = ESTIMATORS[kind]
     if spec.clips_responses:
-        fold = clip_responses(fold, _response_clip(cfg))
+        fold = clip_responses(fold, cfg.response_clip)
     return eta * batch_gradient(fold, beta, spec.loss(cfg), cfg.K, cfg.sign_on_clipped)
 
 
@@ -151,13 +142,22 @@ class FitReport:
     iterations_run: int
 
 
-def _validate_fit(ds: Dataset, cfg: EstimatorConfig, priv: PrivacyParams) -> None:
-    if cfg.s > ds.d:
-        raise InvalidConfigError(f"sparsity s={cfg.s} exceeds dimension d={ds.d}")
-    if cfg.T > ds.n:
-        raise InvalidConfigError(f"iteration count T={cfg.T} exceeds n={ds.n}")
-    if priv.is_private and cfg.K is None:
-        raise InvalidConfigError("private fits require a finite clip level K")
+def fit_problems(
+    kind: EstimatorKind, n: int, d: int, cfg: EstimatorConfig, priv: PrivacyParams
+) -> list[str]:
+    """Every reason a ``kind`` fit of ``cfg`` under ``priv`` cannot start on
+    n x d data: a field it ``needs`` left None, s > d, T > n, or no K."""
+    spec = ESTIMATORS[kind]
+    problems = [
+        f"{kind.value} needs {name}, got null" for name in spec.needs if getattr(cfg, name) is None
+    ]
+    if cfg.s > d:
+        problems.append(f"sparsity s={cfg.s} exceeds dimension d={d}")
+    if cfg.T > n:
+        problems.append(f"iteration count T={cfg.T} exceeds n={n}")
+    if spec.private and priv.is_private and cfg.K is None:
+        problems.append("private fits require a finite clip level K")
+    return problems
 
 
 def fit_estimator(
@@ -171,11 +171,12 @@ def fit_estimator(
 
     A non-private estimator ignores ``priv`` and draws no noise. With
     ``beta_star`` the estimate carries its l2 error after every iteration.
+    Raises one InvalidConfigError listing the ``fit_problems``, if any.
     """
     spec = ESTIMATORS[kind]
     if not spec.private:
         priv = PrivacyParams.non_private()
-    _validate_fit(ds, cfg, priv)
+    check_fields(cfg, (), fit_problems(kind, ds.n, ds.d, cfg, priv))
     folds = split_folds(ds, cfg.T)
     m = folds[0].n
     # One generator per private fit: every iteration's peel draws from it in turn.

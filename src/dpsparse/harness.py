@@ -42,6 +42,7 @@ from .estimators import (
     ESTIMATORS,
     EstimatorKind,
     fit_estimator,
+    fit_problems,
     probe_bound,
     sensitivity_probe,
 )
@@ -152,7 +153,11 @@ _SWEEP_RULES = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Every value of ``axis`` (each checked by that field's rule), ``repeats`` times."""
+    """Every value of ``axis`` (each checked by that field's rule), ``repeats`` times.
+
+    Construction checks each (axis value, estimator) cell as its fit will be
+    built and checked, so a config error raises before any data is drawn.
+    """
 
     axis: str
     values: tuple
@@ -177,6 +182,24 @@ class SweepSpec:
             if not problems and any(b <= a for a, b in zip(values, values[1:])):
                 problems.append(f"values must be strictly increasing, got {values}")
         check_fields(self, _SWEEP_RULES, problems)
+        check_fields(self, (), self._cell_problems())
+
+    def _cell_problems(self) -> list[str]:
+        """Each problem of any cell once, led by the axis values it holds at
+        unless it holds at all of them."""
+        at: dict[str, list[str]] = {}
+        for value in self.values:
+            try:
+                base = _unit_base(self.base, self.axis, value, self.base.synthetic.seed)
+                n, d = base.synthetic.n, base.synthetic.d
+                cell = [p for kind in self.estimators for p in fit_problems(
+                    kind, n, d, base.fit_config(kind, n, d, 0), base.privacy(n))]
+            except InvalidConfigError as exc:
+                cell = [str(exc)]
+            for problem in dict.fromkeys(cell):
+                at.setdefault(problem, []).append(repr(value))
+        return [p if len(v) == len(self.values) else f"{self.axis}={', '.join(v)}: {p}"
+                for p, v in at.items()]
 
 
 @dataclass(frozen=True)
@@ -234,7 +257,7 @@ def _run_unit(args) -> list[SweepRow]:
         cfg, priv = base.fit_config(kind, syn.n, syn.d, fit_seed), base.privacy(syn.n)
         start = time.perf_counter()
         try:
-            beta = fit_estimator(kind, ds, cfg, priv, beta_star).estimate.beta
+            beta = fit_estimator(kind, ds, cfg, priv).estimate.beta
             wall_ms = (time.perf_counter() - start) * 1000.0
             err = mae(_kernels.support_matvec(ds.x, beta), ds.y)
             l2, status = l2_error(beta, beta_star), "ok"
@@ -242,19 +265,10 @@ def _run_unit(args) -> list[SweepRow]:
             wall_ms = (time.perf_counter() - start) * 1000.0
             l2 = err = float("nan")
             status = f"failed: {type(exc).__name__}: {exc}"
-        rows.append(
-            SweepRow(
-                axis=spec.axis,
-                value=float(value),
-                estimator=kind.value,
-                repeat=repeat,
-                seed=data_seed,
-                l2_error=l2,
-                mae=err,
-                wall_ms=wall_ms,
-                status=status,
-            )
-        )
+        rows.append(SweepRow(
+            axis=spec.axis, value=float(value), estimator=kind.value, repeat=repeat,
+            seed=data_seed, l2_error=l2, mae=err, wall_ms=wall_ms, status=status,
+        ))
     return rows
 
 
@@ -343,16 +357,17 @@ def write_results_csv(result: SweepResult, path, include_timing: bool = False) -
 
 
 def write_aggregates_json(result: SweepResult, path) -> None:
-    _write_json(result.aggregates, path)
+    write_json(result.aggregates, path)
 
 
 def write_failures_json(result: SweepResult, path) -> None:
     """Write the cell and full status of every failed row; [] when none failed."""
     keys = ("axis", "value", "estimator", "repeat", "seed", "status")
-    _write_json([{k: getattr(r, k) for k in keys} for r in result.rows if r.status != "ok"], path)
+    write_json([{k: getattr(r, k) for k in keys} for r in result.rows if r.status != "ok"], path)
 
 
-def _write_json(obj, path) -> None:
+def write_json(obj, path) -> None:
+    """Write ``obj`` as JSON indented by 2 with sorted keys, plus a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

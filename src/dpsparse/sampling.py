@@ -144,7 +144,7 @@ class SyntheticConfig:
     def __post_init__(self):
         check_fields(self, SYNTHETIC_RULES)
         if self.s_star > self.d:
-            raise InvalidConfigError(f"s_star must satisfy 1 <= s_star <= d, got {self.s_star}")
+            raise InvalidConfigError(f"s_star must be at most d={self.d}, got {self.s_star}")
 
     @property
     def nu(self) -> float:

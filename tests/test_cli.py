@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dpsparse
 from dpsparse import (
     OUTPUT_VERSION, EstimatorKind, ExperimentBase, SweepSpec, SyntheticConfig, harness, load_csv,
     run_sweep,
@@ -93,11 +97,35 @@ def test_config_round_trip(tmp_path):
 # fit -----------------------------------------------------------------------------
 
 
-def test_fit_missing_tau_exits_one(tmp_path, capsys):
-    code = run_cli("fit", "--estimator", "dp-iht-h", "--n", "50", "--d", "8",
-                   "--out", str(tmp_path / "o"))
-    assert code == 1
-    assert "tau" in capsys.readouterr().err
+def test_flag_only_fit_takes_the_default_tau(tmp_path):
+    # Flags alone default tau to 1.0, as a config file does.
+    argv = ["fit", "--estimator", "dp-iht-h", "--n", "50", "--d", "8"]
+    unset, set_ = tmp_path / "unset", tmp_path / "set"
+    assert run_cli(*argv, "--out", str(unset)) == 0
+    assert run_cli(*argv, "--tau", "1.0", "--out", str(set_)) == 0
+    for name in ("estimate.json", "effective_config.json"):
+        assert (unset / name).read_bytes() == (set_ / name).read_bytes()
+
+
+def test_fit_leaves_the_blas_thread_variables_unset(tmp_path):
+    # The library never sets BLAS threads (README): a fit in a fresh
+    # interpreter with no *_NUM_THREADS variable leaves none set.
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(dpsparse.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    script = (
+        "import os, sys\n"
+        "from dpsparse.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted(k for k in os.environ if k.endswith('_NUM_THREADS')))\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["fit", "--estimator", "dp-iht-l", "--n", "80", "--d", "12", "--T", "4",
+            "--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_fit_with_a_subnormal_epsilon_exits_one_naming_it(tmp_path, capsys):
@@ -293,7 +321,9 @@ def test_cli_sweep_rows_equal_the_library_sweep_rows(tmp_path, axis, values):
 
 def test_sweep_writes_every_failure_reason(tmp_path):
     # results.csv keeps only "failed"; failures.json keeps each full reason.
-    cfgp = sweep_config(tmp_path, estimators=["dp-slr", "dp-iht-h"], response_clip=None)
+    # A subnormal epsilon overflows dp-slr's noise scale at fit time;
+    # ada-huber is not private and completes.
+    cfgp = sweep_config(tmp_path, estimators=["dp-slr", "ada-huber"], epsilon=1e-320)
     out = tmp_path / "o"
     assert run_cli("sweep", "--config", str(cfgp), "--out", str(out)) == 2
     rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
@@ -305,9 +335,57 @@ def test_sweep_writes_every_failure_reason(tmp_path):
     ]
     assert sorted(f["repeat"] for f in failures) == [0, 0, 1, 1]
     assert {f["axis"] for f in failures} == {"n"}
-    assert {f["status"] for f in failures} == {
-        "failed: InvalidConfigError: dp-slr requires a response clip level R >= 0"
-    }
+    assert {f["estimator"] for f in failures} == {"dp-slr"}
+    assert all(
+        f["status"].startswith(
+            "failed: InvalidParameterError: noise scale b=inf is not finite at epsilon=1e-320"
+        )
+        for f in failures
+    )
+
+
+# One case per kind of config error a sweep cell can hold: (config changes,
+# the problem, named once, with its axis value where it depends on one).
+CELL_ERRORS = {
+    "null-response-clip": (
+        {"estimators": ["dp-slr", "dp-iht-h"], "response_clip": None},
+        "dp-slr needs response_clip, got null",
+    ),
+    "null-tau": ({"tau": None}, "dp-iht-h needs tau, got null"),
+    "s-star-above-d": (
+        {"axis": "s_star", "values": [2, 20]}, "s_star=20: s_star must be at most d=10, got 20"
+    ),
+    "d-below-s-star": (
+        {"axis": "d", "values": [1, 10]}, "d=1: s_star must be at most d=1, got 2"
+    ),
+    "s-above-a-d": (
+        {"axis": "d", "values": [4, 10], "s": 5}, "d=4: sparsity s=5 exceeds dimension d=4"
+    ),
+    "n-below-T": ({"values": [2, 60]}, "n=2: iteration count T=3 exceeds n=2"),
+}
+
+
+@pytest.mark.parametrize("extra, problem", CELL_ERRORS.values(), ids=CELL_ERRORS.keys())
+def test_a_bad_sweep_cell_exits_one_before_any_data_is_drawn(
+    tmp_path, capsys, monkeypatch, extra, problem
+):
+    calls = []
+    for name in ("generate_synthetic", "fit_estimator"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
+    cfgp = sweep_config(tmp_path, **extra)
+    base, cfg = load_config(cfgp)
+    with pytest.raises(InvalidConfigError) as err:
+        SweepSpec(
+            axis=cfg["axis"], values=cfg["values"], base=base, repeats=cfg["repeats"],
+            estimators=[EstimatorKind.from_name(e) for e in cfg["estimators"]],
+        )
+    assert str(err.value).count(problem) == 1
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--config", str(cfgp), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count(problem) == 1
+    assert not out.exists()
+    assert calls == []
 
 
 # real ------------------------------------------------------------------------------

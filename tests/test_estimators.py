@@ -6,6 +6,7 @@ import pytest
 from dpsparse import (
     ConstantStep,
     Dataset,
+    DpSparseError,
     EstimatorConfig,
     EstimatorKind,
     InvalidConfigError,
@@ -19,7 +20,7 @@ from dpsparse import (
     sensitivity_probe,
 )
 from dpsparse import estimators
-from dpsparse.estimators import ESTIMATORS
+from dpsparse.estimators import ESTIMATORS, fit_problems
 
 NON_PRIVATE = PrivacyParams.non_private()
 H = EstimatorKind.DP_IHT_H
@@ -191,6 +192,29 @@ def test_fit_validations():
         fit_estimator(ADA, ds, base_config(s=2, T=5, tau=None), NON_PRIVATE)
 
 
+def test_fit_problems_are_listed_in_one_error():
+    ds = zero_dataset(n=10, d=5)
+    cfg = base_config(s=6, T=11, tau=None, K=None)
+    private = PrivacyParams(1.0, 1e-3)
+    expected = [
+        "dp-iht-h needs tau, got null",
+        "sparsity s=6 exceeds dimension d=5",
+        "iteration count T=11 exceeds n=10",
+        "private fits require a finite clip level K",
+    ]
+    assert fit_problems(H, 10, 5, cfg, private) == expected
+    with pytest.raises(InvalidConfigError) as err:
+        fit_estimator(H, ds, cfg, private)
+    assert str(err.value) == "; ".join(expected)
+    # Each entry names the fields it needs; K matters only to a private fit.
+    assert fit_problems(SLR, 10, 5, base_config(s=2, T=5, response_clip=None), NON_PRIVATE) == [
+        "dp-slr needs response_clip, got null"
+    ]
+    assert fit_problems(ADA, 10, 5, base_config(s=2, T=5, K=None), private) == []
+    unused = base_config(s=2, T=5, tau=None, response_clip=None)
+    assert fit_problems(L, 10, 5, unused, private) == []
+
+
 def test_unclipped_nonprivate_fit_allowed():
     syn = SyntheticConfig(n=400, d=10, s_star=2, noise_scale=0.0, seed=9)
     ds, beta_star = generate_synthetic(syn)
@@ -235,6 +259,15 @@ def test_probe_respects_bound(kind):
     for trial in range(60):
         dev = sensitivity_probe(kind, cfg, seed=trial, d=30, m=m)
         assert dev <= bound + 1e-12
+
+
+def test_probe_without_a_needed_field_fails_by_name():
+    # The probes take their config as given; a field left None still fails
+    # with a named error, not a TypeError.
+    with pytest.raises(DpSparseError, match="response clip level R must be >= 0, got None"):
+        sensitivity_probe(SLR, base_config(s=3, response_clip=None), seed=0)
+    with pytest.raises(DpSparseError, match="tau must be a number > 0, got None"):
+        sensitivity_probe(H, base_config(s=3, tau=None), seed=0)
 
 
 def test_probe_extremal_l_tight():
