@@ -36,6 +36,7 @@ from .estimators import (
     EstimatorKind,
     FitReport,
     fit_estimator,
+    fit_many,
     probe_bound,
     sensitivity_probe,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "default_clip_level",
     "derive_seed",
     "fit_estimator",
+    "fit_many",
     "generate_synthetic",
     "huber_value",
     "l2_error",

@@ -25,7 +25,7 @@ from .core import (
     load_csv, mae, save_csv,
 )
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
-from .estimators import EstimatorKind, fit_estimator
+from .estimators import EstimatorKind, fit_estimator, fit_problems
 from .harness import (
     S_STAR,
     ExperimentBase,
@@ -266,13 +266,19 @@ def _cmd_fit(args) -> int:
         ds, _names = load_csv(data["csv"], data.get("response_col", "y"))
         shape = (ds.n, ds.d)
     base, cfg = resolve_config(raw, flags, shape)
-    if ds is None:
+    if shape is None:
         if base.synthetic is None:
             raise InvalidConfigError("config must supply either a data CSV or synthetic n and d")
+        shape = (base.synthetic.n, base.synthetic.d)
+    # Check the fit at the data's shape before any data is drawn or file written.
+    est_cfg, priv = base.fit_config(kind, *shape, cfg["seed"]), base.privacy(shape[0])
+    problems = fit_problems(kind, *shape, est_cfg, priv)
+    if problems:
+        raise InvalidConfigError("; ".join(problems))
+    if ds is None:
         ds, beta_star = generate_synthetic(base.synthetic)
     _write_effective_config(cfg, args.out)
-    est_cfg = base.fit_config(kind, ds.n, ds.d, cfg["seed"])
-    report = fit_estimator(kind, ds, est_cfg, base.privacy(ds.n), beta_star)
+    report = fit_estimator(kind, ds, est_cfg, priv, beta_star)
     beta = report.estimate.beta
     out = {
         "estimator": kind.value,

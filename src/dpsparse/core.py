@@ -55,7 +55,7 @@ class Dataset:
         return self.x.shape[1]
 
 
-def _build(ds: Dataset, x, y, copy: bool) -> None:
+def _build(ds: Dataset, x, y, copy: bool, row_peak: np.ndarray | None = None) -> None:
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim != 2:
@@ -68,7 +68,8 @@ def _build(ds: Dataset, x, y, copy: bool) -> None:
         raise InvalidInputError("dataset needs n >= 1 and d >= 1")
     # Row max and min propagate NaN and +-inf, so a finite peak per row is
     # the finiteness check of x, made without an n x d temporary.
-    row_peak = np.maximum(x.max(axis=1), -x.min(axis=1))
+    if row_peak is None:
+        row_peak = np.maximum(x.max(axis=1), -x.min(axis=1))
     if not np.isfinite(row_peak).all() or not np.isfinite(y).all():
         raise InvalidInputError("dataset contains non-finite entries")
     if copy and x is ds.x:
@@ -82,11 +83,13 @@ def _build(ds: Dataset, x, y, copy: bool) -> None:
     object.__setattr__(ds, "row_peak", row_peak)
 
 
-def _adopt(x: np.ndarray, y: np.ndarray) -> Dataset:
+def _adopt(x: np.ndarray, y: np.ndarray, row_peak: np.ndarray | None = None) -> Dataset:
     # A Dataset over arrays its caller has just made and holds no other
     # reference to: checked and frozen like Dataset(x, y), but not copied.
+    # A caller that took x's row peaks while writing x passes them, and the
+    # finiteness check reads them instead of x.
     ds = object.__new__(Dataset)
-    _build(ds, x, y, copy=False)
+    _build(ds, x, y, copy=False, row_peak=row_peak)
     return ds
 
 

@@ -1,21 +1,23 @@
 """End-to-end estimators built on one gradient / peel / project iteration.
 
-Every estimator runs the same loop in ``fit_estimator``: clip features, split
-the data into T disjoint folds, then for each iteration take a gradient step
-on that iteration's fold, privately keep the top-s coordinates, and project
-onto the radius-L ball. What tells the estimators apart sits in one table,
-``ESTIMATORS``: the loss, the per-entry sensitivity passed to the selection
-step, whether noise is added at all, whether responses are clipped, and the
-config fields the fit needs, which ``fit_problems`` checks. The step schedule
-comes with the config. The sensitivity probes read the same table. A private
-fit draws all its selection and value noise from one SFC64 generator keyed
-(seed, 0), peel after peel.
+Every estimator runs the same loop in ``fit_many``: clip features, split the
+data into T disjoint folds, then for each iteration take a gradient step on
+that iteration's fold, privately keep the top-s coordinates, and project onto
+the radius-L ball. ``fit_many`` runs several fits of one dataset in lockstep,
+each with the bytes it has alone; ``fit_estimator`` is ``fit_many`` with one
+fit. What tells the estimators apart sits in one table, ``ESTIMATORS``: the
+loss, the per-entry sensitivity passed to the selection step, whether noise
+is added at all, whether responses are clipped, and the config fields the
+fit needs, which ``fit_problems`` checks. The step schedule comes with the
+config. The sensitivity probes read the same table. A private fit draws all
+its selection and value noise from one SFC64 generator keyed (seed, 0), peel
+after peel.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +27,12 @@ from .core import (
     Estimate,
     EstimatorConfig,
     PrivacyParams,
-    check_fields,
     clip_responses,
     l2_error,
     project_l2,
     split_folds,
 )
-from .errors import InvalidConfigError, NumericalFailureError
+from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
 from .losses import AbsoluteL1, Huber, LossKind, Squared, batch_gradient
 from .peeling import _peel, noise_scale
 from .sampling import RngHandle
@@ -142,22 +143,119 @@ class FitReport:
     iterations_run: int
 
 
+def _unset_needs(kind: EstimatorKind, cfg: EstimatorConfig) -> list[str]:
+    """One problem per field the ``kind`` entry ``needs`` that ``cfg`` leaves None."""
+    return [
+        f"{kind.value} needs {name}, got null"
+        for name in ESTIMATORS[kind].needs
+        if getattr(cfg, name) is None
+    ]
+
+
 def fit_problems(
     kind: EstimatorKind, n: int, d: int, cfg: EstimatorConfig, priv: PrivacyParams
 ) -> list[str]:
     """Every reason a ``kind`` fit of ``cfg`` under ``priv`` cannot start on
     n x d data: a field it ``needs`` left None, s > d, T > n, or no K."""
-    spec = ESTIMATORS[kind]
-    problems = [
-        f"{kind.value} needs {name}, got null" for name in spec.needs if getattr(cfg, name) is None
-    ]
+    problems = _unset_needs(kind, cfg)
     if cfg.s > d:
         problems.append(f"sparsity s={cfg.s} exceeds dimension d={d}")
     if cfg.T > n:
         problems.append(f"iteration count T={cfg.T} exceeds n={n}")
-    if spec.private and priv.is_private and cfg.K is None:
+    if ESTIMATORS[kind].private and priv.is_private and cfg.K is None:
         problems.append("private fits require a finite clip level K")
     return problems
+
+
+FitRequest = tuple[EstimatorKind, EstimatorConfig, PrivacyParams]
+
+
+class _Fit:
+    """One fit of ``fit_many``: its settings, its generator and its iterate."""
+
+    def __init__(self, kind: EstimatorKind, cfg: EstimatorConfig, priv: PrivacyParams,
+                 d: int, traced: bool):
+        self.kind, self.cfg, self.priv = kind, cfg, priv
+        # One generator per private fit: every iteration's peel draws from it in turn.
+        self.gen = RngHandle(cfg.seed, stream=0).generator() if priv.is_private else None
+        self.beta = np.zeros(d)
+        self.support = np.arange(0)
+        self.trace: list[float] | None = [] if traced else None
+
+    def half_step(self, fold: Dataset, t: int) -> None:
+        self.eta = self.cfg.schedule.step(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.half = self.beta - _update(self.kind, fold, self.beta, self.eta, self.cfg)
+        if not np.isfinite(self.half).all():
+            raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
+
+    def select(self, m: int, beta_star: np.ndarray | None) -> None:
+        cfg = self.cfg
+        b = 0.0
+        if self.priv.is_private:
+            b = noise_scale(ESTIMATORS[self.kind].lam(cfg, self.eta, m), cfg.s, self.priv)
+        peeled, self.support = _peel(self.half, cfg.s, b, self.gen)
+        self.beta = project_l2(peeled, cfg.L)
+        if self.trace is not None:
+            self.trace.append(l2_error(self.beta, beta_star))
+
+    def report(self) -> FitReport:
+        estimate = Estimate(beta=self.beta, support=self.support, trace=self.trace)
+        return FitReport(estimate=estimate, iterations_run=self.cfg.T)
+
+
+def _advance(live: list[tuple[int, _Fit]], results: list, step, *args) -> list[tuple[int, _Fit]]:
+    """Run ``step`` on each live fit in turn; a DpSparseError ends that fit alone."""
+    kept = []
+    for i, fit in live:
+        try:
+            step(fit, *args)
+        except DpSparseError as exc:
+            results[i] = exc
+        else:
+            kept.append((i, fit))
+    return kept
+
+
+def fit_many(
+    ds: Dataset, fits: Sequence[FitRequest], beta_star: np.ndarray | None = None
+) -> list[FitReport | DpSparseError]:
+    """Fit each ``(kind, cfg, priv)`` of ``fits`` on ``ds`` by private IHT over T folds.
+
+    Returns, in the order of ``fits``, each fit's FitReport or the
+    DpSparseError that ended it: an InvalidConfigError listing its
+    ``fit_problems``, or a failure part-way through. Such an error ends only
+    its own fit; any other exception propagates. A non-private estimator
+    ignores its ``priv`` and draws no noise. With ``beta_star`` each estimate
+    carries its l2 error after every iteration.
+
+    Fits with the same T share their folds and run in lockstep: at iteration
+    t every live fit takes its half-step on fold t, back to back while the
+    fold is in cache, and then each runs its own selection from its own
+    generator and its own projection. A fit's arithmetic and draw order do
+    not depend on the other fits, so each result has the bytes of a fit run
+    alone.
+    """
+    results: list = [None] * len(fits)
+    groups: dict[int, list[tuple[int, _Fit]]] = {}
+    for i, (kind, cfg, priv) in enumerate(fits):
+        if not ESTIMATORS[kind].private:
+            priv = PrivacyParams.non_private()
+        problems = fit_problems(kind, ds.n, ds.d, cfg, priv)
+        if problems:
+            results[i] = InvalidConfigError("; ".join(problems))
+        else:
+            fit = _Fit(kind, cfg, priv, ds.d, beta_star is not None)
+            groups.setdefault(cfg.T, []).append((i, fit))
+    for T, live in groups.items():
+        folds = split_folds(ds, T)
+        m = folds[0].n
+        for t in range(T):
+            live = _advance(live, results, _Fit.half_step, folds[t], t)
+            live = _advance(live, results, _Fit.select, m, beta_star)
+        for i, fit in live:
+            results[i] = fit.report()
+    return results
 
 
 def fit_estimator(
@@ -167,38 +265,15 @@ def fit_estimator(
     priv: PrivacyParams,
     beta_star: np.ndarray | None = None,
 ) -> FitReport:
-    """Fit the estimator ``kind`` by private IHT over T disjoint folds.
+    """Fit the estimator ``kind`` alone: ``fit_many`` with one entry.
 
-    A non-private estimator ignores ``priv`` and draws no noise. With
-    ``beta_star`` the estimate carries its l2 error after every iteration.
-    Raises one InvalidConfigError listing the ``fit_problems``, if any.
+    Raises the DpSparseError that ended the fit, such as one
+    InvalidConfigError listing its ``fit_problems``.
     """
-    spec = ESTIMATORS[kind]
-    if not spec.private:
-        priv = PrivacyParams.non_private()
-    check_fields(cfg, (), fit_problems(kind, ds.n, ds.d, cfg, priv))
-    folds = split_folds(ds, cfg.T)
-    m = folds[0].n
-    # One generator per private fit: every iteration's peel draws from it in turn.
-    gen = RngHandle(cfg.seed, stream=0).generator() if priv.is_private else None
-    beta = np.zeros(ds.d)
-    support = np.arange(0)
-    trace: list[float] | None = [] if beta_star is not None else None
-    for t in range(cfg.T):
-        eta = cfg.schedule.step(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = beta - _update(kind, folds[t], beta, eta, cfg)
-        if not np.isfinite(half).all():
-            raise NumericalFailureError(
-                f"non-finite iterate at iteration {t}", iteration=t
-            )
-        b = noise_scale(spec.lam(cfg, eta, m), cfg.s, priv) if priv.is_private else 0.0
-        peeled, support = _peel(half, cfg.s, b, gen)
-        beta = project_l2(peeled, cfg.L)
-        if trace is not None:
-            trace.append(l2_error(beta, beta_star))
-    estimate = Estimate(beta=beta, support=support, trace=trace)
-    return FitReport(estimate=estimate, iterations_run=cfg.T)
+    (result,) = fit_many(ds, [(kind, cfg, priv)], beta_star)
+    if isinstance(result, DpSparseError):
+        raise result
+    return result
 
 
 # Sensitivity probes ---------------------------------------------------------
@@ -212,7 +287,16 @@ _HUGE = 1e12
 
 
 def probe_bound(kind: EstimatorKind, cfg: EstimatorConfig, eta: float, m: int) -> float:
-    """Theoretical half-step l-inf deviation bound for one differing record."""
+    """Theoretical half-step l-inf deviation bound for one differing record.
+
+    Raises one InvalidConfigError naming each field the bound reads that
+    ``cfg`` leaves None: the fields the entry ``needs``, and K.
+    """
+    problems = _unset_needs(kind, cfg)
+    if cfg.K is None:
+        problems.append("the sensitivity bound requires a finite clip level K")
+    if problems:
+        raise InvalidConfigError("; ".join(problems))
     spec = ESTIMATORS[kind]
     return (spec.bound or spec.lam)(cfg, eta, m)
 

@@ -1,9 +1,13 @@
 """Experiment orchestration: sweeps, real-data evaluation, sensitivity suite.
 
-Rows of a sweep are independent work units; seeds derive from a documented
-stable hash of (base seed, axis, value, repeat), so adding an estimator to a
-sweep never perturbs the data other rows see. Output ordering is canonical
-(sorted by axis value, estimator, seed) regardless of execution order.
+Rows of a sweep are grouped into independent work units, one dataset each;
+seeds derive from a documented stable hash of (base seed, axis, value,
+repeat), so adding an estimator to a sweep never perturbs the data other rows
+see. A unit runs all its fits in one ``fit_many`` call, in lockstep over the
+shared folds, and every fit keeps the bytes it has alone, so adding an
+estimator leaves the other rows' bytes unchanged too. Output ordering is
+canonical (sorted by axis value, estimator, seed) regardless of execution
+order.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import DpSparseError, InvalidConfigError
 from .estimators import (
     ESTIMATORS,
     EstimatorKind,
-    fit_estimator,
+    fit_many,
     fit_problems,
     probe_bound,
     sensitivity_probe,
@@ -190,16 +194,35 @@ class SweepSpec:
         at: dict[str, list[str]] = {}
         for value in self.values:
             try:
-                base = _unit_base(self.base, self.axis, value, self.base.synthetic.seed)
-                n, d = base.synthetic.n, base.synthetic.d
-                cell = [p for kind in self.estimators for p in fit_problems(
-                    kind, n, d, base.fit_config(kind, n, d, 0), base.privacy(n))]
+                cell = self._problems_at(value)
             except InvalidConfigError as exc:
                 cell = [str(exc)]
             for problem in dict.fromkeys(cell):
                 at.setdefault(problem, []).append(repr(value))
         return [p if len(v) == len(self.values) else f"{self.axis}={', '.join(v)}: {p}"
                 for p, v in at.items()]
+
+    def _problems_at(self, value) -> list[str]:
+        """The problems of every cell at axis value ``value``. The budget and
+        each fit config are built apart, so a budget that cannot be built
+        still leaves the s, T and ``needs`` checks to run."""
+        base = _unit_base(self.base, self.axis, value, self.base.synthetic.seed)
+        n, d = base.synthetic.n, base.synthetic.d
+        problems = []
+        try:
+            priv = base.privacy(n)
+        except InvalidConfigError as exc:
+            problems.append(str(exc))
+            # Without a budget only the clip-level check, which reads it, is skipped.
+            priv = PrivacyParams.non_private()
+        for kind in self.estimators:
+            try:
+                cfg = base.fit_config(kind, n, d, 0)
+            except InvalidConfigError as exc:
+                problems.append(str(exc))
+            else:
+                problems += fit_problems(kind, n, d, cfg, priv)
+        return problems
 
 
 @dataclass(frozen=True)
@@ -241,7 +264,8 @@ def _run_unit(args) -> list[SweepRow]:
 
     A unit is one (axis value, repeat), or on the epsilon axis one repeat
     with every epsilon: those fit the same data, so their comparisons are
-    paired.
+    paired. One ``fit_many`` call runs all the unit's fits in lockstep, and
+    each row's ``wall_ms`` is that call's wall time over the fit count.
     """
     spec, values, repeat = args
     data_value = () if spec.axis == "epsilon" else values
@@ -249,22 +273,23 @@ def _run_unit(args) -> list[SweepRow]:
     bases = [(value, _unit_base(spec.base, spec.axis, value, data_seed)) for value in values]
     syn = bases[0][1].synthetic
     ds, beta_star = generate_synthetic(syn)
+    cells = list(itertools.product(bases, spec.estimators))
+    fits = []
+    for (value, base), kind in cells:
+        seed = derive_seed("fit", spec.base.synthetic.seed, spec.axis, value, repeat, kind.value)
+        fits.append((kind, base.fit_config(kind, syn.n, syn.d, seed), base.privacy(syn.n)))
+    start = time.perf_counter()
+    results = fit_many(ds, fits)
+    wall_ms = (time.perf_counter() - start) * 1000.0 / len(fits)
     rows = []
-    for (value, base), kind in itertools.product(bases, spec.estimators):
-        fit_seed = derive_seed(
-            "fit", spec.base.synthetic.seed, spec.axis, value, repeat, kind.value
-        )
-        cfg, priv = base.fit_config(kind, syn.n, syn.d, fit_seed), base.privacy(syn.n)
-        start = time.perf_counter()
-        try:
-            beta = fit_estimator(kind, ds, cfg, priv).estimate.beta
-            wall_ms = (time.perf_counter() - start) * 1000.0
+    for ((value, _), kind), result in zip(cells, results):
+        if isinstance(result, DpSparseError):  # a failed fit becomes a row, not an abort
+            l2 = err = float("nan")
+            status = f"failed: {type(result).__name__}: {result}"
+        else:
+            beta = result.estimate.beta
             err = mae(_kernels.support_matvec(ds.x, beta), ds.y)
             l2, status = l2_error(beta, beta_star), "ok"
-        except DpSparseError as exc:  # a failed fit becomes a row, not an abort
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            l2 = err = float("nan")
-            status = f"failed: {type(exc).__name__}: {exc}"
         rows.append(SweepRow(
             axis=spec.axis, value=float(value), estimator=kind.value, repeat=repeat,
             seed=data_seed, l2_error=l2, mae=err, wall_ms=wall_ms, status=status,
@@ -452,17 +477,22 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
         x_train, x_test = _standardize_train_test(x_train, x_test)
     train = Dataset(x_train, y_train)
 
-    def fit(kind: EstimatorKind, priv: PrivacyParams):
+    def request(kind: EstimatorKind, priv: PrivacyParams):
         seed = derive_seed("real", spec.seed, kind.value)
-        cfg = spec.base.fit_config(kind, train.n, train.d, seed)
-        return fit_estimator(kind, train, cfg, priv).estimate
+        return kind, spec.base.fit_config(kind, train.n, train.d, seed), priv
 
-    proxy_beta = fit(spec.proxy, PrivacyParams.non_private()).beta
+    # The proxy and the estimators fit in one lockstep pass over the folds.
     priv = spec.base.privacy(train.n)
+    fits = [request(spec.proxy, PrivacyParams.non_private())]
+    fits += [request(kind, priv) for kind in estimators]
+    results = fit_many(train, fits)
+    for result in results:
+        if isinstance(result, DpSparseError):
+            raise result
+    proxy_beta = results[0].estimate.beta
     rows = []
-    for kind in estimators:
-        estimate = fit(kind, priv)
-        beta, support = estimate.beta, estimate.support
+    for kind, report in zip(estimators, results[1:]):
+        beta, support = report.estimate.beta, report.estimate.support
         rows.append(
             RealDataRow(
                 estimator=kind.value,

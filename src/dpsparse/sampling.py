@@ -8,11 +8,11 @@ Parallel trials take distinct stream ids instead of sharing generator state.
 Synthetic features are drawn in fixed row blocks of ``_BLOCK_ENTRIES // d``
 rows (at least one). Stream 0 draws the support, the coefficient values,
 block 0 and, once every block is filled, the noise; block k >= 1 is stream k
-alone. The blocks are filled on a thread pool, each by its own generator, so
-the bytes do not depend on the thread count, and the features of an n-row
-draw are the first n rows of any larger draw with the same seed, d and
-s_star. The synthetic responses read only the support columns of the
-features.
+alone. The blocks are filled on a thread pool, each by its own generator
+(chunk by chunk, taking each chunk's row peaks as it goes), so the bytes do
+not depend on the thread count, and the features of an n-row draw are the
+first n rows of any larger draw with the same seed, d and s_star. The
+synthetic responses read only the support columns of the features.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ _ZETA_NU_ANCHORS = {0.5: 1.75, 1.0: 3.0}
 
 # Feature entries per row block of a synthetic draw (32 MiB of float64).
 _BLOCK_ENTRIES = 1 << 22
+# Feature entries per row chunk within a block (256 KiB of float64): a chunk
+# is still in the L2 cache when its row peaks are taken.
+_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     place. Stream 0 of the config seed draws, in this order, the support,
     the values, block 0 (rows [0, R)) and the noise; block k >= 1 (rows
     [kR, (k+1)R)) is the whole of stream k. The blocks are filled on up to
-    one thread per CPU, which have all finished when this returns. Every
+    one thread per CPU, which have all finished when this returns. A
+    thread fills its block in row chunks of ``_CHUNK_ENTRIES // d`` rows
+    (at least one), which draw the bytes of one whole-block call, and takes
+    each chunk's row peaks while the chunk is in cache; the dataset's
+    finiteness check then reads those peaks, not x. Every
     block has its own generator, so the output is a deterministic function
     of the config whatever the thread count, and the features of a draw are
     a row prefix of any larger draw at the same seed, d and s_star (its
@@ -182,12 +189,18 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     beta_star = np.zeros(cfg.d)
     beta_star[support] = values
     x = np.empty((cfg.n, cfg.d))
+    row_peak = np.empty(cfg.n)
     rows = max(1, _BLOCK_ENTRIES // cfg.d)
+    chunk = max(1, _CHUNK_ENTRIES // cfg.d)
     blocks = -(-cfg.n // rows)
 
     def fill(k: int) -> None:
         block_gen = gen if k == 0 else RngHandle(cfg.seed, stream=k).generator()
-        block_gen.standard_normal(out=x[k * rows : (k + 1) * rows])
+        end = min((k + 1) * rows, cfg.n)
+        for start in range(k * rows, end, chunk):
+            stop = min(start + chunk, end)
+            part = block_gen.standard_normal(out=x[start:stop])
+            np.maximum(part.max(axis=1), -part.min(axis=1), out=row_peak[start:stop])
 
     workers = min(_cpu_count(), blocks)
     if workers > 1:
@@ -203,4 +216,4 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
         noise = np.zeros(cfg.n)
     y = x.take(support, axis=1) @ values + noise
     # x and y are fresh and held nowhere else: check and freeze them in place.
-    return _adopt(x, y), beta_star
+    return _adopt(x, y, row_peak), beta_star

@@ -12,6 +12,7 @@ from dpsparse import (
     OUTPUT_VERSION, EstimatorKind, ExperimentBase, SweepSpec, SyntheticConfig, harness, load_csv,
     run_sweep,
 )
+from dpsparse import cli
 from dpsparse.cli import load_config, main, resolve_config
 from dpsparse.errors import InvalidConfigError
 
@@ -134,6 +135,18 @@ def test_fit_with_a_subnormal_epsilon_exits_one_naming_it(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "epsilon=1e-320" in err and "noise scale" in err
+
+
+def test_fit_that_cannot_start_exits_one_before_any_file_is_written(tmp_path, capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda *args: drawn.append(args))
+    out = tmp_path / "f"
+    code = run_cli("fit", "--estimator", "dp-iht-h", "--n", "50", "--d", "10", "--s", "20",
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("sparsity s=20 exceeds dimension d=10") == 1
+    assert not out.exists() and drawn == []
 
 
 def test_fit_missing_data_source_exits_one(tmp_path, capsys):
@@ -370,7 +383,7 @@ def test_a_bad_sweep_cell_exits_one_before_any_data_is_drawn(
     tmp_path, capsys, monkeypatch, extra, problem
 ):
     calls = []
-    for name in ("generate_synthetic", "fit_estimator"):
+    for name in ("generate_synthetic", "fit_many"):
         monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
     cfgp = sweep_config(tmp_path, **extra)
     base, cfg = load_config(cfgp)

@@ -261,6 +261,21 @@ def test_probe_respects_bound(kind):
         assert dev <= bound + 1e-12
 
 
+@pytest.mark.parametrize(
+    "kind, unset, problem",
+    [
+        (SLR, {"response_clip": None}, "dp-slr needs response_clip, got null"),
+        (H, {"tau": None}, "dp-iht-h needs tau, got null"),
+        (L, {"K": None}, "the sensitivity bound requires a finite clip level K"),
+    ],
+    ids=["dp-slr-response-clip", "dp-iht-h-tau", "dp-iht-l-K"],
+)
+def test_probe_bound_without_a_needed_field_fails_by_name(kind, unset, problem):
+    with pytest.raises(InvalidConfigError) as err:
+        probe_bound(kind, base_config(s=3, **unset), 0.1, 10)
+    assert str(err.value) == problem
+
+
 def test_probe_without_a_needed_field_fails_by_name():
     # The probes take their config as given; a field left None still fails
     # with a named error, not a TypeError.

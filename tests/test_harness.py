@@ -146,10 +146,11 @@ def test_sweep_failure_rows_do_not_abort():
 
 
 def test_sweep_numerical_failure_is_a_row(monkeypatch):
-    def diverge(kind, *args):
-        raise NumericalFailureError("non-finite iterate at iteration 0", iteration=0)
+    def diverge(ds, fits, beta_star=None):
+        return [NumericalFailureError("non-finite iterate at iteration 0", iteration=0)
+                for _ in fits]
 
-    monkeypatch.setattr(harness, "fit_estimator", diverge)
+    monkeypatch.setattr(harness, "fit_many", diverge)
     res = run_sweep(small_spec(), workers=1)
     assert res.n_failed == len(res.rows) == 4
     assert all(r.status.startswith("failed: NumericalFailureError") for r in res.rows)
@@ -157,10 +158,10 @@ def test_sweep_numerical_failure_is_a_row(monkeypatch):
 
 def test_sweep_reraises_programming_errors(monkeypatch):
     # A bug in a fit is not a failed row: the sweep stops and shows it.
-    def broken(kind, *args):
+    def broken(ds, fits, beta_star=None):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(harness, "fit_estimator", broken)
+    monkeypatch.setattr(harness, "fit_many", broken)
     with pytest.raises(TypeError, match="unsupported operand"):
         run_sweep(small_spec(), workers=1)
 
@@ -223,6 +224,16 @@ def test_sweep_spec_validation():
         small_spec(repeats=0)
     with pytest.raises(InvalidConfigError):
         SweepSpec(axis="bogus", values=(1,), base=small_base(), repeats=1, estimators=(ADA,))
+
+
+def test_a_cell_without_a_budget_still_reports_its_other_problems():
+    # At n=1 the derived delta, 1/n^1.1 = 1, is no budget; s > d holds there too.
+    base = ExperimentBase(synthetic=SyntheticConfig(n=60, d=10, s_star=5), s=12)
+    with pytest.raises(InvalidConfigError) as err:
+        SweepSpec(axis="n", values=[1, 2, 60], base=base, repeats=1, estimators=(H, SLR))
+    problems = str(err.value).split("; ")
+    assert "n=1: delta must be a number in (0, 1), got 1.0" in problems
+    assert problems.count("sparsity s=12 exceeds dimension d=10") == 1
 
 
 def test_sweep_workers_parallel_matches_serial():

@@ -123,14 +123,15 @@ def test_fit_mae_in_sample_matches_dense_scoring(tmp_path):
 
 def test_sweep_mae_matches_dense_scoring(monkeypatch):
     fits = {}
-    fit = harness.fit_estimator
+    fit_many = harness.fit_many
 
-    def keep(kind, ds, cfg, priv, beta_star=None):
-        report = fit(kind, ds, cfg, priv, beta_star)
-        fits[kind.value] = (ds, report.estimate.beta)
-        return report
+    def keep(ds, requests, beta_star=None):
+        reports = fit_many(ds, requests, beta_star)
+        for (kind, _, _), report in zip(requests, reports):
+            fits[kind.value] = (ds, report.estimate.beta)
+        return reports
 
-    monkeypatch.setattr(harness, "fit_estimator", keep)
+    monkeypatch.setattr(harness, "fit_many", keep)
     base = ExperimentBase(
         synthetic=SyntheticConfig(n=400, d=60, s_star=3, zeta=0.5, seed=8), eta=0.3, T=4
     )
