@@ -24,7 +24,10 @@ from dpsparse import (
     run_sweep,
 )
 from dpsparse import sampling
-from dpsparse.estimators import ESTIMATORS
+from dpsparse.core import l2_error, project_l2, split_folds
+from dpsparse.estimators import ESTIMATORS, _update
+from dpsparse.peeling import _peel, noise_scale
+from dpsparse.sampling import RngHandle
 
 H = EstimatorKind.DP_IHT_H
 L = EstimatorKind.DP_IHT_L
@@ -40,6 +43,24 @@ def config(seed, **kwargs):
     )
     defaults.update(kwargs)
     return EstimatorConfig(**defaults)
+
+
+def reference_fit(kind, ds, cfg, priv, beta_star):
+    """The per-fit loop, one fit at a time: the oracle for the lockstep loop."""
+    spec = ESTIMATORS[kind]
+    if not spec.private:
+        priv = PrivacyParams.non_private()
+    folds = split_folds(ds, cfg.T)
+    gen = RngHandle(cfg.seed, stream=0).generator() if priv.is_private else None
+    beta, trace = np.zeros(ds.d), []
+    for t in range(cfg.T):
+        eta = cfg.schedule.step(t)
+        half = beta - _update(kind, folds[t], beta, eta, cfg)
+        b = noise_scale(spec.lam(cfg, eta, folds[0].n), cfg.s, priv) if priv.is_private else 0.0
+        peeled, support = _peel(half, cfg.s, b, gen)
+        beta = project_l2(peeled, cfg.L)
+        trace.append(l2_error(beta, beta_star))
+    return beta, support, trace
 
 
 def solo(kind, ds, cfg, priv, beta_star):
@@ -90,8 +111,12 @@ def test_fit_many_matches_solo_fits_byte_for_byte(data):
     assert isinstance(results[0], InvalidParameterError) and "epsilon=1e-320" in str(results[0])
     assert isinstance(results[3], NumericalFailureError) and 0 < results[3].iteration < 6
     assert isinstance(results[7], InvalidConfigError)
-    fitted = [r for i, r in enumerate(results) if i not in (0, 3, 7)]
-    assert all(len(r.estimate.trace) == r.iterations_run for r in fitted)
+    for i, (kind, cfg, priv) in enumerate(requests):
+        if i not in (0, 3, 7):
+            beta, support, trace = reference_fit(kind, ds, cfg, priv, beta_star)
+            assert results[i].estimate.beta.tobytes() == beta.tobytes()
+            assert results[i].estimate.support.tobytes() == np.sort(support).tobytes()
+            assert results[i].estimate.trace == trace
 
 
 def test_fit_many_without_beta_star_keeps_no_trace(data):
