@@ -9,14 +9,13 @@ top s, then the top columns), at a noise scale far above the magnitudes as
 in the benchmark's private fits, and prints the mean candidates per round
 and the share of rounds that fell back to scoring all d indices. The stage
 cells time ``batch_gradient`` on a fold within K (read in place) and on a
-fold beyond K (clipped first), the public ``laplace`` block draw (fresh
-arrays, every entry transformed), and the sparse draw of one private peel:
-its hit positions and its uniforms (the Laplace map then runs inside the
-selection). Each cell is the median
-and interquartile range (IQR) over REPEATS separately timed calls, after one
-untimed warmup call. BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or
-OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS on a 2-vCPU host gave a
-huber_grad median of 16 ms at 2000x1000 in one run and 0.8 ms in the next.
+fold beyond K (clipped first), and the sparse draw of one private peel: its
+hit positions and its uniforms (the Laplace map then runs inside the
+selection). Each cell is the median and interquartile range (IQR) over
+REPEATS separately timed calls, after one untimed warmup call. BLAS runs on
+one thread unless OPENBLAS_NUM_THREADS (or OMP/MKL/BLIS_NUM_THREADS) is set:
+unpinned OpenBLAS on a 2-vCPU host gave a huber_grad median of 16 ms at
+2000x1000 in one run and 0.8 ms in the next.
 """
 
 import os
@@ -29,7 +28,7 @@ import time
 
 import numpy as np
 
-from dpsparse import Dataset, Huber, RngHandle, batch_gradient, laplace, peel
+from dpsparse import Dataset, Huber, RngHandle, batch_gradient, peel
 from dpsparse import _kernels as k
 from dpsparse.peeling import _hit_positions
 
@@ -39,7 +38,6 @@ PEEL_SIZES = [(1000, 5), (10000, 50)]
 # about 0.05 on the benchmark's fit shapes.
 PEEL_MAGNITUDE, PEEL_SCALE = 1e-3, 0.05
 FOLD_SHAPE = (1000, 1000)
-NOISE_SHAPE = (51, 10000)
 REPEATS = 41
 
 
@@ -132,7 +130,6 @@ def stage_rows(rng) -> None:
     beyond = Dataset(x, y)
     for label, fold in (("within K", within), ("beyond K", beyond)):
         row(f"grad {label}", f"{m}x{d}", batch_gradient, (fold, beta, Huber(1.0), K))
-    row("laplace fresh", "x".join(map(str, NOISE_SHAPE)), laplace, (0.5, RngHandle(1), NOISE_SHAPE))
     gen = RngHandle(1).generator()
     for d, s in PEEL_SIZES:
         row("sparse draw", f"d={d},s={s}", sparse_draw, (gen, s, d))

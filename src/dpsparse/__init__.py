@@ -16,7 +16,6 @@ from .core import (
     PrivacyParams,
     StepSchedule,
     TwoPhaseStep,
-    clip_features,
     l2_error,
     load_csv,
     mae,
@@ -57,14 +56,12 @@ from .losses import (
     Squared,
     batch_gradient,
     default_clip_level,
-    huber_value,
 )
 from .peeling import noise_scale, peel
 from .sampling import (
     RngHandle,
     SyntheticConfig,
     generate_synthetic,
-    laplace,
     nu_from_zeta,
     student_t,
 )
@@ -100,15 +97,12 @@ __all__ = [
     "TwoPhaseStep",
     "backend_name",
     "batch_gradient",
-    "clip_features",
     "default_clip_level",
     "derive_seed",
     "fit_estimator",
     "fit_many",
     "generate_synthetic",
-    "huber_value",
     "l2_error",
-    "laplace",
     "load_csv",
     "mae",
     "noise_scale",

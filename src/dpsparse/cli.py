@@ -34,7 +34,6 @@ from .harness import (
     run_real,
     run_sensitivity_suite,
     run_sweep,
-    write_aggregates_json,
     write_failures_json,
     write_json,
     write_real_csv,
@@ -316,7 +315,7 @@ def _cmd_sweep(args) -> int:
     _write_effective_config(cfg, args.out)
     result = run_sweep(spec)
     write_results_csv(result, os.path.join(args.out, "results.csv"), include_timing=args.timing)
-    write_aggregates_json(result, os.path.join(args.out, "aggregates.json"))
+    write_json(result.aggregates, os.path.join(args.out, "aggregates.json"))
     write_failures_json(result, os.path.join(args.out, "failures.json"))
     print(
         f"sweep over {spec.axis}: {len(result.rows)} rows, {result.n_failed} failed "

@@ -173,8 +173,8 @@ class PrivacyParams:
         return self.epsilon is not None
 
     @classmethod
-    def non_private(cls, delta: float = 0.5) -> "PrivacyParams":
-        return cls(epsilon=None, delta=delta)
+    def non_private(cls) -> "PrivacyParams":
+        return cls(epsilon=None, delta=0.5)
 
 
 @dataclass(frozen=True)
@@ -269,19 +269,6 @@ class Estimate:
         object.__setattr__(self, "support", support)
 
 
-def clip_features(x: np.ndarray, K: float) -> np.ndarray:
-    """Truncate each entry to [-K, K], preserving sign.
-
-    out[j] = sign(x[j]) * min(|x[j]|, K). Accepts vectors or matrices.
-    """
-    if not K > 0:
-        raise InvalidInputError(f"clip level K must be > 0, got {K}")
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise InvalidInputError("clip_features requires finite input")
-    return np.clip(x, -K, K)
-
-
 def _view(x: np.ndarray, y: np.ndarray, row_peak: np.ndarray) -> Dataset:
     # A Dataset over arrays derived from one that was already checked and
     # frozen (row slices, clipped responses): no copy and no second check.
@@ -361,15 +348,11 @@ def mae(predictions: np.ndarray, responses: np.ndarray) -> float:
     return float(np.mean(np.abs(predictions - responses)))
 
 
-def save_csv(ds: Dataset, path, feature_names: list[str] | None = None) -> None:
+def save_csv(ds: Dataset, path) -> None:
     """Write a dataset as CSV with header ``x1..xd,y``."""
-    if feature_names is None:
-        feature_names = [f"x{j + 1}" for j in range(ds.d)]
-    if len(feature_names) != ds.d:
-        raise InvalidInputError("feature_names length must equal d")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(feature_names) + ["y"])
+        writer.writerow([f"x{j + 1}" for j in range(ds.d)] + ["y"])
         for i in range(ds.n):
             writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])
 

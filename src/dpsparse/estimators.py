@@ -112,7 +112,7 @@ ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
         needs=("response_clip",),
         # The fit's lam drops the sqrt(s) factor of the strict per-record
         # bound, |x_c . beta| <= K ||beta||_1 <= K sqrt(s) L, that the probe
-        # checks. Closing the gap changes output bits (ROADMAP item 4).
+        # checks. Closing the gap changes output bits (ROADMAP item 1).
         bound=lambda cfg, eta, m: (
             eta * cfg.K * (cfg.response_clip + np.sqrt(cfg.s) * cfg.K * cfg.L) / m
         ),

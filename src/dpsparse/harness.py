@@ -381,10 +381,6 @@ def write_results_csv(result: SweepResult, path, include_timing: bool = False) -
         fh.write("\n".join(lines) + "\n")
 
 
-def write_aggregates_json(result: SweepResult, path) -> None:
-    write_json(result.aggregates, path)
-
-
 def write_failures_json(result: SweepResult, path) -> None:
     """Write the cell and full status of every failed row; [] when none failed."""
     keys = ("axis", "value", "estimator", "repeat", "seed", "status")

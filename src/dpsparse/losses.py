@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import RULES, Dataset, check_fields, clip_features
+from .core import RULES, Dataset, check_fields
 from .errors import InvalidInputError
 
 
@@ -33,15 +33,6 @@ class Squared:
 
 
 LossKind = Huber | AbsoluteL1 | Squared
-
-
-def huber_value(r: float, tau: float):
-    """Loss value: r^2/2 if |r| < tau, else tau*|r| - tau^2/2."""
-    if not tau > 0:
-        raise InvalidInputError(f"tau must be > 0, got {tau}")
-    r = np.asarray(r, dtype=np.float64)
-    out = np.where(np.abs(r) < tau, 0.5 * r * r, tau * np.abs(r) - 0.5 * tau * tau)
-    return float(out) if out.ndim == 0 else out
 
 
 def batch_gradient(
@@ -83,17 +74,6 @@ def batch_gradient(
     if isinstance(kind, Squared):
         return _kernels.squared_grad(xc, fold.y, beta)
     raise InvalidInputError(f"unknown loss kind: {kind!r}")
-
-
-def huber_objective(fold: Dataset, beta: np.ndarray, tau: float, K: float | None) -> float:
-    """Mean Huber loss of the fold at beta, on clipped features.
-
-    batch_gradient(Huber) is the exact gradient of this function away from
-    the kinks, which the finite-difference tests rely on.
-    """
-    xc = clip_features(fold.x, K) if K is not None else fold.x
-    r = fold.y - xc @ np.asarray(beta, dtype=np.float64)
-    return float(np.mean(huber_value(r, tau)))
 
 
 def default_clip_level(d: int) -> float:

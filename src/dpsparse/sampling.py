@@ -17,7 +17,6 @@ synthetic responses read only the support columns of the features.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,35 +70,15 @@ def nu_from_zeta(zeta: float) -> float:
     return 1.0 + 2.0 * zeta
 
 
-def laplace(
-    b: float,
-    rng: RngHandle | np.random.Generator,
-    size: int | tuple[int, ...] | None = None,
-):
-    """Draw from the Laplace density (1/2b) exp(-|x|/b) by inverse CDF.
-
-    Each draw is b * sign(u) * ln(1 - 2|u|) for u uniform on (-1/2, 1/2);
-    scaling b therefore scales the draws exactly. b = 0 returns exact zeros
-    without consuming generator state (the non-private mode contract).
-    """
-    if not (b >= 0 and math.isfinite(b)):
-        raise InvalidParameterError(f"scale b must be finite and >= 0, got {b}")
-    if b == 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    out = np.empty(() if size is None else size)
-    _as_generator(rng).random(out=out)
-    _laplace_icdf(out, b)
-    return float(out) if size is None else out
-
-
 def _laplace_icdf(r: np.ndarray, b: float) -> np.ndarray:
     """Map uniforms r on [0, 1) to Laplace draws at scale b > 0, in place; return r.
 
-    The one inverse-CDF map: a whole block and a gathered handful of entries
-    go through the same ufunc sequence, in the order of the plain expression
-    b * sign(u) * log1p(-2|u|) with u = r - 1/2, so equal uniforms give equal
-    bytes. On (0, 1) the draw decreases in r, so for t <= 1/2 every r > t
-    gives a draw below b * ln(1 / (2t)), up to rounding.
+    The draws have density exp(-|x|/b) / 2b. This is the one Laplace map: a
+    whole block and a gathered handful of entries go through the same ufunc
+    sequence, in the order of the plain expression b * sign(u) * log1p(-2|u|)
+    with u = r - 1/2, so equal uniforms give equal bytes. On (0, 1) the draw
+    decreases in r, so for t <= 1/2 every r > t gives a draw below
+    b * ln(1 / (2t)), up to rounding.
     """
     # random() covers [0, 1); remap the measure-zero r == 0 to 0.5 so that
     # u = -1/2 (a log(0)) cannot occur.

@@ -26,7 +26,7 @@ def test_every_bench_cell_runs_once(monkeypatch, capsys):
     assert cells == (
         len(bench.SIZES) * ["huber_grad", "l1_grad", "squared_grad"]
         + peels * ["peel_select"]
-        + ["peel", "grad", "grad", "laplace"]
+        + ["peel", "grad", "grad"]
         + peels * ["sparse"]
     )
     selection = [line for line in lines if line.startswith("peel_select")]

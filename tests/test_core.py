@@ -8,8 +8,9 @@ from dpsparse import (
     InvalidConfigError,
     InvalidInputError,
     PrivacyParams,
+    Squared,
     TwoPhaseStep,
-    clip_features,
+    batch_gradient,
     l2_error,
     load_csv,
     mae,
@@ -26,22 +27,31 @@ def rand_dataset(n=20, d=4, seed=0):
     return Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
 
 
-# clip_features -----------------------------------------------------------
+# the feature clip ----------------------------------------------------------
+
+
+def clipped_row(x, K):
+    """The row x as a fit's gradient reads it after the clip at K.
+
+    A one-row fold at beta = 0 with response -1 has squared-loss residual 1,
+    so its gradient is the clipped row itself.
+    """
+    return batch_gradient(Dataset(x[None, :], [-1.0]), np.zeros(x.size), Squared(), K)
 
 
 def test_clip_basic():
     np.testing.assert_allclose(
-        clip_features(np.array([0.3, -5.2, 2.0]), 2.0), [0.3, -2.0, 2.0]
+        clipped_row(np.array([0.3, -5.2, 2.0]), 2.0), [0.3, -2.0, 2.0]
     )
 
 
 def test_clip_identity_inside_ball():
     x = np.array([0.5, -1.0, 1.5])
-    np.testing.assert_array_equal(clip_features(x, 2.0), x)
+    np.testing.assert_array_equal(clipped_row(x, 2.0), x)
 
 
 def test_clip_zero_fixed_point():
-    np.testing.assert_array_equal(clip_features(np.zeros(3), 1.0), np.zeros(3))
+    np.testing.assert_array_equal(clipped_row(np.zeros(3), 1.0), np.zeros(3))
 
 
 def test_clip_idempotent_and_monotone_in_k():
@@ -49,15 +59,16 @@ def test_clip_idempotent_and_monotone_in_k():
     for _ in range(50):
         x = rng.standard_normal(17) * rng.uniform(0.1, 10)
         k1, k2 = sorted(rng.uniform(0.05, 5, size=2))
-        np.testing.assert_array_equal(clip_features(clip_features(x, k1), k1), clip_features(x, k1))
-        assert (np.abs(clip_features(x, k1)) <= np.abs(clip_features(x, k2)) + 1e-15).all()
+        np.testing.assert_array_equal(clipped_row(clipped_row(x, k1), k1), clipped_row(x, k1))
+        assert (np.abs(clipped_row(x, k1)) <= np.abs(clipped_row(x, k2)) + 1e-15).all()
 
 
 def test_clip_rejects_bad_input():
+    # A non-finite entry is refused when the dataset is built, before any clip.
     with pytest.raises(InvalidInputError):
-        clip_features(np.array([1.0, np.nan]), 1.0)
+        clipped_row(np.array([1.0, np.nan]), 1.0)
     with pytest.raises(InvalidInputError):
-        clip_features(np.array([1.0]), 0.0)
+        clipped_row(np.array([1.0]), 0.0)
 
 
 # project_l2 ---------------------------------------------------------------

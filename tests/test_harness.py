@@ -18,7 +18,7 @@ from dpsparse import harness
 from dpsparse.errors import InvalidConfigError, NumericalFailureError
 from dpsparse.harness import (
     compute_aggregates,
-    write_aggregates_json,
+    write_json,
     write_real_csv,
     write_results_csv,
 )
@@ -208,7 +208,7 @@ def test_results_csv_timing_optional(tmp_path):
 def test_aggregates_json_written(tmp_path):
     res = run_sweep(small_spec(estimators=(ADA,), values=(40,), repeats=2))
     p = tmp_path / "agg.json"
-    write_aggregates_json(res, p)
+    write_json(res.aggregates, p)
     import json
 
     data = json.loads(p.read_text())

@@ -10,11 +10,11 @@ from dpsparse import (
     InvalidParameterError,
     PrivacyParams,
     RngHandle,
-    laplace,
     noise_scale,
     peel,
 )
 from dpsparse import _kernels
+from dpsparse.sampling import _laplace_icdf
 
 
 def brute_force_top_s(v, s):
@@ -157,7 +157,7 @@ def dense_peel_counts(v, s, b, gen, reps, chunk=500):
     counts = np.zeros(d, dtype=np.int64)
     for start in range(0, reps, chunk):
         r = min(chunk, reps - start)
-        scores = absv + laplace(b, gen, size=(r, s, d))
+        scores = absv + _laplace_icdf(gen.random((r, s, d)), b)
         rows = np.arange(r)
         for i in range(s):
             j = scores[:, i].argmax(axis=1)
