@@ -154,6 +154,8 @@ def read_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidConfigError(f"config is not valid UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise InvalidConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -312,8 +314,8 @@ def _cmd_sweep(args) -> int:
         repeats=cfg["repeats"],
         estimators=tuple(EstimatorKind.from_name(e) for e in cfg["estimators"]),
     )
-    _write_effective_config(cfg, args.out)
     result = run_sweep(spec)
+    _write_effective_config(cfg, args.out)
     write_results_csv(result, os.path.join(args.out, "results.csv"), include_timing=args.timing)
     write_json(result.aggregates, os.path.join(args.out, "aggregates.json"))
     write_failures_json(result, os.path.join(args.out, "failures.json"))

@@ -13,6 +13,7 @@ other fold would return its features unchanged.
 from __future__ import annotations
 
 import csv
+import io
 import numbers
 from dataclasses import dataclass, field
 
@@ -365,7 +366,10 @@ def load_csv(path, response_col: str = "y") -> tuple[Dataset, list[str]]:
     permitted.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        try:
+            reader = csv.reader(io.StringIO(fh.read(), newline=""))
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"CSV file is not valid UTF-8: {exc}") from None
         try:
             header = next(reader)
         except StopIteration:

@@ -331,44 +331,30 @@ def sensitivity_probe(
     """Max l-inf half-step deviation across one neighboring-fold pair.
 
     With ``extremal=True`` the pair is crafted to meet the bound exactly:
-    all-extreme features on the differing record, and for the absolute loss
-    a response flip that reverses its residual sign.
+    all-extreme features on the differing record, and under replace-one a
+    response flip that reverses its residual sign.
     """
     replace_one = ESTIMATORS[kind].replace_one
     gen = RngHandle(seed, stream=0).generator()
     eta = cfg.schedule.step(0)
+    # Each branch picks fold A, the differing row i, its record and the
+    # iterate; under replace-one it also picks the record that replaces it.
     if extremal:
-        x = np.full((m, d), 0.0)
-        y = np.zeros(m)
-        x[0] = _HUGE
-        beta = np.zeros(d)
-        y[0] = -_HUGE  # residual x^T beta - y > 0
-        fold_a = Dataset(x, y)
-        xb = x.copy()
-        yb = y.copy()
-        if replace_one:
-            yb[0] = _HUGE  # flips the residual sign on the differing record
-        else:
-            xb[0] = 0.0  # null record: the neighbor drops the contribution
-            yb[0] = 0.0
-        fold_b = Dataset(xb, yb)
+        x, y, i, beta = np.zeros((m, d)), np.zeros(m), 0, np.zeros(d)
+        record = (_HUGE, -_HUGE)  # residual x^T beta - y > 0
+        replacement = (_HUGE, _HUGE)  # flips the residual sign
     else:
         x = gen.standard_normal((m, d))
         y = x @ _random_sparse_iterate(gen, d, cfg.s, cfg.L) + gen.standard_normal(m)
-        xa, ya = _adversarial_record(gen, d)
+        record = _adversarial_record(gen, d)
         i = int(gen.integers(m))
-        x[i] = xa
-        y[i] = ya
-        fold_a = Dataset(x, y)
-        xb = x.copy()
-        yb = y.copy()
-        if replace_one:
-            xb[i], yb[i] = _adversarial_record(gen, d)
-        else:
-            xb[i] = 0.0
-            yb[i] = 0.0
-        fold_b = Dataset(xb, yb)
+        replacement = _adversarial_record(gen, d) if replace_one else None
         beta = _random_sparse_iterate(gen, d, cfg.s, cfg.L)
+    x[i], y[i] = record
+    xb, yb = x.copy(), y.copy()
+    # The neighbor replaces record i, or nulls it out: it drops the contribution.
+    xb[i], yb[i] = replacement if replace_one else (0.0, 0.0)
+    fold_a, fold_b = Dataset(x, y), Dataset(xb, yb)
     half_a = beta - _update(kind, fold_a, beta, eta, cfg)
     half_b = beta - _update(kind, fold_b, beta, eta, cfg)
     return float(np.max(np.abs(half_a - half_b)))

@@ -12,6 +12,7 @@ order.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -359,26 +360,16 @@ def write_results_csv(result: SweepResult, path, include_timing: bool = False) -
     unless ``include_timing`` is set; that keeps the default output
     byte-identical across reruns of the same spec.
     """
-    lines = [",".join(RESULTS_COLUMNS)]
-    for r in result.rows:
-        wall = repr(r.wall_ms) if include_timing else ""
-        status = r.status.split(":", 1)[0] if ":" in r.status else r.status
-        lines.append(
-            ",".join(
-                [
-                    r.axis,
-                    repr(r.value),
-                    r.estimator,
-                    str(r.seed),
-                    "" if math.isnan(r.l2_error) else repr(r.l2_error),
-                    "" if math.isnan(r.mae) else repr(r.mae),
-                    wall,
-                    status,
-                ]
-            )
-        )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESULTS_COLUMNS)
+        for r in result.rows:
+            writer.writerow([
+                r.axis, repr(r.value), r.estimator, r.seed,
+                "" if math.isnan(r.l2_error) else repr(r.l2_error),
+                "" if math.isnan(r.mae) else repr(r.mae),
+                repr(r.wall_ms) if include_timing else "", r.status.split(":", 1)[0],
+            ])
 
 
 def write_failures_json(result: SweepResult, path) -> None:
@@ -402,7 +393,6 @@ _REAL_RULES = (
     ("response_col", "a column name", lambda v: isinstance(v, str)),
     RULES["standardize"],
     RULES["train_fraction"],
-    ("proxy", "an EstimatorKind", lambda v: isinstance(v, EstimatorKind)),
     RULES["seed"],
     ("base", "an ExperimentBase", lambda v: isinstance(v, ExperimentBase)),
 )
@@ -420,7 +410,6 @@ class RealDataSpec:
     response_col: str
     standardize: bool = True
     train_fraction: float = 0.8
-    proxy: EstimatorKind = EstimatorKind.ADA_HUBER_LITE
     seed: int = 0
     base: ExperimentBase = field(default_factory=ExperimentBase)
 
@@ -455,9 +444,9 @@ def _standardize_train_test(
 def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDataRow]:
     """Fit each estimator on the train split, report held-out MAE and support.
 
-    Standardization statistics come from the train split only. The proxy
-    estimator's coefficients stand in for the unknown true coefficients when
-    reporting distances.
+    Standardization statistics come from the train split only. The
+    coefficients of ada-huber, the noise-free Huber fit, stand in for the
+    unknown true coefficients when reporting distances.
     """
     ds, names = load_csv(spec.csv_path, spec.response_col)
     order = RngHandle(spec.seed, stream=0).generator().permutation(ds.n)
@@ -478,8 +467,8 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
         return kind, spec.base.fit_config(kind, train.n, train.d, seed), priv
 
     # The proxy and the estimators fit in one lockstep pass over the folds.
-    priv = spec.base.privacy(train.n)
-    fits = [request(spec.proxy, PrivacyParams.non_private())]
+    proxy, priv = EstimatorKind.ADA_HUBER_LITE, spec.base.privacy(train.n)
+    fits = [request(proxy, PrivacyParams.non_private())]
     fits += [request(kind, priv) for kind in estimators]
     results = fit_many(train, fits)
     for result in results:
@@ -495,7 +484,7 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
                 mae=mae(_kernels.support_matvec(x_test, beta), y_test),
                 support_size=int(support.size),
                 selected=tuple(names[j] for j in support),
-                l2_vs_proxy=None if kind is spec.proxy else l2_error(beta, proxy_beta),
+                l2_vs_proxy=None if kind is proxy else l2_error(beta, proxy_beta),
             )
         )
     return rows
@@ -503,11 +492,11 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
 
 def write_real_csv(rows: list[RealDataRow], path) -> None:
     """Write the real-data table: estimator, MAE, support size, selected names."""
-    lines = ["estimator,mae,size,selected"]
-    for r in rows:
-        lines.append(f"{r.estimator},{repr(r.mae)},{r.support_size},{';'.join(r.selected)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("estimator", "mae", "size", "selected"))
+        for r in rows:
+            writer.writerow([r.estimator, repr(r.mae), r.support_size, ";".join(r.selected)])
 
 
 # Sensitivity suite -----------------------------------------------------------
@@ -555,47 +544,37 @@ def _random_probe_config(gen: np.random.Generator) -> tuple[EstimatorConfig, int
     return cfg, d, m
 
 
-def run_sensitivity_suite(
-    trials: int,
-    seed: int = 0,
-    estimators: tuple[EstimatorKind, ...] | None = None,
-) -> SensitivityReport:
-    """Random neighboring-fold probes per estimator, checked against bounds.
-
-    ``estimators`` defaults to every private entry of ``ESTIMATORS``.
+def run_sensitivity_suite(trials: int, seed: int = 0) -> SensitivityReport:
+    """Random neighboring-fold probes of every private entry of ``ESTIMATORS``.
 
     Passes iff every observed half-step deviation is within its theoretical
-    bound (tolerance 1e-12). The absolute-loss estimator also runs a crafted
-    extremal pair that must meet its bound to confirm tightness.
+    bound (tolerance 1e-12). An entry whose neighbor replaces a record also
+    runs a crafted extremal pair, which must meet its bound to confirm
+    tightness.
     """
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
-    if estimators is None:
-        estimators = tuple(kind for kind, est in ESTIMATORS.items() if est.private)
     results = []
-    for kind in estimators:
+    for kind, spec in ESTIMATORS.items():
+        if not spec.private:
+            continue
         gen = RngHandle(derive_seed("probe-suite", seed, kind.value)).generator()
-        max_dev = 0.0
-        max_ratio = 0.0
+        # (probe seed, extremal) of each random trial, then of the crafted pair.
+        probes = [(derive_seed("probe", seed, kind.value, t), False) for t in range(trials)]
+        probes += [(0, True)] if spec.replace_one else []
+        max_dev = max_ratio = 0.0
+        extremal_dev = extremal_bound = None
         ok = True
-        for trial in range(trials):
+        for probe_seed, crafted in probes:
             cfg, d, m = _random_probe_config(gen)
-            dev = sensitivity_probe(
-                kind, cfg, seed=derive_seed("probe", seed, kind.value, trial), d=d, m=m
-            )
+            dev = sensitivity_probe(kind, cfg, seed=probe_seed, d=d, m=m, extremal=crafted)
             bound = probe_bound(kind, cfg, cfg.schedule.step(0), m)
-            max_dev = max(max_dev, dev)
-            max_ratio = max(max_ratio, dev / bound)
             if dev > bound + PROBE_TOL:
                 ok = False
-        extremal_dev = None
-        extremal_bound = None
-        if kind is EstimatorKind.DP_IHT_L:
-            cfg, d, m = _random_probe_config(gen)
-            extremal_dev = sensitivity_probe(kind, cfg, seed=0, d=d, m=m, extremal=True)
-            extremal_bound = probe_bound(kind, cfg, cfg.schedule.step(0), m)
-            if extremal_dev > extremal_bound + PROBE_TOL:
-                ok = False
+            if crafted:
+                extremal_dev, extremal_bound = dev, bound
+            else:
+                max_dev, max_ratio = max(max_dev, dev), max(max_ratio, dev / bound)
         results.append(
             ProbeReport(
                 estimator=kind.value,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -275,6 +276,19 @@ def test_sweep_with_a_bad_workers_variable_exits_one_naming_it(tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "DPSPARSE_WORKERS" in err and repr(workers) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_config_without_repeats_or_estimators_runs_twenty_repeats_of_all(tmp_path):
+    cfgp = sweep_config(tmp_path, unset=("repeats", "estimators"), n=40, d=6, values=[40])
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--config", str(cfgp), "--out", str(out)) == 0
+    eff = json.loads((out / "effective_config.json").read_text())
+    assert eff["repeats"] == 20
+    assert eff["estimators"] == [kind.value for kind in EstimatorKind]
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    estimators = [row.split(",")[2] for row in rows]
+    assert sorted(estimators) == sorted(kind.value for kind in EstimatorKind for _ in range(20))
 
 
 def test_sweep_missing_fields_exit_one(tmp_path, capsys):
@@ -452,6 +466,46 @@ def test_real_honours_a_config_file_standardize_false(tmp_path):
     assert echoed == {"file-false": False, "flag": False, "default": True}
     table = {name: (tmp_path / name / "real_results.csv").read_bytes() for name in runs}
     assert table["file-false"] == table["flag"] != table["default"]
+
+
+def test_real_results_quote_column_names_that_need_it(tmp_path):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((60, 2))
+    csvp = tmp_path / "data.csv"
+    with open(csvp, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["b,1", 'c"q', "y"])
+        writer.writerows(np.column_stack([x, x[:, 0] - x[:, 1]]).tolist())
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"s": 2, "T": 4, "estimators": ["ada-huber", "dp-iht-h"]}))
+    out = tmp_path / "real"
+    assert run_cli("real", "--csv", str(csvp), "--response-col", "y",
+                   "--config", str(cfgp), "--out", str(out)) == 0
+    with open(out / "real_results.csv", newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == ["estimator", "mae", "size", "selected"]
+    assert [len(row) for row in table] == [4, 4, 4]
+    assert all(sorted(row[3].split(";")) == ["b,1", 'c"q'] for row in table[1:])
+
+
+# Files that are not UTF-8 ------------------------------------------------------------
+
+
+def _not_utf8(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda p: ["sweep", "--config", _not_utf8(p, "c.json", '{"n": 60')],
+    lambda p: ["fit", "--estimator", "dp-iht-h", "--data", _not_utf8(p, "d.csv", "x1,y\n1,")],
+    lambda p: ["real", "--csv", _not_utf8(p, "d.csv", "x1,y\n1,"), "--response-col", "y"],
+], ids=["sweep-config", "fit-data", "real-csv"])
+def test_a_file_that_is_not_utf8_exits_one_saying_so(tmp_path, capsys, argv):
+    assert run_cli(*argv(tmp_path), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid UTF-8" in err
 
 
 # probe -----------------------------------------------------------------------------

@@ -93,6 +93,7 @@ RUNS = {
             "estimators": ["dp-iht-h", "dp-iht-l", "ada-huber", "dp-slr"],
         }),
     ],
+    "probe": lambda p: ["probe", "--trials", "200", "--seed", "0"],
 }
 
 # output version -> name -> {output file: sha256}. The digests of a version
@@ -119,6 +120,11 @@ DIGESTS = {
             "effective_config.json":
                 "70b101f3787c3dbd35806526044ea34482d499e7574b3696c029bd1ed0c7ac6c",
             "estimate.json": "6946e0475601a3798d4d655f62f80843fb4792cd63e863b872b714481d272f00",
+        },
+        "probe": {
+            "effective_config.json":
+                "17acc8a8e24189c993589c28669705937ca64344cf5f2d18cbdf47e195c47551",
+            "probe_report.json": "5460ed9a792f662c71409cad1bfec3a6926839f063fca72ff3637d9f9d9f7b2c",
         },
         "real-derived": {
             "real_results.csv": "29852328e2258f0160a94d133f3a7185a53c03fceb0f7860acf39b9d75e845ed",

@@ -66,7 +66,6 @@ def test_config_rejects_bad_type_naming_the_field(cls, name, bad):
     (EstimatorConfig, "sign_on_clipped", 1),
     (ExperimentBase, "schedule_l", 0.1),
     (RealDataSpec, "standardize", "yes"),
-    (RealDataSpec, "proxy", "ada-huber"),
     (SweepSpec, "estimators", ("dp-iht-h",)),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
 def test_config_rejects_bad_object_field_naming_it(cls, name, bad):
