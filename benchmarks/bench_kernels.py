@@ -10,12 +10,12 @@ in the benchmark's private fits, and prints the mean candidates per round
 and the share of rounds that fell back to scoring all d indices. The stage
 cells time ``batch_gradient`` on a fold within K (read in place) and on a
 fold beyond K (clipped first), and the sparse draw of one private peel: its
-hit positions and its uniforms (the Laplace map then runs inside the
-selection). Each cell is the median and interquartile range (IQR) over
-REPEATS separately timed calls, after one untimed warmup call. BLAS runs on
-one thread unless OPENBLAS_NUM_THREADS (or OMP/MKL/BLIS_NUM_THREADS) is set:
-unpinned OpenBLAS on a 2-vCPU host gave a huber_grad median of 16 ms at
-2000x1000 in one run and 0.8 ms in the next.
+hit positions and its uniforms, by the helper ``peel`` draws them with (the
+Laplace map then runs inside the selection). Each cell is the median and
+interquartile range (IQR) over REPEATS separately timed calls, after one
+untimed warmup call. BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or
+OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS on a 2-vCPU host gave a
+huber_grad median of 16 ms at 2000x1000 in one run and 0.8 ms in the next.
 """
 
 import os
@@ -30,7 +30,7 @@ import numpy as np
 
 from dpsparse import Dataset, Huber, RngHandle, batch_gradient, peel
 from dpsparse import _kernels as k
-from dpsparse.peeling import _hit_positions
+from dpsparse.peeling import _selection_uniforms
 
 SIZES = [(400, 1000), (2000, 1000), (500, 10000)]
 PEEL_SIZES = [(1000, 5), (10000, 50)]
@@ -74,15 +74,6 @@ def row(name: str, shape: str, fn, args, note: str = "", refresh=None) -> None:
     print(f"{name:<16}{shape:<16}{med:>10.3f}{iqr:>9.3f}{note}")
 
 
-def sparse_draw(gen, s: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """One private peel's hit positions and uniforms, drawn as ``peeling._peel`` draws them."""
-    t0 = k.hit_rate(d)
-    pos = _hit_positions(gen, s * (d - s), t0)
-    u = gen.random(pos.size + s * s)
-    u[: pos.size] *= t0
-    return pos, u
-
-
 def selection_stats(absv, s, pos, u, b, fallback_row) -> str:
     """Mean candidates per round, and the share of rounds scored over all d."""
     dense_round, fallbacks = k._dense_round, []
@@ -113,7 +104,7 @@ def main() -> None:
     for d, s in PEEL_SIZES:
         absv = np.abs(rng.standard_normal(d)) * PEEL_MAGNITUDE
         t0 = k.hit_rate(d)
-        args = (absv, s, *sparse_draw(rng, s, d), PEEL_SCALE, lambda i: t0 + (1.0 - t0) * rng.random(d))
+        args = (absv, s, *_selection_uniforms(rng, s, d), PEEL_SCALE, lambda i: t0 + (1.0 - t0) * rng.random(d))
         row("peel_select", f"d={d},s={s}", k.peel_select, args, selection_stats(*args))
     row("peel zero-noise", "d=10000,s=50", peel, (rng.standard_normal(10000), 50, 0.0))
     stage_rows(rng)
@@ -132,7 +123,7 @@ def stage_rows(rng) -> None:
         row(f"grad {label}", f"{m}x{d}", batch_gradient, (fold, beta, Huber(1.0), K))
     gen = RngHandle(1).generator()
     for d, s in PEEL_SIZES:
-        row("sparse draw", f"d={d},s={s}", sparse_draw, (gen, s, d))
+        row("sparse draw", f"d={d},s={s}", _selection_uniforms, (gen, s, d))
 
 
 if __name__ == "__main__":

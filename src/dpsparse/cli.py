@@ -253,7 +253,7 @@ def _cmd_synth_gen(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    kind = EstimatorKind.from_name(args.estimator)
+    kind = EstimatorKind(args.estimator)
     raw, flags = read_config(args.config), _flags(args)
     if args.non_private:
         raw["epsilon"] = flags["epsilon"] = None
@@ -312,7 +312,7 @@ def _cmd_sweep(args) -> int:
         values=cfg["values"],
         base=base,
         repeats=cfg["repeats"],
-        estimators=tuple(EstimatorKind.from_name(e) for e in cfg["estimators"]),
+        estimators=tuple(EstimatorKind(e) for e in cfg["estimators"]),
     )
     result = run_sweep(spec)
     _write_effective_config(cfg, args.out)
@@ -346,9 +346,9 @@ def _cmd_real(args) -> int:
         base=base,
     )
     cfg["train_fraction"] = spec.train_fraction
-    _write_effective_config(cfg, args.out)
-    estimators = [EstimatorKind.from_name(e) for e in cfg.get("estimators", _ALL_ESTIMATORS)]
+    estimators = [EstimatorKind(e) for e in cfg.get("estimators", _ALL_ESTIMATORS)]
     rows = run_real(spec, estimators)
+    _write_effective_config(cfg, args.out)
     write_real_csv(rows, os.path.join(args.out, "real_results.csv"))
     for row in rows:
         print(

@@ -1,13 +1,13 @@
-"""Domain types, feature clipping, ball projection, data splitting and metrics.
+"""Domain types, ball projection, data splitting and metrics.
 
 Everything here is a pure function over immutable inputs. A Dataset built
 from caller arrays copies them, checks them and marks them read-only, so
 values can be shared freely across workers. The same check records each
-row's peak max_j |x_ij|. Folds and clipped-response datasets derived from a
-Dataset are read-only views of its arrays and of its row peaks: they are
-neither copied nor checked again. The peaks let a fit clip the features of
-only those folds that hold an entry beyond the clip level K; clipping any
-other fold would return its features unchanged.
+row's peak max_j |x_ij|. The folds of a Dataset are read-only views of its
+arrays and of its row peaks: they are neither copied nor checked again. The
+peaks let a fit clip the features of only those folds that hold an entry
+beyond the clip level K; clipping any other fold would return its features
+unchanged.
 """
 
 from __future__ import annotations
@@ -270,23 +270,13 @@ class Estimate:
         object.__setattr__(self, "support", support)
 
 
-def _view(x: np.ndarray, y: np.ndarray, row_peak: np.ndarray) -> Dataset:
-    # A Dataset over arrays derived from one that was already checked and
-    # frozen (row slices, clipped responses): no copy and no second check.
-    ds = object.__new__(Dataset)
-    object.__setattr__(ds, "x", x)
-    object.__setattr__(ds, "y", y)
-    object.__setattr__(ds, "row_peak", row_peak)
-    return ds
-
-
-def clip_responses(ds: Dataset, R: float) -> Dataset:
-    """Truncate each response to [-R, R]; the features and row peaks are shared."""
-    if R is None or not R >= 0:
-        raise InvalidInputError(f"response clip level R must be >= 0, got {R}")
-    y = np.clip(ds.y, -R, R)
-    y.setflags(write=False)
-    return _view(ds.x, y, ds.row_peak)
+def _view(ds: Dataset, rows: slice) -> Dataset:
+    # The rows of a Dataset that was already checked and frozen, as views of
+    # its arrays: no copy and no second check.
+    view = object.__new__(Dataset)
+    for name in ("x", "y", "row_peak"):
+        object.__setattr__(view, name, getattr(ds, name)[rows])
+    return view
 
 
 def project_l2(v: np.ndarray, L: float) -> np.ndarray:
@@ -319,10 +309,7 @@ def split_folds(ds: Dataset, T: int) -> list[Dataset]:
     if T < 1 or T > ds.n:
         raise InvalidConfigError(f"fold count T={T} must satisfy 1 <= T <= n={ds.n}")
     m = ds.n // T
-    return [
-        _view(ds.x[rows], ds.y[rows], ds.row_peak[rows])
-        for rows in (slice(t * m, (t + 1) * m) for t in range(T))
-    ]
+    return [_view(ds, slice(t * m, (t + 1) * m)) for t in range(T)]
 
 
 def l2_error(beta_hat: np.ndarray, beta_star: np.ndarray) -> float:

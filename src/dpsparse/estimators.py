@@ -1,17 +1,18 @@
 """End-to-end estimators built on one gradient / peel / project iteration.
 
-Every estimator runs the same loop in ``fit_many``: clip features, split the
-data into T disjoint folds, then for each iteration take a gradient step on
-that iteration's fold, privately keep the top-s coordinates, and project onto
-the radius-L ball. ``fit_many`` runs several fits of one dataset in lockstep,
-each with the bytes it has alone; ``fit_estimator`` is ``fit_many`` with one
-fit. What tells the estimators apart sits in one table, ``ESTIMATORS``: the
-loss, the per-entry sensitivity passed to the selection step, whether noise
-is added at all, whether responses are clipped, and the config fields the
-fit needs, which ``fit_problems`` checks. The step schedule comes with the
-config. The sensitivity probes read the same table. A private fit draws all
-its selection and value noise from one SFC64 generator keyed (seed, 0), peel
-after peel.
+Every estimator runs the same loop of public steps in ``fit_many``:
+``split_folds`` into T disjoint folds, then per iteration a ``batch_gradient``
+step on that iteration's fold, ``noise_scale`` and ``peel`` to privately keep
+the top-s coordinates, and ``project_l2`` onto the radius-L ball.
+``fit_many`` runs several fits of one dataset in lockstep, each with the
+bytes it has alone; ``fit_estimator`` is ``fit_many`` with one fit. What
+tells the estimators apart sits in one table, ``ESTIMATORS``: the loss with
+every parameter its gradient reads (dp-slr's response clip included), the
+per-entry sensitivity passed to the selection step, whether noise is added
+at all, and the config fields the fit needs, which ``fit_problems`` checks.
+The step schedule comes with the config. The sensitivity probes read the
+same table. A private fit draws all its selection and value noise from one
+SFC64 generator keyed (seed, 0), peel after peel.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from .core import (
     Estimate,
     EstimatorConfig,
     PrivacyParams,
-    clip_responses,
     l2_error,
     project_l2,
     split_folds,
 )
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
 from .losses import AbsoluteL1, Huber, LossKind, Squared, batch_gradient
-from .peeling import _peel, noise_scale
+from .peeling import noise_scale, peel
 from .sampling import RngHandle
 
 
@@ -44,15 +44,6 @@ class EstimatorKind(enum.Enum):
     ADA_HUBER_LITE = "ada-huber"
     DP_SLR_LITE = "dp-slr"
 
-    @classmethod
-    def from_name(cls, name: str) -> "EstimatorKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise InvalidConfigError(
-            f"unknown estimator {name!r}; choose from {[k.value for k in cls]}"
-        )
-
 
 Sensitivity = Callable[[EstimatorConfig, float, int], float]
 
@@ -61,11 +52,10 @@ Sensitivity = Callable[[EstimatorConfig, float, int], float]
 class EstimatorSpec:
     """What one estimator sets in the shared private IHT loop.
 
-    ``loss(cfg)`` builds the loss. ``lam(cfg, eta, m)`` is the per-entry
-    selection sensitivity of one iteration with step ``eta`` on folds of
-    ``m`` records. An estimator that is not ``private`` runs without noise
-    whatever budget it is given. ``clips_responses`` truncates each fold's
-    responses to [-response_clip, response_clip] before the gradient.
+    ``loss(cfg)`` builds the loss, with every parameter its gradient reads.
+    ``lam(cfg, eta, m)`` is the per-entry selection sensitivity of one
+    iteration with step ``eta`` on folds of ``m`` records. An estimator that
+    is not ``private`` runs without noise whatever budget it is given.
     ``replace_one`` names the neighbour relation ``lam`` is calibrated for:
     the neighbour replaces one record (True) or nulls it out (False).
     ``bound`` is the half-step deviation bound the sensitivity probe checks,
@@ -76,7 +66,6 @@ class EstimatorSpec:
     loss: Callable[[EstimatorConfig], LossKind]
     lam: Sensitivity
     private: bool = True
-    clips_responses: bool = False
     replace_one: bool = False
     bound: Sensitivity | None = None
     needs: tuple[str, ...] = ()
@@ -95,7 +84,7 @@ ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
     # flip, so one record moves a gradient entry by up to 2*K. The step
     # schedule may be two-phase; lam uses the current iteration's step.
     EstimatorKind.DP_IHT_L: EstimatorSpec(
-        loss=lambda cfg: AbsoluteL1(),
+        loss=lambda cfg: AbsoluteL1(cfg.sign_on_clipped),
         lam=lambda cfg, eta, m: 2.0 * eta * cfg.K / m,
         replace_one=True,
     ),
@@ -106,9 +95,8 @@ ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
     ),
     # Squared-loss private IHT baseline on responses clipped to [-R, R].
     EstimatorKind.DP_SLR_LITE: EstimatorSpec(
-        loss=lambda cfg: Squared(),
+        loss=lambda cfg: Squared(cfg.response_clip),
         lam=lambda cfg, eta, m: eta * cfg.K * (cfg.response_clip + cfg.K * cfg.L) / m,
-        clips_responses=True,
         needs=("response_clip",),
         # The fit's lam drops the sqrt(s) factor of the strict per-record
         # bound, |x_c . beta| <= K ||beta||_1 <= K sqrt(s) L, that the probe
@@ -126,13 +114,9 @@ def _update(
     """eta times the loss gradient of ``kind`` on ``fold`` at ``beta``.
 
     One iteration's half-step is ``beta - _update(...)``: the fit and the
-    sensitivity probes both take it from here, dp-slr's response clip
-    included.
+    sensitivity probes both take it from here.
     """
-    spec = ESTIMATORS[kind]
-    if spec.clips_responses:
-        fold = clip_responses(fold, cfg.response_clip)
-    return eta * batch_gradient(fold, beta, spec.loss(cfg), cfg.K, cfg.sign_on_clipped)
+    return eta * batch_gradient(fold, beta, ESTIMATORS[kind].loss(cfg), cfg.K)
 
 
 @dataclass(frozen=True)
@@ -194,7 +178,7 @@ class _Fit:
         b = 0.0
         if self.priv.is_private:
             b = noise_scale(ESTIMATORS[self.kind].lam(cfg, self.eta, m), cfg.s, self.priv)
-        peeled, self.support = _peel(self.half, cfg.s, b, self.gen)
+        peeled, self.support = peel(self.half, cfg.s, b, self.gen)
         self.beta = project_l2(peeled, cfg.L)
         if self.trace is not None:
             self.trace.append(l2_error(self.beta, beta_star))

@@ -42,7 +42,7 @@ from .core import (
     mae,
     optional,
 )
-from .errors import DpSparseError, InvalidConfigError
+from .errors import CsvParseError, DpSparseError, InvalidConfigError
 from .estimators import (
     ESTIMATORS,
     EstimatorKind,
@@ -446,9 +446,14 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
 
     Standardization statistics come from the train split only. The
     coefficients of ada-huber, the noise-free Huber fit, stand in for the
-    unknown true coefficients when reporting distances.
+    unknown true coefficients when reporting distances. A feature name that
+    holds ';', the separator of the selected names in ``write_real_csv``,
+    raises CsvParseError before any fit.
     """
     ds, names = load_csv(spec.csv_path, spec.response_col)
+    joined = [name for name in names if ";" in name]
+    if joined:
+        raise CsvParseError(f"column names must not hold ';', got {joined}", line=1)
     order = RngHandle(spec.seed, stream=0).generator().permutation(ds.n)
     n_train = int(math.floor(spec.train_fraction * ds.n))
     if n_train < 1 or n_train >= ds.n:
@@ -461,23 +466,24 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
     if spec.standardize:
         x_train, x_test = _standardize_train_test(x_train, x_test)
     train = Dataset(x_train, y_train)
+    proxy, priv = EstimatorKind.ADA_HUBER_LITE, spec.base.privacy(train.n)
 
-    def request(kind: EstimatorKind, priv: PrivacyParams):
+    def request(kind: EstimatorKind):
         seed = derive_seed("real", spec.seed, kind.value)
         return kind, spec.base.fit_config(kind, train.n, train.d, seed), priv
 
-    # The proxy and the estimators fit in one lockstep pass over the folds.
-    proxy, priv = EstimatorKind.ADA_HUBER_LITE, spec.base.privacy(train.n)
-    fits = [request(proxy, PrivacyParams.non_private())]
-    fits += [request(kind, priv) for kind in estimators]
-    results = fit_many(train, fits)
+    # The proxy and the estimators fit once each, in one lockstep pass over
+    # the folds; fit_many runs the noise-free proxy without the budget.
+    kinds = list(dict.fromkeys([proxy, *estimators]))
+    results = fit_many(train, [request(kind) for kind in kinds])
     for result in results:
         if isinstance(result, DpSparseError):
             raise result
-    proxy_beta = results[0].estimate.beta
+    reports = dict(zip(kinds, results))
+    proxy_beta = reports[proxy].estimate.beta
     rows = []
-    for kind, report in zip(estimators, results[1:]):
-        beta, support = report.estimate.beta, report.estimate.support
+    for kind in estimators:
+        beta, support = reports[kind].estimate.beta, reports[kind].estimate.support
         rows.append(
             RealDataRow(
                 estimator=kind.value,

@@ -24,24 +24,30 @@ class Huber:
 
 @dataclass(frozen=True)
 class AbsoluteL1:
-    """Absolute loss; subgradient is the residual sign."""
+    """Absolute loss; subgradient is the residual sign, read from the
+    unclipped features unless ``sign_on_clipped``."""
+
+    sign_on_clipped: bool = False
+
+    def __post_init__(self):
+        check_fields(self, (RULES["sign_on_clipped"],))
 
 
 @dataclass(frozen=True)
 class Squared:
-    """Plain squared loss, used by the light-tail baseline."""
+    """Squared loss on responses clipped to [-response_clip, response_clip],
+    used by the light-tail baseline."""
+
+    response_clip: float
+
+    def __post_init__(self):
+        check_fields(self, (RULES["response_clip"],))
 
 
 LossKind = Huber | AbsoluteL1 | Squared
 
 
-def batch_gradient(
-    fold: Dataset,
-    beta: np.ndarray,
-    kind: LossKind,
-    K: float | None,
-    sign_on_clipped: bool = False,
-) -> np.ndarray:
+def batch_gradient(fold: Dataset, beta: np.ndarray, kind: LossKind, K: float | None) -> np.ndarray:
     """Mean per-sample gradient of the chosen loss over one fold.
 
     Features are clipped entrywise at K before entering the gradient (K=None
@@ -49,9 +55,10 @@ def batch_gradient(
     beyond K, read from its row peaks; on any other fold it would return the
     features unchanged, so the kernels read the fold in place and the result
     has the same bytes. For the absolute loss the residual sign is computed on
-    the unclipped features by default, while the clipped features multiply
-    the sign; ``sign_on_clipped`` selects the alternative reading. Every
-    per-sample gradient coordinate is bounded by tau*K (Huber) or K (l1).
+    the unclipped features unless the loss sets ``sign_on_clipped``, while
+    the clipped features multiply the sign. The squared loss clips the
+    responses at its ``response_clip``. Every per-sample gradient coordinate
+    is bounded by tau*K (Huber) or K (l1).
     """
     beta = np.asarray(beta, dtype=np.float64)
     if fold.n < 1:
@@ -69,10 +76,11 @@ def batch_gradient(
     if isinstance(kind, Huber):
         return _kernels.huber_grad(xc, fold.y, beta, kind.tau)
     if isinstance(kind, AbsoluteL1):
-        x_sign = xc if sign_on_clipped else fold.x
+        x_sign = xc if kind.sign_on_clipped else fold.x
         return _kernels.l1_grad(x_sign, xc, fold.y, beta)
     if isinstance(kind, Squared):
-        return _kernels.squared_grad(xc, fold.y, beta)
+        R = kind.response_clip
+        return _kernels.squared_grad(xc, np.clip(fold.y, -R, R), beta)
     raise InvalidInputError(f"unknown loss kind: {kind!r}")
 
 

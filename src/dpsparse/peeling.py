@@ -15,7 +15,8 @@ in this order from one generator,
 1. the hit positions in the round-major s x (d - s) block of the other
    columns, in ascending order, by geometric gaps (``_hit_positions``);
 2. one sequence of uniforms: t0 * U for each hit in position order, then
-   U for the s x s top-column entries, round-major, in ``top``'s order;
+   U for the s x s top-column entries, round-major, in ``top``'s order
+   (steps 1 and 2 are ``_selection_uniforms``);
 3. for each round whose winner the candidates cannot certify, in round
    order, a full row t0 + (1 - t0) * U (its candidates' uniforms are then
    written in), inside ``_kernels.peel_select``;
@@ -79,16 +80,6 @@ def peel(
         raise InvalidParameterError(f"scale b must be finite and >= 0, got {b}")
     if not np.isfinite(v).all():
         raise InvalidInputError("peel requires finite input")
-    return _peel(v, s, b, rng)
-
-
-def _peel(
-    v: np.ndarray,
-    s: int,
-    b: float,
-    rng: RngHandle | np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    # The body of peel for a checked finite float64 vector v.
     d = v.shape[0]
     absv = np.abs(v)
     if b > 0.0:
@@ -96,10 +87,7 @@ def _peel(
             raise InvalidConfigError("peel with positive noise scale needs an rng")
         gen = _as_generator(rng)
         t0 = _kernels.hit_rate(d)
-        pos = _hit_positions(gen, s * (d - s), t0)
-        # The hits' uniforms (scaled onto [0, t0)), then the top columns'.
-        u = gen.random(pos.size + s * s)
-        u[: pos.size] *= t0
+        pos, u = _selection_uniforms(gen, s, d)
         selected = _kernels.peel_select(
             absv, s, pos, u, b, lambda i: t0 + (1.0 - t0) * gen.random(d)
         )
@@ -115,6 +103,16 @@ def _peel(
     out = np.zeros(d)
     out[selected] = kept
     return out, np.sort(selected)
+
+
+def _selection_uniforms(gen: np.random.Generator, s: int, d: int):
+    """Steps 1 and 2 of a peel's draw: (hit positions, uniforms), the hits'
+    uniforms scaled onto [0, t0) and followed by the top columns'."""
+    t0 = _kernels.hit_rate(d)
+    pos = _hit_positions(gen, s * (d - s), t0)
+    u = gen.random(pos.size + s * s)
+    u[: pos.size] *= t0
+    return pos, u
 
 
 def _hit_positions(gen: np.random.Generator, n: int, t0: float) -> np.ndarray:

@@ -340,7 +340,7 @@ def test_cli_sweep_rows_equal_the_library_sweep_rows(tmp_path, axis, values):
     )
     spec = SweepSpec(
         axis=axis, values=values, base=base, repeats=1,
-        estimators=[EstimatorKind.from_name(e) for e in estimators],
+        estimators=[EstimatorKind(e) for e in estimators],
     )
     harness.write_results_csv(run_sweep(spec, workers=1), tmp_path / "library.csv")
     assert (out / "results.csv").read_text() == (tmp_path / "library.csv").read_text()
@@ -404,7 +404,7 @@ def test_a_bad_sweep_cell_exits_one_before_any_data_is_drawn(
     with pytest.raises(InvalidConfigError) as err:
         SweepSpec(
             axis=cfg["axis"], values=cfg["values"], base=base, repeats=cfg["repeats"],
-            estimators=[EstimatorKind.from_name(e) for e in cfg["estimators"]],
+            estimators=[EstimatorKind(e) for e in cfg["estimators"]],
         )
     assert str(err.value).count(problem) == 1
     out = tmp_path / "o"
@@ -488,6 +488,23 @@ def test_real_results_quote_column_names_that_need_it(tmp_path):
     assert all(sorted(row[3].split(";")) == ["b,1", 'c"q'] for row in table[1:])
 
 
+def test_real_rejects_column_names_that_hold_the_selected_separator(tmp_path, capsys):
+    # real_results.csv joins the selected names with ';', so "a;b" and "x2"
+    # would read back as three names.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 3))
+    csvp = tmp_path / "data.csv"
+    with open(csvp, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a;b", "x2", ";c", "y"])
+        writer.writerows(np.column_stack([x, x[:, 0]]).tolist())
+    out = tmp_path / "o"
+    assert run_cli("real", "--csv", str(csvp), "--response-col", "y", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'a;b'" in err and "';c'" in err and "x2" not in err
+    assert not out.exists()
+
+
 # Files that are not UTF-8 ------------------------------------------------------------
 
 
@@ -506,6 +523,20 @@ def test_a_file_that_is_not_utf8_exits_one_saying_so(tmp_path, capsys, argv):
     assert run_cli(*argv(tmp_path), "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not valid UTF-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "missing.json"],
+    ["fit", "--estimator", "dp-iht-h", "--data", "missing.csv"],
+    ["real", "--csv", "missing.csv", "--response-col", "y"],
+], ids=["sweep-config", "fit-data", "real-csv"])
+def test_a_missing_file_exits_one_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing." in err
+    assert not (tmp_path / "o").exists()
 
 
 # probe -----------------------------------------------------------------------------
@@ -600,9 +631,12 @@ def two_phase(**extra):
     ("sweep", {"schedule_l": two_phase(eta0="0.1")}, ["eta0 must be a number > 0, got '0.1'"]),
     ("sweep", {"schedule_l": two_phase(switch_iter=2.7)}, ["switch_iter must be an integer >= 0"]),
     ("sweep", {"schedule_l": two_phase(eta_const=True)}, ["eta_const must be a number > 0"]),
+    ("sweep", {"estimators": ["nope"]}, ["estimators must be a list of"]),
+    ("real", {"estimators": ["dp-iht-h", "nope"]}, ["estimators must be a list of"]),
 ], ids=[
     "unknown-key", "K-string", "seed-float", "values-strings", "n-bool",
     "real-seed-and-train-fraction", "eta0-string", "switch-iter-float", "eta-const-bool",
+    "sweep-unknown-estimator", "real-unknown-estimator",
 ])
 def test_bad_config_input_exits_one_naming_the_field(tmp_path, capsys, command, extra, messages):
     cfgp = sweep_config(tmp_path, **extra)

@@ -18,7 +18,6 @@ from dpsparse import (
     save_csv,
     split_folds,
 )
-from dpsparse.core import clip_responses
 from dpsparse.errors import CsvParseError
 
 
@@ -33,10 +32,11 @@ def rand_dataset(n=20, d=4, seed=0):
 def clipped_row(x, K):
     """The row x as a fit's gradient reads it after the clip at K.
 
-    A one-row fold at beta = 0 with response -1 has squared-loss residual 1,
-    so its gradient is the clipped row itself.
+    A one-row fold at beta = 0 with response -1 (within the response clip)
+    has squared-loss residual 1, so its gradient is the clipped row itself.
     """
-    return batch_gradient(Dataset(x[None, :], [-1.0]), np.zeros(x.size), Squared(), K)
+    fold = Dataset(x[None, :], [-1.0])
+    return batch_gradient(fold, np.zeros(x.size), Squared(response_clip=1.0), K)
 
 
 def test_clip_basic():
@@ -215,7 +215,6 @@ def test_row_peak_is_read_only_and_shared_by_views():
         assert np.shares_memory(fold.row_peak, ds.row_peak)
         np.testing.assert_array_equal(fold.row_peak, ds.row_peak[2 * t : 2 * t + 2])
         assert not fold.row_peak.flags.writeable
-    assert clip_responses(ds, 1.0).row_peak is ds.row_peak
 
 
 def test_dataset_is_frozen_and_copies():

@@ -279,7 +279,7 @@ def test_probe_bound_without_a_needed_field_fails_by_name(kind, unset, problem):
 def test_probe_without_a_needed_field_fails_by_name():
     # The probes take their config as given; a field left None still fails
     # with a named error, not a TypeError.
-    with pytest.raises(DpSparseError, match="response clip level R must be >= 0, got None"):
+    with pytest.raises(DpSparseError, match="response_clip must be a number >= 0, got None"):
         sensitivity_probe(SLR, base_config(s=3, response_clip=None), seed=0)
     with pytest.raises(DpSparseError, match="tau must be a number > 0, got None"):
         sensitivity_probe(H, base_config(s=3, tau=None), seed=0)
@@ -308,8 +308,6 @@ def test_fit_estimator_dispatch():
     for kind in EstimatorKind:
         rep = fit_estimator(kind, ds, cfg, PrivacyParams(1.0, 1e-2))
         assert rep.iterations_run == 5
-    with pytest.raises(InvalidConfigError):
-        EstimatorKind.from_name("nope")
 
 
 def test_every_estimator_kind_has_a_table_entry():

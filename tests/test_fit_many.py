@@ -26,7 +26,7 @@ from dpsparse import (
 from dpsparse import sampling
 from dpsparse.core import l2_error, project_l2, split_folds
 from dpsparse.estimators import ESTIMATORS, _update
-from dpsparse.peeling import _peel, noise_scale
+from dpsparse.peeling import noise_scale, peel
 from dpsparse.sampling import RngHandle
 
 H = EstimatorKind.DP_IHT_H
@@ -57,7 +57,7 @@ def reference_fit(kind, ds, cfg, priv, beta_star):
         eta = cfg.schedule.step(t)
         half = beta - _update(kind, folds[t], beta, eta, cfg)
         b = noise_scale(spec.lam(cfg, eta, folds[0].n), cfg.s, priv) if priv.is_private else 0.0
-        peeled, support = _peel(half, cfg.s, b, gen)
+        peeled, support = peel(half, cfg.s, b, gen)
         beta = project_l2(peeled, cfg.L)
         trace.append(l2_error(beta, beta_star))
     return beta, support, trace

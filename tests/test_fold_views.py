@@ -22,7 +22,6 @@ from dpsparse import (
     generate_synthetic,
     split_folds,
 )
-from dpsparse.core import clip_responses
 from dpsparse.estimators import _update
 
 # output version -> estimator -> sha256 of (beta bytes, support as int64
@@ -99,15 +98,6 @@ def test_dataset_still_copies_writeable_caller_arrays():
     assert not ds.x.flags.writeable and not ds.y.flags.writeable
     x[0, 0] = y[0] = 99.0
     assert ds.x[0, 0] != 99.0 and ds.y[0] != 99.0
-
-
-def test_clip_responses_shares_features_and_freezes_responses():
-    ds = Dataset(np.ones((4, 2)), np.array([-5.0, -1.0, 2.0, 7.0]))
-    clipped = clip_responses(ds, 3.0)
-    assert clipped.x is ds.x
-    np.testing.assert_array_equal(clipped.y, [-3.0, -1.0, 2.0, 3.0])
-    assert not clipped.y.flags.writeable
-    np.testing.assert_array_equal(ds.y, [-5.0, -1.0, 2.0, 7.0])
 
 
 def test_fit_builds_no_dataset(monkeypatch):

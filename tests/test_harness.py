@@ -299,6 +299,27 @@ def test_real_standardized_run_reports_proxy_distance(tmp_path):
     assert by_name["ada-huber"].mae < 0.2
 
 
+def test_real_fits_each_kind_once_proxy_first(tmp_path, monkeypatch):
+    # The default list holds the proxy, ada-huber, too: its row reads the
+    # proxy's fit instead of a second, identical one.
+    path = tmp_path / "real.csv"
+    _write_single_feature_csv(path, seed=2)
+    spec = RealDataSpec(csv_path=str(path), response_col="y",
+                        base=ExperimentBase(s=2, T=6, tau=20.0, epsilon=5.0))
+    requested, fit_many = [], harness.fit_many
+
+    def spy(ds, fits, beta_star=None):
+        requested.append([kind for kind, _, _ in fits])
+        return fit_many(ds, fits, beta_star)
+
+    monkeypatch.setattr(harness, "fit_many", spy)
+    rows = run_real(spec, [H, L, ADA, SLR, H])
+    assert requested == [[ADA, H, L, SLR]]
+    assert [row.estimator for row in rows] == ["dp-iht-h", "dp-iht-l", "ada-huber", "dp-slr",
+                                               "dp-iht-h"]
+    assert rows[0] == rows[4] and rows[2].l2_vs_proxy is None
+
+
 def test_real_constant_column_warns(tmp_path):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((60, 4))

@@ -108,8 +108,8 @@ def test_batch_gradient_sign_on_clipped_flag():
     beta = np.array([1.0, 0.0])
     ds = Dataset(x, y)
     K = 2.0  # clipped prediction 2.0 < y, raw prediction 10.0 > y
-    g_raw = batch_gradient(ds, beta, AbsoluteL1(), K, sign_on_clipped=False)
-    g_clip = batch_gradient(ds, beta, AbsoluteL1(), K, sign_on_clipped=True)
+    g_raw = batch_gradient(ds, beta, AbsoluteL1(sign_on_clipped=False), K)
+    g_clip = batch_gradient(ds, beta, AbsoluteL1(sign_on_clipped=True), K)
     np.testing.assert_allclose(g_raw, [2.0, 0.0])
     np.testing.assert_allclose(g_clip, [-2.0, 0.0])
 
@@ -119,7 +119,7 @@ def test_batch_gradient_squared():
     fold = _random_fold(rng, m=30, d=4)
     beta = rng.standard_normal(4)
     K = 1e9
-    g = batch_gradient(fold, beta, Squared(), K)
+    g = batch_gradient(fold, beta, Squared(response_clip=1e9), K)  # clips no response
     expected = fold.x.T @ (fold.x @ beta - fold.y) / fold.n
     np.testing.assert_allclose(g, expected, rtol=1e-12)
 

@@ -41,7 +41,8 @@ def dense_gradient(fold, beta, kind, sign_on_clipped):
     if isinstance(kind, AbsoluteL1):
         x_sign = xc if sign_on_clipped else fold.x
         return (xc.T @ np.sign(x_sign @ beta - fold.y)) / m
-    return (xc.T @ (xc @ beta - fold.y)) / m
+    y = np.clip(fold.y, -kind.response_clip, kind.response_clip)
+    return (xc.T @ (xc @ beta - y)) / m
 
 
 def fold(beyond_k):
@@ -65,8 +66,8 @@ def beta_with(nonzeros):
 LOSSES = [
     (Huber(1.0), False),
     (AbsoluteL1(), False),
-    (AbsoluteL1(), True),
-    (Squared(), False),
+    (AbsoluteL1(sign_on_clipped=True), True),
+    (Squared(response_clip=2.0), False),
 ]
 
 
@@ -80,7 +81,7 @@ def test_batch_gradient_matches_the_dense_product(kind, sign_on_clipped, beyond_
     assert bool(f.row_peak.max() > K) == beyond_k
     beta = beta_with(nonzeros)
     assert np.count_nonzero(beta) == nonzeros
-    got = batch_gradient(f, beta, kind, K, sign_on_clipped)
+    got = batch_gradient(f, beta, kind, K)
     np.testing.assert_allclose(got, dense_gradient(f, beta, kind, sign_on_clipped), rtol=RTOL)
 
 
@@ -95,7 +96,7 @@ def test_l1_sign_reads_the_unclipped_support_column():
     beta = np.zeros(D)
     beta[[7, 30]] = [1.0, 0.5]
     unclipped = batch_gradient(f, beta, AbsoluteL1(), K)
-    clipped = batch_gradient(f, beta, AbsoluteL1(), K, sign_on_clipped=True)
+    clipped = batch_gradient(f, beta, AbsoluteL1(sign_on_clipped=True), K)
     np.testing.assert_allclose(unclipped, dense_gradient(f, beta, AbsoluteL1(), False), rtol=RTOL)
     np.testing.assert_allclose(clipped, dense_gradient(f, beta, AbsoluteL1(), True), rtol=RTOL)
     assert unclipped[7] != clipped[7]
