@@ -2,7 +2,8 @@
 
 Run: python benchmarks/bench_kernels.py
 The kernel cells time each gradient kernel and the peeling selection at fixed
-shapes, and beside them a zero-noise ``peel`` (the non-private fit's
+shapes (the 500x10000 gradient cells run their product on column blocks, one
+thread per CPU; the 1000-column cells as one BLAS call), and beside them a zero-noise ``peel`` (the non-private fit's
 selection, which runs no selection rounds). A selection cell runs the
 selection of one private peel from its sparse uniforms (the hits outside the
 top s, then the top columns), at a noise scale far above the magnitudes as

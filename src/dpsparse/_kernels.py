@@ -3,7 +3,9 @@
 Plain vectorized numpy. Each gradient takes its residual from
 ``support_matvec``, which reads only the columns of the features where beta is
 nonzero (at most s of them after hard thresholding, none at beta = 0), and
-then makes one dense BLAS matrix-vector product with the transposed features.
+then makes one dense matrix-vector product with the transposed features,
+``xt_matvec``: one BLAS call, or on a wide fold one call per column block,
+run on one thread per CPU with the bytes of the single call.
 Selection scores a few candidates per round and falls back to one argmax over
 d only when it cannot certify the winner (see ``peel_select``). All kernels
 are deterministic given their inputs; randomness (the sparse selection
@@ -14,11 +16,14 @@ drawn by callers. Callers reach the kernels through this module's attributes.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .sampling import _laplace_icdf
+from .sampling import _cpu_count, _laplace_icdf
 
 
 def support_matvec(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -30,20 +35,93 @@ def support_matvec(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return x.take(nz, axis=1) @ beta[nz]
 
 
+# A column block is at least this wide, so numpy drops the GIL in its product
+# (it keeps it for 500 outputs or fewer), and holds at least this many
+# entries, so a block outweighs handing it to a thread (about 17 us).
+_BLOCK_COLS = 1024
+_BLOCK_ENTRIES = 2**17
+# Blocks start at multiples of this many columns. BLAS groups the outputs of
+# one call in fours; a cut inside a group changed bits, and cuts at multiples
+# of 4 did not. 64 leaves a margin.
+_CUT_COLS = 64
+
+# Threads for the column blocks past the first, built on first use; None until
+# then and in a forked child, whose copy of the pool has no threads.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+# False in a sweep's worker processes, which run their products on one thread.
+_threads = True
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+def _product_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cpu_count() - 1)
+        return _pool
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def one_thread() -> None:
+    """Run this process's products on the calling thread only.
+
+    The initializer of a sweep's worker processes, which already run one
+    unit each side by side: more threads would contend for the CPUs.
+    """
+    global _threads
+    _threads = False
+
+
+def xt_matvec(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x.T @ w`` for a fold's m x d features (C-contiguous float64).
+
+    A wide fold is cut into k = min(CPUs, d // _BLOCK_COLS, m * d //
+    _BLOCK_ENTRIES) column blocks at multiples of _CUT_COLS; the calling
+    thread runs block 0 and a pool of CPUs - 1 threads the others. Every
+    output entry sums over the same rows in the same order as in the single
+    BLAS call, so with BLAS on one thread the bytes are the single call's
+    whatever k is. With k < 2 it is the single call.
+    """
+    m, d = x.shape
+    k = min(_cpu_count(), d // _BLOCK_COLS, m * d // _BLOCK_ENTRIES) if _threads else 1
+    if k < 2:
+        return x.T @ w
+    pool = _product_pool()
+    cuts = [i * d // k // _CUT_COLS * _CUT_COLS for i in range(k)] + [d]
+    out = np.empty(d)
+
+    def block(i: int) -> None:
+        np.matmul(x[:, cuts[i] : cuts[i + 1]].T, w, out=out[cuts[i] : cuts[i + 1]])
+
+    futures = [pool.submit(block, i) for i in range(1, k)]
+    block(0)
+    for future in futures:
+        future.result()
+    return out
+
+
 def huber_grad(xc: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float) -> np.ndarray:
     r = y - support_matvec(xc, beta)
     w = np.clip(r, -tau, tau)
-    return -(xc.T @ w) / xc.shape[0]
+    return -xt_matvec(xc, w) / xc.shape[0]
 
 
 def l1_grad(x_sign: np.ndarray, xc: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     signs = np.sign(support_matvec(x_sign, beta) - y)
-    return (xc.T @ signs) / xc.shape[0]
+    return xt_matvec(xc, signs) / xc.shape[0]
 
 
 def squared_grad(xc: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     r = support_matvec(xc, beta) - y
-    return (xc.T @ r) / xc.shape[0]
+    return xt_matvec(xc, r) / xc.shape[0]
 
 
 # A uniform at or below Q/d joins its round's candidates: about Q per row,

@@ -327,7 +327,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     raises a DpSparseError yields a row with status "failed: ..." and the
     sweep continues; any other exception is a bug and propagates. ``workers``
     must be a positive integer; it defaults to the one in DPSPARSE_WORKERS, or
-    1 when that is unset.
+    1 when that is unset. With more than one, each worker process runs its
+    gradient products on one thread.
     """
     groups = [spec.values] if spec.axis == "epsilon" else [(value,) for value in spec.values]
     units = [(spec, values, repeat) for values in groups for repeat in range(spec.repeats)]
@@ -343,7 +344,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         raise InvalidConfigError(f"workers must be a positive integer, got {workers!r}")
     rows: list[SweepRow] = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_kernels.one_thread) as pool:
             for chunk in pool.map(_run_unit, units):
                 rows.extend(chunk)
     else:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from dpsparse import (
     SweepSpec,
     SyntheticConfig,
     derive_seed,
+    fit_estimator,
+    generate_synthetic,
     run_real,
     run_sensitivity_suite,
     run_sweep,
     save_csv,
 )
-from dpsparse import harness
+from dpsparse import _kernels, harness
 from dpsparse.errors import InvalidConfigError, NumericalFailureError
 from dpsparse.harness import (
     compute_aggregates,
@@ -243,6 +247,60 @@ def test_sweep_workers_parallel_matches_serial():
     assert [(r.seed, r.l2_error) for r in serial.rows] == [
         (r.seed, r.l2_error) for r in parallel.rows
     ]
+
+
+def wide_sweep_after_the_pool_started(log_path):
+    """Sweep rows at workers=1 and 2, run after a wide fit started the product pool.
+
+    Two CPUs are assumed, so the gate engages on any host, and every start of
+    a blocked product logs its process id. A child forked after the fit runs
+    a wide product too: on the pool it copied, whose threads did not survive
+    the fork, it would wait for ever. Patches the module for good: call it in
+    a child interpreter.
+    """
+    pool = _kernels._product_pool
+
+    def logged():
+        with open(log_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return pool()
+
+    _kernels._cpu_count = lambda: 2
+    _kernels._product_pool = logged
+    syn = SyntheticConfig(n=2000, d=2048, s_star=5, seed=3)
+    ds, _ = generate_synthetic(syn)
+    base = ExperimentBase(synthetic=syn, epsilon=5.0, eta=0.3, T=8)
+    fit_estimator(ADA, ds, base.fit_config(ADA, ds.n, ds.d, 1), base.privacy(ds.n))
+    assert _kernels._pool is not None
+    child = os.fork()
+    if child == 0:
+        _kernels.xt_matvec(ds.x, ds.y)
+        os._exit(0)
+    assert os.waitpid(child, 0)[1] == 0
+    spec = SweepSpec(
+        axis="zeta", values=(0.5, 1.0), base=base, repeats=1, estimators=tuple(EstimatorKind)
+    )
+    rows = {
+        workers: [
+            [r.value, r.estimator, r.seed, r.l2_error.hex(), r.mae.hex(), r.status]
+            for r in run_sweep(spec, workers=workers).rows
+        ]
+        for workers in (1, 2)
+    }
+    return os.getpid(), child, rows[1], rows[2]
+
+
+def test_sweep_workers_after_a_wide_fit_match_serial_on_one_thread_each(one_blas_thread, tmp_path):
+    # The child interpreter is killed, and the test fails, if it hangs.
+    log = tmp_path / "blocked.log"
+    parent, forked, serial, parallel = one_blas_thread(
+        "test_harness", "wide_sweep_after_the_pool_started", str(log), timeout=120
+    )
+    assert len(serial) == 8 and all(row[-1] == "ok" for row in serial)
+    assert parallel == serial
+    # The fit, the serial sweep and the forked child ran blocked products; the
+    # sweep's worker processes ran none.
+    assert set(map(int, log.read_text().split())) == {parent, forked}
 
 
 @pytest.mark.parametrize("workers", [0, -3])

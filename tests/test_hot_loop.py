@@ -26,12 +26,12 @@ from dpsparse import (
     SyntheticConfig,
     batch_gradient,
     fit_estimator,
+    fit_many,
     generate_synthetic,
-    noise_scale,
     peel,
     split_folds,
 )
-from dpsparse import _kernels, estimators
+from dpsparse import _kernels, estimators, sampling
 from dpsparse.sampling import RngHandle, _laplace_icdf
 
 N, D, T = 600, 50, 13
@@ -43,8 +43,10 @@ PLANTED = ((1 * M + 3, 7, 9.0), (4 * M + 10, 2, -12.0), (9 * M, 40, 5.5), (N - 1
 FOLDS_BEYOND_K = {1, 4, 9}
 
 # output version -> estimator -> sha256 of (beta bytes, support as int64
-# bytes). The digests of a version are recorded once, in the change that
-# bumps OUTPUT_VERSION to it.
+# bytes), and "fit-many-wide" -> the sha256 of ``wide_fit_many_digests``'s
+# fits. The digests of a version are recorded once, in the change that bumps
+# OUTPUT_VERSION to it; "fit-many-wide" was recorded under version 6 at the
+# commit before the gradient's product ran on column blocks.
 DIGESTS = {
     6: {
         "dp-iht-h": (
@@ -63,6 +65,7 @@ DIGESTS = {
             "76353097e48eb19346f0e706942a0a8e24ca600b94466072dcd7ead84b95213e",
             "c6edfd6d828678a8e37c4e0d281a9ae2200ef37cc0cb39c60e2ee894d72932cb",
         ),
+        "fit-many-wide": "061597a008e0ed4aa0861c61833b27bcccee69223ecc4b8ed7d6ad1bc481955e",
     },
 }
 
@@ -99,6 +102,52 @@ def test_fit_bytes_match_pinned_digests(kind):
         hashlib.sha256(est.support.astype(np.int64).tobytes()).hexdigest(),
     )
     assert got == DIGESTS[OUTPUT_VERSION][kind.value]
+
+
+# Folds of 240 x 4096: up to min(CPUs, 4) column blocks per product. K = 5
+# leaves some folds within K and clips the others.
+WIDE_N, WIDE_D, WIDE_T = 1200, 4096, 5
+
+
+def wide_fit_many_digests(cpu_counts):
+    """For each CPU count (None: the host's), the sha256 of a fit_many of the
+    four estimators on a wide problem, and how many products ran on blocks.
+
+    Patches the module for good: call it in a child interpreter.
+    """
+    ds, beta_star = generate_synthetic(SyntheticConfig(n=WIDE_N, d=WIDE_D, s_star=5, seed=8))
+    cfg = EstimatorConfig(
+        s=10, T=WIDE_T, K=5.0, L=10.0, schedule=ConstantStep(0.3), tau=1.0,
+        response_clip=10.0, seed=9,
+    )
+    requests = [(kind, cfg, PrivacyParams(5.0, WIDE_N ** -1.1)) for kind in EstimatorKind]
+    pool, cpu_count, out = _kernels._product_pool, _kernels._cpu_count, []
+    for cpus in cpu_counts:
+        blocked = []
+
+        def counted():
+            blocked.append(1)
+            return pool()
+
+        _kernels._product_pool = counted
+        _kernels._cpu_count = cpu_count if cpus is None else lambda cpus=cpus: cpus
+        digest = hashlib.sha256()
+        for rep in fit_many(ds, requests, beta_star):
+            digest.update(rep.estimate.beta.tobytes())
+            digest.update(rep.estimate.support.astype(np.int64).tobytes())
+        out.append((digest.hexdigest(), len(blocked)))
+    return out
+
+
+def test_wide_fit_many_keeps_its_bytes_on_column_blocks(one_blas_thread):
+    # The host's CPU count gives two blocks or more on any host with two CPUs;
+    # 3 gives three on any host.
+    (host, host_blocked), (solo, solo_blocked), (three, three_blocked) = one_blas_thread(
+        "test_hot_loop", "wide_fit_many_digests", [None, 1, 3]
+    )
+    assert host == solo == three == DIGESTS[OUTPUT_VERSION]["fit-many-wide"]
+    assert solo_blocked == 0 and three_blocked == 4 * WIDE_T
+    assert host_blocked == (4 * WIDE_T if sampling._cpu_count() > 1 else 0)
 
 
 LOSSES = [
@@ -161,23 +210,6 @@ def test_laplace_keeps_the_bytes_of_the_plain_expression(size):
     rng = RngHandle(3, stream=9)
     got = _laplace_icdf(rng.generator().random(size), 0.37)
     assert got.tobytes() == np.asarray(old_laplace(0.37, rng, size)).tobytes()
-
-
-@pytest.mark.parametrize("epsilon", [0.5, None], ids=["private", "non-private"])
-def test_peel_through_a_reused_generator_equals_the_public_call(epsilon):
-    # A private fit hands its one generator to every iteration's peel.
-    s, d = 4, 300
-    b = noise_scale(0.02, s, PrivacyParams(epsilon=epsilon, delta=1e-3))
-    fit_gen, public_gen = (
-        (RngHandle(5).generator(), RngHandle(5).generator()) if epsilon is not None else (None, None)
-    )
-    gen = np.random.default_rng(0)
-    for _ in range(3):
-        v = gen.standard_normal(d)
-        got_v, got_s = peel(v, s, b, fit_gen)
-        want_v, want_s = peel(v, s, b, public_gen)
-        assert got_v.tobytes() == want_v.tobytes()
-        assert got_s.tobytes() == want_s.tobytes()
 
 
 def test_private_fit_allocates_no_noise_block_per_iteration(monkeypatch):

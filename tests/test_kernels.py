@@ -4,7 +4,8 @@ The gradient oracles sum in another order than BLAS, so they agree to a
 relative 1e-12 (float64 sums over a few dozen terms). Selection involves no
 arithmetic order and must agree exactly: its oracle scores every index of
 every round, with the noise of a dense uniform block, and the kernel reads
-that block's sparse representation.
+that block's sparse representation. A gradient whose product runs on column
+blocks must have the bytes of one plain product, with BLAS on one thread.
 """
 
 import math
@@ -117,6 +118,66 @@ def test_l1_grad_matches_row_loop(seed):
 def test_squared_grad_matches_row_loop(seed):
     xc, y, beta = random_fold(seed=seed)
     close(k.squared_grad(xc, y, beta), squared_oracle(xc, y, beta))
+
+
+# Widths around the least that splits (2048) and fit-wide's 10000, fold sizes
+# from one row to fit-wide's 235, and CPU counts from the single call to more
+# than the widest width's d // 1024 blocks.
+BLOCK_DS = (2047, 2048, 2049, 4100, 10000)
+BLOCK_MS = (1, 31, 64, 235)
+BLOCK_CPUS = (1, 2, 3, 8)
+BLOCK_TAU = 1.3
+
+
+def one_product_grad(kernel, xc, y, beta):
+    """The gradient with its product as one plain ``x.T @ w``."""
+    m = xc.shape[0]
+    if kernel == "huber":
+        return -(xc.T @ np.clip(y - k.support_matvec(xc, beta), -BLOCK_TAU, BLOCK_TAU)) / m
+    if kernel == "l1":
+        return (xc.T @ np.sign(k.support_matvec(1.7 * xc, beta) - y)) / m
+    return (xc.T @ (k.support_matvec(xc, beta) - y)) / m
+
+
+def blocked_grad_mismatches(kernel):
+    """The (d, m, cpus) cases whose gradient bytes differ from ``one_product_grad``'s.
+
+    Also returns how many products ran on column blocks. Patches the module
+    for good: call it in a child interpreter.
+    """
+    grads = {
+        "huber": lambda xc, y, beta: k.huber_grad(xc, y, beta, BLOCK_TAU),
+        "l1": lambda xc, y, beta: k.l1_grad(1.7 * xc, xc, y, beta),
+        "squared": k.squared_grad,
+    }
+    pool, blocked, mismatches = k._product_pool, [], []
+
+    def counted():
+        blocked.append(1)
+        return pool()
+
+    k._product_pool = counted
+    for d in BLOCK_DS:
+        for m in BLOCK_MS:
+            xc, y, beta = random_fold(m, d, seed=d + m)
+            beta[np.abs(beta) < 2.0] = 0.0  # sparse, as after hard thresholding
+            want = one_product_grad(kernel, xc, y, beta).tobytes()
+            for cpus in BLOCK_CPUS:
+                k._cpu_count = lambda cpus=cpus: cpus
+                if grads[kernel](xc, y, beta).tobytes() != want:
+                    mismatches.append([d, m, cpus])
+    return mismatches, len(blocked)
+
+
+@pytest.mark.parametrize("kernel", ["huber", "l1", "squared"])
+def test_blocked_gradient_has_the_bytes_of_one_product(kernel, one_blas_thread):
+    mismatches, blocked = one_blas_thread("test_kernels", "blocked_grad_mismatches", kernel)
+    assert mismatches == []
+    # The gate: k = min(CPUs, d // 1024, m * d // 2**17) blocks when k >= 2.
+    assert blocked == sum(
+        min(cpus, d // 1024, m * d // 2**17) >= 2
+        for d in BLOCK_DS for m in BLOCK_MS for cpus in BLOCK_CPUS
+    )
 
 
 def check_select(absv, u, b):
