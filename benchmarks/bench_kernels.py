@@ -2,10 +2,11 @@
 
 Run: python benchmarks/bench_kernels.py
 The kernel cells time each gradient kernel and the peeling selection at fixed
-shapes (the 500x10000 gradient cells run their product on column blocks, one
-thread per CPU; the 1000-column cells as one BLAS call), and beside them a zero-noise ``peel`` (the non-private fit's
-selection, which runs no selection rounds). A selection cell runs the
-selection of one private peel from its sparse uniforms (the hits outside the
+shapes (with BLAS on one thread, every gradient cell runs its product on
+column blocks, one thread per CPU), and beside them a zero-noise ``peel``
+(the non-private fit's selection, which runs no selection rounds). A
+selection cell runs the selection of one private peel from its sparse
+uniforms (the hits outside the
 top s, then the top columns), at a noise scale far above the magnitudes as
 in the benchmark's private fits, and prints the mean candidates per round
 and the share of rounds that fell back to scoring all d indices. The stage

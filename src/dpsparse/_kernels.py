@@ -4,8 +4,8 @@ Plain vectorized numpy. Each gradient takes its residual from
 ``support_matvec``, which reads only the columns of the features where beta is
 nonzero (at most s of them after hard thresholding, none at beta = 0), and
 then makes one dense matrix-vector product with the transposed features,
-``xt_matvec``: one BLAS call, or on a wide fold one call per column block,
-run on one thread per CPU with the bytes of the single call.
+``xt_matvec``: one BLAS call, or, with BLAS on one thread, one call per
+column block, run on one thread per CPU with the bytes of the single call.
 Selection scores a few candidates per round and falls back to one argmax over
 d only when it cannot certify the winner (see ``peel_select``). All kernels
 are deterministic given their inputs; randomness (the sparse selection
@@ -35,22 +35,40 @@ def support_matvec(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return x.take(nz, axis=1) @ beta[nz]
 
 
-# A column block is at least this wide, so numpy drops the GIL in its product
-# (it keeps it for 500 outputs or fewer), and holds at least this many
-# entries, so a block outweighs handing it to a thread (about 17 us).
-_BLOCK_COLS = 1024
+# The calling thread's block is at least this wide: numpy holds the GIL
+# through a product of 500 outputs or fewer, and the pool's blocks would wait.
+_BLOCK_COLS = 512
+# A fold of m x d splits into at most m * d // _BLOCK_ENTRIES blocks, so a
+# block outweighs handing it to a thread (about 17 us), and the calling
+# thread's block takes about _BLOCK_ENTRIES // m columns more than an even
+# share, as the pool's blocks start one thread wake-up later.
 _BLOCK_ENTRIES = 2**17
-# Blocks start at multiples of this many columns. BLAS groups the outputs of
-# one call in fours; a cut inside a group changed bits, and cuts at multiples
-# of 4 did not. 64 leaves a margin.
+# Blocks start at multiples of this many columns and are at least this wide.
+# BLAS groups the outputs of one call in fours; a cut inside a group changed
+# bits, and cuts at multiples of 4 did not. A block of one column changed
+# bits too: numpy takes its product as a dot, which sums in another order.
+# 64 leaves a margin.
 _CUT_COLS = 64
+
+
+def _blas_thread_setting() -> str | None:
+    """The first of OpenBLAS's thread variables that is set, in its order."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value:
+            return value
+    return None
+
 
 # Threads for the column blocks past the first, built on first use; None until
 # then and in a forked child, whose copy of the pool has no threads.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-# False in a sweep's worker processes, which run their products on one thread.
-_threads = True
+# Whether products may run on column blocks: only with BLAS on one thread
+# (with none of the variables set, OpenBLAS runs a thread per CPU, and the
+# blocks' threads would contend with its own), and not in a sweep's worker
+# processes, which run their products on one thread.
+_split = _blas_thread_setting() == "1"
 
 
 def _forget_pool() -> None:
@@ -76,32 +94,50 @@ def one_thread() -> None:
     The initializer of a sweep's worker processes, which already run one
     unit each side by side: more threads would contend for the CPUs.
     """
-    global _threads
-    _threads = False
+    global _split
+    _split = False
+
+
+def _cuts(m: int, d: int, cpus: int) -> list[int] | None:
+    """The column cuts ``[0, c1, ..., d]`` of an m x d fold's blocks, or None.
+
+    Takes the most blocks k, up to min(cpus, m * d // _BLOCK_ENTRIES), for
+    which block 0 keeps at least _BLOCK_COLS columns and every other block
+    _CUT_COLS: block 0 takes d / k columns plus a head start of
+    _BLOCK_ENTRIES / m, and the others share the rest evenly, every cut
+    rounded to a multiple of _CUT_COLS. None when no k >= 2 qualifies.
+    """
+    head = _BLOCK_ENTRIES / m
+    for k in range(min(cpus, m * d // _BLOCK_ENTRIES), 1, -1):
+        first = round((d / k + head) / _CUT_COLS) * _CUT_COLS
+        rest = (d - first) / (k - 1)
+        cuts = [0] + [first + int(i * rest) // _CUT_COLS * _CUT_COLS for i in range(k - 1)] + [d]
+        if first >= _BLOCK_COLS and all(b - a >= _CUT_COLS for a, b in zip(cuts, cuts[1:])):
+            return cuts
+    return None
 
 
 def xt_matvec(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x.T @ w`` for a fold's m x d features (C-contiguous float64).
 
-    A wide fold is cut into k = min(CPUs, d // _BLOCK_COLS, m * d //
-    _BLOCK_ENTRIES) column blocks at multiples of _CUT_COLS; the calling
-    thread runs block 0 and a pool of CPUs - 1 threads the others. Every
-    output entry sums over the same rows in the same order as in the single
-    BLAS call, so with BLAS on one thread the bytes are the single call's
-    whatever k is. With k < 2 it is the single call.
+    With BLAS on one thread, the fold is cut into the column blocks of
+    ``_cuts``; the calling thread runs block 0 and a pool of CPUs - 1
+    threads the others. Every output entry sums over the same rows in the
+    same order as in the single BLAS call, so the bytes are the single
+    call's whatever the blocks are. Without blocks (BLAS on more threads, a
+    sweep's worker process, or a fold too small) it is the single call.
     """
     m, d = x.shape
-    k = min(_cpu_count(), d // _BLOCK_COLS, m * d // _BLOCK_ENTRIES) if _threads else 1
-    if k < 2:
+    cuts = _cuts(m, d, _cpu_count()) if _split else None
+    if cuts is None:
         return x.T @ w
     pool = _product_pool()
-    cuts = [i * d // k // _CUT_COLS * _CUT_COLS for i in range(k)] + [d]
     out = np.empty(d)
 
     def block(i: int) -> None:
         np.matmul(x[:, cuts[i] : cuts[i + 1]].T, w, out=out[cuts[i] : cuts[i + 1]])
 
-    futures = [pool.submit(block, i) for i in range(1, k)]
+    futures = [pool.submit(block, i) for i in range(1, len(cuts) - 1)]
     block(0)
     for future in futures:
         future.result()

@@ -1,11 +1,12 @@
 """A fixture that runs a test module's function in a fresh interpreter with BLAS
-on one thread.
+on one thread, or under other BLAS thread variables.
 
 The blocked product's bytes are those of one BLAS call when BLAS runs on one
 thread. With more BLAS threads, one call's bytes themselves depend on their
 count at some widths (on OpenBLAS at 2 threads, m = 235 and d = 2049 give
 other bytes than at 1), so the tests that compare those bytes pin BLAS, which
-must happen before numpy loads.
+must happen before numpy loads. The products split into blocks only when the
+variables pin BLAS to one thread, which a test checks under other settings.
 """
 
 import contextlib
@@ -20,20 +21,26 @@ import pytest
 
 import dpsparse
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+)
 
 
 @pytest.fixture
 def one_blas_thread():
-    """``run(module, name, *args, timeout=120)``: ``module.name(*args)`` in a child, its JSON result.
+    """``run(module, name, *args, blas_env=None, timeout=120)``: ``module.name(*args)``
+    in a child, its JSON result.
 
-    Arguments and result pass as JSON. The child runs in its own process
-    group; at the timeout the group is killed, any process it started
-    included, and the test fails.
+    The child runs with every BLAS thread variable at 1, or, given
+    ``blas_env``, with only the variables it names, at its values. Arguments
+    and result pass as JSON. The child runs in its own process group; at the
+    timeout the group is killed, any process it started included, and the
+    test fails.
     """
 
-    def run(module, name, *args, timeout=120):
-        env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    def run(module, name, *args, blas_env=None, timeout=120):
+        env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1") if blas_env is None else blas_env)
         paths = [str(Path(__file__).parent), str(Path(dpsparse.__file__).parents[1])]
         paths += [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
         env["PYTHONPATH"] = os.pathsep.join(paths)

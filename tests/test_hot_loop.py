@@ -43,10 +43,11 @@ PLANTED = ((1 * M + 3, 7, 9.0), (4 * M + 10, 2, -12.0), (9 * M, 40, 5.5), (N - 1
 FOLDS_BEYOND_K = {1, 4, 9}
 
 # output version -> estimator -> sha256 of (beta bytes, support as int64
-# bytes), and "fit-many-wide" -> the sha256 of ``wide_fit_many_digests``'s
-# fits. The digests of a version are recorded once, in the change that bumps
-# OUTPUT_VERSION to it; "fit-many-wide" was recorded under version 6 at the
-# commit before the gradient's product ran on column blocks.
+# bytes), and each name of FIT_MANY_SHAPES -> the sha256 of
+# ``fit_many_digests``'s fits. The digests of a version are recorded once, in
+# the change that bumps OUTPUT_VERSION to it; "fit-many-wide" was recorded
+# under version 6 at the commit before the gradient's product ran on column
+# blocks, and "fit-many-1000" at the commit before 1000-column folds did.
 DIGESTS = {
     6: {
         "dp-iht-h": (
@@ -66,6 +67,7 @@ DIGESTS = {
             "c6edfd6d828678a8e37c4e0d281a9ae2200ef37cc0cb39c60e2ee894d72932cb",
         ),
         "fit-many-wide": "061597a008e0ed4aa0861c61833b27bcccee69223ecc4b8ed7d6ad1bc481955e",
+        "fit-many-1000": "26c94f6101e32859ab9b95b6e11ed24ed30bcc368eb438ebd72ca12754730394",
     },
 }
 
@@ -104,23 +106,27 @@ def test_fit_bytes_match_pinned_digests(kind):
     assert got == DIGESTS[OUTPUT_VERSION][kind.value]
 
 
-# Folds of 240 x 4096: up to min(CPUs, 4) column blocks per product. K = 5
-# leaves some folds within K and clips the others.
-WIDE_N, WIDE_D, WIDE_T = 1200, 4096, 5
+# name -> (n, d, T) of a fit_many problem. "fit-many-wide": folds of
+# 240 x 4096, up to min(CPUs, 4) column blocks per product. "fit-many-1000":
+# folds of 1000 x 1000, fit-tall's fold shape, two blocks on two CPUs or more.
+# K = 5 leaves some folds within K and clips the others.
+FIT_MANY_SHAPES = {"fit-many-wide": (1200, 4096, 5), "fit-many-1000": (5000, 1000, 5)}
 
 
-def wide_fit_many_digests(cpu_counts):
+def fit_many_digests(name, cpu_counts):
     """For each CPU count (None: the host's), the sha256 of a fit_many of the
-    four estimators on a wide problem, and how many products ran on blocks.
+    four estimators on the problem ``name`` of FIT_MANY_SHAPES, and how many
+    products ran on blocks.
 
     Patches the module for good: call it in a child interpreter.
     """
-    ds, beta_star = generate_synthetic(SyntheticConfig(n=WIDE_N, d=WIDE_D, s_star=5, seed=8))
+    n, d, T = FIT_MANY_SHAPES[name]
+    ds, beta_star = generate_synthetic(SyntheticConfig(n=n, d=d, s_star=5, seed=8))
     cfg = EstimatorConfig(
-        s=10, T=WIDE_T, K=5.0, L=10.0, schedule=ConstantStep(0.3), tau=1.0,
+        s=10, T=T, K=5.0, L=10.0, schedule=ConstantStep(0.3), tau=1.0,
         response_clip=10.0, seed=9,
     )
-    requests = [(kind, cfg, PrivacyParams(5.0, WIDE_N ** -1.1)) for kind in EstimatorKind]
+    requests = [(kind, cfg, PrivacyParams(5.0, n ** -1.1)) for kind in EstimatorKind]
     pool, cpu_count, out = _kernels._product_pool, _kernels._cpu_count, []
     for cpus in cpu_counts:
         blocked = []
@@ -139,15 +145,24 @@ def wide_fit_many_digests(cpu_counts):
     return out
 
 
-def test_wide_fit_many_keeps_its_bytes_on_column_blocks(one_blas_thread):
+def check_fit_many_bytes_on_column_blocks(one_blas_thread, name):
     # The host's CPU count gives two blocks or more on any host with two CPUs;
-    # 3 gives three on any host.
+    # 3 gives two or three on any host.
     (host, host_blocked), (solo, solo_blocked), (three, three_blocked) = one_blas_thread(
-        "test_hot_loop", "wide_fit_many_digests", [None, 1, 3]
+        "test_hot_loop", "fit_many_digests", name, [None, 1, 3]
     )
-    assert host == solo == three == DIGESTS[OUTPUT_VERSION]["fit-many-wide"]
-    assert solo_blocked == 0 and three_blocked == 4 * WIDE_T
-    assert host_blocked == (4 * WIDE_T if sampling._cpu_count() > 1 else 0)
+    assert host == solo == three == DIGESTS[OUTPUT_VERSION][name]
+    products = 4 * FIT_MANY_SHAPES[name][2]
+    assert solo_blocked == 0 and three_blocked == products
+    assert host_blocked == (products if sampling._cpu_count() > 1 else 0)
+
+
+def test_wide_fit_many_keeps_its_bytes_on_column_blocks(one_blas_thread):
+    check_fit_many_bytes_on_column_blocks(one_blas_thread, "fit-many-wide")
+
+
+def test_1000_column_fit_many_keeps_its_bytes_on_column_blocks(one_blas_thread):
+    check_fit_many_bytes_on_column_blocks(one_blas_thread, "fit-many-1000")
 
 
 LOSSES = [

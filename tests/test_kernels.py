@@ -120,13 +120,31 @@ def test_squared_grad_matches_row_loop(seed):
     close(k.squared_grad(xc, y, beta), squared_oracle(xc, y, beta))
 
 
-# Widths around the least that splits (2048) and fit-wide's 10000, fold sizes
-# from one row to fit-wide's 235, and CPU counts from the single call to more
-# than the widest width's d // 1024 blocks.
-BLOCK_DS = (2047, 2048, 2049, 4100, 10000)
-BLOCK_MS = (1, 31, 64, 235)
+# Widths from fit-tall's 1000 through the least that gave two blocks before
+# 1000-column folds split (2048) to fit-wide's 10000, fold sizes from one row
+# through fit-wide's 235 to fit-tall's 1000, and CPU counts from the single
+# call to more blocks than any width here gets. At m = 128 the head start
+# would leave d = 2048 an empty block and d = 2049 a block of one column,
+# whose product numpy takes as a dot, with other bytes.
+BLOCK_DS = (1000, 1100, 2047, 2048, 2049, 4100, 10000)
+BLOCK_MS = (1, 31, 64, 128, 235, 1000)
 BLOCK_CPUS = (1, 2, 3, 8)
 BLOCK_TAU = 1.3
+
+
+def rule_blocks(d, m, cpus):
+    """How many column blocks the product of an m x d fold runs on, by the rule.
+
+    The most blocks k <= min(CPUs, m * d // 2**17) whose block 0, d / k columns
+    plus a head start of 2**17 / m rounded to a multiple of 64, keeps at least
+    512 columns and leaves at least 64 for each of the k - 1 others; 1 when no
+    k >= 2 does.
+    """
+    for blocks in range(min(cpus, m * d // 2**17), 1, -1):
+        first = round((d / blocks + 2**17 / m) / 64) * 64
+        if first >= 512 and d - first >= 64 * (blocks - 1):
+            return blocks
+    return 1
 
 
 def one_product_grad(kernel, xc, y, beta):
@@ -173,11 +191,42 @@ def blocked_grad_mismatches(kernel):
 def test_blocked_gradient_has_the_bytes_of_one_product(kernel, one_blas_thread):
     mismatches, blocked = one_blas_thread("test_kernels", "blocked_grad_mismatches", kernel)
     assert mismatches == []
-    # The gate: k = min(CPUs, d // 1024, m * d // 2**17) blocks when k >= 2.
-    assert blocked == sum(
-        min(cpus, d // 1024, m * d // 2**17) >= 2
-        for d in BLOCK_DS for m in BLOCK_MS for cpus in BLOCK_CPUS
-    )
+    cases = [(d, m, cpus) for d in BLOCK_DS for m in BLOCK_MS for cpus in BLOCK_CPUS]
+    assert blocked == sum(rule_blocks(*case) >= 2 for case in cases)
+    for d, m, cpus in cases:
+        cuts = k._cuts(m, d, cpus) or [0, d]
+        assert len(cuts) - 1 == rule_blocks(d, m, cpus)
+        assert cuts[0] == 0 and cuts[-1] == d
+        if len(cuts) > 2:
+            assert all(c % 64 == 0 for c in cuts[:-1])
+            assert all(b - a >= 64 for a, b in zip(cuts, cuts[1:]))  # none empty or a sliver
+            assert cuts[1] >= 512
+
+
+def tall_product_started_the_pool():
+    """Whether a product at fit-tall's fold shape, on two CPUs, built the pool."""
+    k._cpu_count = lambda: 2
+    xc, y, _ = random_fold(1000, 1000)
+    k.xt_matvec(xc, y)
+    return k._pool is not None
+
+
+# OpenBLAS takes the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+# OMP_NUM_THREADS that is set, and with none set a thread per CPU.
+@pytest.mark.parametrize(
+    "blas_env,blocked",
+    [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ],
+    ids=["unset", "openblas-2", "openblas-2-omp-1", "goto-1-omp-2", "omp-1", "openblas-1"],
+)
+def test_products_split_only_with_blas_on_one_thread(blas_env, blocked, one_blas_thread):
+    assert one_blas_thread("test_kernels", "tall_product_started_the_pool", blas_env=blas_env) is blocked
 
 
 def check_select(absv, u, b):
