@@ -195,7 +195,7 @@ def resolve_config(
         fit.setdefault("s", cfg["s_star"])
     try:
         fit["schedule_l"] = _schedule_from_dict(fit.get("schedule_l"))
-    except (InvalidConfigError, KeyError, TypeError, ValueError) as exc:
+    except (InvalidConfigError, TypeError) as exc:  # TypeError: a missing or unknown step key
         problems.append(f"schedule_l invalid: {exc}")
         fit["schedule_l"] = None
     problems += field_problems(cfg, _RUN_RULES)
@@ -220,10 +220,12 @@ def _schedule_from_dict(spec: dict | None):
     # The values go to the step type as they are, so its rules name a bad one.
     if spec is None:
         return None
-    kind = spec["kind"]
-    if kind not in _SCHEDULES:
-        raise InvalidConfigError(f"schedule kind must be constant or two-phase, got {kind!r}")
-    return _SCHEDULES[kind](**{key: value for key, value in spec.items() if key != "kind"})
+    # A tuple, not the dict: an unhashable kind such as a list is just not in it.
+    if not isinstance(spec, dict) or spec.get("kind") not in tuple(_SCHEDULES):
+        raise InvalidConfigError(
+            f"expected an object whose kind is constant or two-phase, got {spec!r}"
+        )
+    return _SCHEDULES[spec["kind"]](**{key: value for key, value in spec.items() if key != "kind"})
 
 
 def _flags(args) -> dict:
@@ -396,7 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, NumericalFailureError):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
-        print(f"error: {exc}", file=sys.stderr)
+        # A CSV parse error names the 1-based line it stopped at, when it has one.
+        where = "" if getattr(exc, "line", None) is None else f"line {exc.line}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

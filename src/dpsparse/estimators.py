@@ -6,10 +6,10 @@ step on that iteration's fold, ``noise_scale`` and ``peel`` to privately keep
 the top-s coordinates, and ``project_l2`` onto the radius-L ball.
 ``fit_many`` runs several fits of one dataset in lockstep, each with the
 bytes it has alone; ``fit_estimator`` is ``fit_many`` with one fit. What
-tells the estimators apart sits in one table, ``ESTIMATORS``: the loss with
-every parameter its gradient reads (dp-slr's response clip included), the
-per-entry sensitivity passed to the selection step, whether noise is added
-at all, and the config fields the fit needs, which ``fit_problems`` checks.
+tells the estimators apart sits in one table, ``ESTIMATORS``: the loss class,
+whose parameters (dp-slr's response clip included) are the config fields the
+fit reads and ``fit_problems`` checks, and a private entry's per-entry
+sensitivity, passed to the selection step; an entry without one adds no noise.
 The step schedule comes with the config. The sensitivity probes read the
 same table. A private fit draws all its selection and value noise from one
 SFC64 generator keyed (seed, 0), peel after peel.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,52 +52,45 @@ Sensitivity = Callable[[EstimatorConfig, float, int], float]
 class EstimatorSpec:
     """What one estimator sets in the shared private IHT loop.
 
-    ``loss(cfg)`` builds the loss, with every parameter its gradient reads.
-    ``lam(cfg, eta, m)`` is the per-entry selection sensitivity of one
-    iteration with step ``eta`` on folds of ``m`` records. An estimator that
-    is not ``private`` runs without noise whatever budget it is given.
-    ``replace_one`` names the neighbour relation ``lam`` is calibrated for:
-    the neighbour replaces one record (True) or nulls it out (False).
-    ``bound`` is the half-step deviation bound the sensitivity probe checks,
-    where it differs from ``lam``. ``needs`` names the optional config
-    fields the fit reads; ``fit_problems`` requires them set.
+    ``loss`` is the loss class; a fit builds it once, each dataclass field
+    from the config field of the same name, and ``fit_problems`` requires
+    those set. ``lam(cfg, eta, m)`` is the per-entry selection sensitivity
+    of one iteration with step ``eta`` on folds of ``m`` records; an entry
+    without it is not ``private`` and adds no noise whatever budget it is
+    given. ``replace_one`` names the neighbour relation ``lam`` is
+    calibrated for: the neighbour replaces one record (True) or nulls it
+    out (False). ``bound`` is the half-step deviation bound the sensitivity
+    probe checks, where it differs from ``lam``.
     """
 
-    loss: Callable[[EstimatorConfig], LossKind]
-    lam: Sensitivity
-    private: bool = True
+    loss: type[LossKind]
+    lam: Sensitivity | None = None
     replace_one: bool = False
     bound: Sensitivity | None = None
-    needs: tuple[str, ...] = ()
 
-
-def _huber_lam(cfg: EstimatorConfig, eta: float, m: int) -> float:
-    return eta * cfg.tau * cfg.K / m
+    @property
+    def private(self) -> bool:
+        return self.lam is not None
 
 
 ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
     # Huber-loss private IHT: one record moves a gradient entry by at most tau*K.
     EstimatorKind.DP_IHT_H: EstimatorSpec(
-        loss=lambda cfg: Huber(cfg.tau), lam=_huber_lam, needs=("tau",)
+        Huber, lam=lambda cfg, eta, m: eta * cfg.tau * cfg.K / m
     ),
     # Absolute-loss private IHT: the residual sign of a replaced record can
     # flip, so one record moves a gradient entry by up to 2*K. The step
     # schedule may be two-phase; lam uses the current iteration's step.
     EstimatorKind.DP_IHT_L: EstimatorSpec(
-        loss=lambda cfg: AbsoluteL1(cfg.sign_on_clipped),
-        lam=lambda cfg, eta, m: 2.0 * eta * cfg.K / m,
-        replace_one=True,
+        AbsoluteL1, lam=lambda cfg, eta, m: 2.0 * eta * cfg.K / m, replace_one=True
     ),
     # The Huber fit with all noise disabled: the reference-coefficient proxy
     # for real-data comparisons.
-    EstimatorKind.ADA_HUBER_LITE: EstimatorSpec(
-        loss=lambda cfg: Huber(cfg.tau), lam=_huber_lam, private=False, needs=("tau",)
-    ),
+    EstimatorKind.ADA_HUBER_LITE: EstimatorSpec(Huber),
     # Squared-loss private IHT baseline on responses clipped to [-R, R].
     EstimatorKind.DP_SLR_LITE: EstimatorSpec(
-        loss=lambda cfg: Squared(cfg.response_clip),
+        Squared,
         lam=lambda cfg, eta, m: eta * cfg.K * (cfg.response_clip + cfg.K * cfg.L) / m,
-        needs=("response_clip",),
         # The fit's lam drops the sqrt(s) factor of the strict per-record
         # bound, |x_c . beta| <= K ||beta||_1 <= K sqrt(s) L, that the probe
         # checks. Closing the gap changes output bits (ROADMAP item 1).
@@ -108,15 +101,21 @@ ESTIMATORS: dict[EstimatorKind, EstimatorSpec] = {
 }
 
 
+def _loss(kind: EstimatorKind, cfg: EstimatorConfig) -> LossKind:
+    """The ``kind`` entry's loss, each parameter read from its namesake in ``cfg``."""
+    loss = ESTIMATORS[kind].loss
+    return loss(**{f.name: getattr(cfg, f.name) for f in fields(loss)})
+
+
 def _update(
-    kind: EstimatorKind, fold: Dataset, beta: np.ndarray, eta: float, cfg: EstimatorConfig
+    loss: LossKind, fold: Dataset, beta: np.ndarray, eta: float, K: float | None
 ) -> np.ndarray:
-    """eta times the loss gradient of ``kind`` on ``fold`` at ``beta``.
+    """eta times the gradient of ``loss`` on ``fold`` at ``beta``, features clipped at K.
 
     One iteration's half-step is ``beta - _update(...)``: the fit and the
     sensitivity probes both take it from here.
     """
-    return eta * batch_gradient(fold, beta, ESTIMATORS[kind].loss(cfg), cfg.K)
+    return eta * batch_gradient(fold, beta, loss, K)
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,11 @@ class FitReport:
 
 
 def _unset_needs(kind: EstimatorKind, cfg: EstimatorConfig) -> list[str]:
-    """One problem per field the ``kind`` entry ``needs`` that ``cfg`` leaves None."""
+    """One problem per parameter of the ``kind`` entry's loss that ``cfg`` leaves None."""
     return [
-        f"{kind.value} needs {name}, got null"
-        for name in ESTIMATORS[kind].needs
-        if getattr(cfg, name) is None
+        f"{kind.value} needs {f.name}, got null"
+        for f in fields(ESTIMATORS[kind].loss)
+        if getattr(cfg, f.name) is None
     ]
 
 
@@ -140,7 +139,7 @@ def fit_problems(
     kind: EstimatorKind, n: int, d: int, cfg: EstimatorConfig, priv: PrivacyParams
 ) -> list[str]:
     """Every reason a ``kind`` fit of ``cfg`` under ``priv`` cannot start on
-    n x d data: a field it ``needs`` left None, s > d, T > n, or no K."""
+    n x d data: a parameter of its loss left None, s > d, T > n, or no K."""
     problems = _unset_needs(kind, cfg)
     if cfg.s > d:
         problems.append(f"sparsity s={cfg.s} exceeds dimension d={d}")
@@ -159,7 +158,7 @@ class _Fit:
 
     def __init__(self, kind: EstimatorKind, cfg: EstimatorConfig, priv: PrivacyParams,
                  d: int, traced: bool):
-        self.kind, self.cfg, self.priv = kind, cfg, priv
+        self.kind, self.cfg, self.priv, self.loss = kind, cfg, priv, _loss(kind, cfg)
         # One generator per private fit: every iteration's peel draws from it in turn.
         self.gen = RngHandle(cfg.seed, stream=0).generator() if priv.is_private else None
         self.beta = np.zeros(d)
@@ -169,7 +168,7 @@ class _Fit:
     def half_step(self, fold: Dataset, t: int) -> None:
         self.eta = self.cfg.schedule.step(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.half = self.beta - _update(self.kind, fold, self.beta, self.eta, self.cfg)
+            self.half = self.beta - _update(self.loss, fold, self.beta, self.eta, self.cfg.K)
         if not np.isfinite(self.half).all():
             raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
 
@@ -273,15 +272,16 @@ _HUGE = 1e12
 def probe_bound(kind: EstimatorKind, cfg: EstimatorConfig, eta: float, m: int) -> float:
     """Theoretical half-step l-inf deviation bound for one differing record.
 
-    Raises one InvalidConfigError naming each field the bound reads that
-    ``cfg`` leaves None: the fields the entry ``needs``, and K.
+    Raises one InvalidConfigError naming each problem: an entry that adds
+    no noise, or a field the bound reads left None (a loss parameter, K).
     """
-    problems = _unset_needs(kind, cfg)
+    spec = ESTIMATORS[kind]
+    problems = [] if spec.private else [f"{kind.value} adds no noise and has no sensitivity bound"]
+    problems += _unset_needs(kind, cfg)
     if cfg.K is None:
         problems.append("the sensitivity bound requires a finite clip level K")
     if problems:
         raise InvalidConfigError("; ".join(problems))
-    spec = ESTIMATORS[kind]
     return (spec.bound or spec.lam)(cfg, eta, m)
 
 
@@ -338,7 +338,7 @@ def sensitivity_probe(
     xb, yb = x.copy(), y.copy()
     # The neighbor replaces record i, or nulls it out: it drops the contribution.
     xb[i], yb[i] = replacement if replace_one else (0.0, 0.0)
-    fold_a, fold_b = Dataset(x, y), Dataset(xb, yb)
-    half_a = beta - _update(kind, fold_a, beta, eta, cfg)
-    half_b = beta - _update(kind, fold_b, beta, eta, cfg)
+    fold_a, fold_b, loss = Dataset(x, y), Dataset(xb, yb), _loss(kind, cfg)
+    half_a = beta - _update(loss, fold_a, beta, eta, cfg.K)
+    half_b = beta - _update(loss, fold_b, beta, eta, cfg.K)
     return float(np.max(np.abs(half_a - half_b)))

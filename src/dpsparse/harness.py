@@ -31,10 +31,10 @@ from . import _kernels
 from .core import (
     RULES,
     ConstantStep,
-    Dataset,
     EstimatorConfig,
     PrivacyParams,
     StepSchedule,
+    _adopt,
     check_fields,
     is_int,
     l2_error,
@@ -466,7 +466,8 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
     y_train, y_test = ds.y[train_idx], ds.y[test_idx]
     if spec.standardize:
         x_train, x_test = _standardize_train_test(x_train, x_test)
-    train = Dataset(x_train, y_train)
+    # Indexing and standardizing made the split's arrays afresh: adopt them uncopied.
+    train = _adopt(x_train, y_train)
     proxy, priv = EstimatorKind.ADA_HUBER_LITE, spec.base.privacy(train.n)
 
     def request(kind: EstimatorKind):

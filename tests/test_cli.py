@@ -505,7 +505,7 @@ def test_real_rejects_column_names_that_hold_the_selected_separator(tmp_path, ca
     assert not out.exists()
 
 
-# Files that are not UTF-8 ------------------------------------------------------------
+# Files that cannot be read ---------------------------------------------------------
 
 
 def _not_utf8(tmp_path, name, text):
@@ -523,6 +523,36 @@ def test_a_file_that_is_not_utf8_exits_one_saying_so(tmp_path, capsys, argv):
     assert run_cli(*argv(tmp_path), "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not valid UTF-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--estimator", "dp-iht-h", "--data"],
+    ["real", "--response-col", "y", "--csv"],
+], ids=["fit-data", "real-csv"])
+@pytest.mark.parametrize("text, problem", [
+    ("", "line 1: empty CSV file"),
+    ("x1,y\n1.0,2.0\n3.0,4.0,5.0\n", "line 3: expected 2 fields, got 3"),
+    ("x1,y\n", "line 2: CSV has a header but no data rows"),
+], ids=["empty", "wrong-field-count", "header-only"])
+def test_a_malformed_csv_exits_one_naming_its_line(tmp_path, capsys, command, text, problem):
+    csvp = tmp_path / "d.csv"
+    csvp.write_text(text)
+    assert run_cli(*command, str(csvp), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"n": 60,', "config is not valid JSON"),
+    ('[{"n": 60}]', "config root must be a JSON object"),
+], ids=["not-json", "list-root"])
+def test_an_unreadable_config_exits_one_naming_the_problem(tmp_path, capsys, text, problem):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(text)
+    assert run_cli("sweep", "--config", str(cfgp), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problem}") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -615,6 +645,9 @@ def test_invalid_config_value_exits_one(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+SCHEDULE_KINDS = "expected an object whose kind is constant or two-phase"
+
+
 def two_phase(**extra):
     return {"kind": "two-phase", "eta0": 0.3, "decay": 0.2, "switch_iter": 2, "eta_const": 0.05,
             **extra}
@@ -633,10 +666,14 @@ def two_phase(**extra):
     ("sweep", {"schedule_l": two_phase(eta_const=True)}, ["eta_const must be a number > 0"]),
     ("sweep", {"estimators": ["nope"]}, ["estimators must be a list of"]),
     ("real", {"estimators": ["dp-iht-h", "nope"]}, ["estimators must be a list of"]),
+    ("sweep", {"schedule_l": 0.1}, [f"schedule_l invalid: {SCHEDULE_KINDS}, got 0.1"]),
+    ("sweep", {"schedule_l": {"eta": 0.1}}, [f"schedule_l invalid: {SCHEDULE_KINDS}, got {{'eta'"]),
+    ("sweep", {"schedule_l": {"kind": "zig"}}, [f"{SCHEDULE_KINDS}, got {{'kind': 'zig'}}"]),
 ], ids=[
     "unknown-key", "K-string", "seed-float", "values-strings", "n-bool",
     "real-seed-and-train-fraction", "eta0-string", "switch-iter-float", "eta-const-bool",
     "sweep-unknown-estimator", "real-unknown-estimator",
+    "schedule-not-an-object", "schedule-without-kind", "schedule-unknown-kind",
 ])
 def test_bad_config_input_exits_one_naming_the_field(tmp_path, capsys, command, extra, messages):
     cfgp = sweep_config(tmp_path, **extra)

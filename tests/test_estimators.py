@@ -20,7 +20,8 @@ from dpsparse import (
     sensitivity_probe,
 )
 from dpsparse import estimators
-from dpsparse.estimators import ESTIMATORS, fit_problems
+from dpsparse.estimators import ESTIMATORS, EstimatorSpec, fit_problems
+from dpsparse.losses import Huber
 
 NON_PRIVATE = PrivacyParams.non_private()
 H = EstimatorKind.DP_IHT_H
@@ -215,6 +216,17 @@ def test_fit_problems_are_listed_in_one_error():
     assert fit_problems(L, 10, 5, unused, private) == []
 
 
+def test_an_entry_needs_every_parameter_of_its_loss_class(monkeypatch):
+    # A new entry states only its loss class; the fields it needs follow from
+    # that class, so a config that leaves one None fails before the fit runs.
+    spec = EstimatorSpec(Huber, lam=ESTIMATORS[H].lam, replace_one=True)
+    monkeypatch.setitem(ESTIMATORS, L, spec)
+    cfg = base_config(s=2, T=5, tau=None)
+    assert fit_problems(L, 10, 5, cfg, NON_PRIVATE) == ["dp-iht-l needs tau, got null"]
+    with pytest.raises(InvalidConfigError, match="^dp-iht-l needs tau, got null$"):
+        fit_estimator(L, zero_dataset(n=10, d=5), cfg, NON_PRIVATE)
+
+
 def test_unclipped_nonprivate_fit_allowed():
     syn = SyntheticConfig(n=400, d=10, s_star=2, noise_scale=0.0, seed=9)
     ds, beta_star = generate_synthetic(syn)
@@ -238,14 +250,14 @@ def test_numerical_failure_names_iteration():
 
 def test_probe_identical_folds_zero():
     # Neighboring pair with zero differing samples: deviation is exactly 0.
-    from dpsparse.estimators import _update
+    from dpsparse.estimators import _loss, _update
 
     rng = np.random.default_rng(11)
     fold = Dataset(rng.standard_normal((20, 6)), rng.standard_normal(20))
     cfg = base_config(s=3)
     beta = np.zeros(6)
-    a = beta - _update(EstimatorKind.DP_IHT_H, fold, beta, 0.1, cfg)
-    b = beta - _update(EstimatorKind.DP_IHT_H, fold, beta, 0.1, cfg)
+    a = beta - _update(_loss(EstimatorKind.DP_IHT_H, cfg), fold, beta, 0.1, cfg.K)
+    b = beta - _update(_loss(EstimatorKind.DP_IHT_H, cfg), fold, beta, 0.1, cfg.K)
     assert np.max(np.abs(a - b)) == 0.0
 
 
@@ -274,6 +286,13 @@ def test_probe_bound_without_a_needed_field_fails_by_name(kind, unset, problem):
     with pytest.raises(InvalidConfigError) as err:
         probe_bound(kind, base_config(s=3, **unset), 0.1, 10)
     assert str(err.value) == problem
+
+
+def test_probe_bound_of_a_noise_free_entry_fails_by_name():
+    # ada-huber adds no noise, so no sensitivity bound belongs to it.
+    with pytest.raises(InvalidConfigError) as err:
+        probe_bound(ADA, base_config(s=3), 0.1, 10)
+    assert str(err.value) == "ada-huber adds no noise and has no sensitivity bound"
 
 
 def test_probe_without_a_needed_field_fails_by_name():

@@ -25,7 +25,7 @@ from dpsparse import (
 )
 from dpsparse import sampling
 from dpsparse.core import l2_error, project_l2, split_folds
-from dpsparse.estimators import ESTIMATORS, _update
+from dpsparse.estimators import ESTIMATORS, _loss, _update
 from dpsparse.peeling import noise_scale, peel
 from dpsparse.sampling import RngHandle
 
@@ -55,7 +55,7 @@ def reference_fit(kind, ds, cfg, priv, beta_star):
     beta, trace = np.zeros(ds.d), []
     for t in range(cfg.T):
         eta = cfg.schedule.step(t)
-        half = beta - _update(kind, folds[t], beta, eta, cfg)
+        half = beta - _update(_loss(kind, cfg), folds[t], beta, eta, cfg.K)
         b = noise_scale(spec.lam(cfg, eta, folds[0].n), cfg.s, priv) if priv.is_private else 0.0
         peeled, support = peel(half, cfg.s, b, gen)
         beta = project_l2(peeled, cfg.L)

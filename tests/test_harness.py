@@ -378,6 +378,25 @@ def test_real_fits_each_kind_once_proxy_first(tmp_path, monkeypatch):
     assert rows[0] == rows[4] and rows[2].l2_vs_proxy is None
 
 
+@pytest.mark.parametrize("standardize", [True, False])
+def test_real_builds_no_dataset(tmp_path, monkeypatch, standardize):
+    # load_csv and the train split make their arrays afresh; neither copies them again.
+    path = tmp_path / "real.csv"
+    _write_single_feature_csv(path, seed=4)
+    spec = RealDataSpec(csv_path=str(path), response_col="y", standardize=standardize,
+                        base=ExperimentBase(s=1, T=3, tau=20.0, epsilon=5.0))
+    builds = []
+    post_init = Dataset.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counted)
+    rows = run_real(spec, [ADA, H])
+    assert builds == [] and [row.estimator for row in rows] == ["ada-huber", "dp-iht-h"]
+
+
 def test_real_constant_column_warns(tmp_path):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((60, 4))

@@ -14,6 +14,7 @@ from dpsparse import (
     peel,
 )
 from dpsparse import _kernels
+from dpsparse.peeling import _hit_positions
 from dpsparse.sampling import _laplace_icdf
 
 
@@ -199,3 +200,28 @@ def test_sparse_peel_has_the_law_of_the_dense_peel(d, s, reps, monkeypatch):
     noise = np.concatenate(noise)
     assert stats.kstest(noise, "laplace", args=(0.0, b)).pvalue > 1e-3
     assert abs(np.var(noise) - 2 * b * b) < 0.05 * 2 * b * b
+
+
+class _ShortFirstChunk:
+    """A generator stub whose first chunk of geometric gaps is all ones, so
+    it falls short of n; later chunks are real draws. It keeps every gap."""
+
+    def __init__(self, seed):
+        self.gen, self.chunks = np.random.default_rng(seed), []
+
+    def geometric(self, p, size):
+        gaps = self.gen.geometric(p, size) if self.chunks else np.ones(size, dtype=np.int64)
+        self.chunks.append(gaps)
+        return gaps
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hit_positions_continue_until_they_reach_n(seed):
+    n, t0 = 5000, 0.01
+    stub = _ShortFirstChunk(seed)
+    pos = _hit_positions(stub, n, t0)
+    assert len(stub.chunks) >= 2  # the first chunk ended below n
+    # Oracle: every gap drawn, summed in order, cut below n.
+    oracle = np.cumsum(np.concatenate(stub.chunks)) - 1
+    assert oracle[-1] >= n
+    np.testing.assert_array_equal(pos, oracle[oracle < n])
