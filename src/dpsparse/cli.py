@@ -21,8 +21,8 @@ from dataclasses import MISSING, fields
 
 from . import _kernels
 from .core import (
-    OUTPUT_VERSION, RULES, ConstantStep, TwoPhaseStep, field_problems, is_int, l2_error,
-    load_csv, mae, save_csv,
+    OUTPUT_VERSION, RULES, ConstantStep, TwoPhaseStep, field_problems, field_rules, is_int,
+    l2_error, load_csv, mae, save_csv,
 )
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
 from .estimators import EstimatorKind, fit_estimator, fit_problems
@@ -39,7 +39,7 @@ from .harness import (
     write_real_csv,
     write_results_csv,
 )
-from .sampling import SYNTHETIC_RULES, SyntheticConfig, generate_synthetic
+from .sampling import SyntheticConfig, generate_synthetic
 
 _ALL_ESTIMATORS = [k.value for k in EstimatorKind]
 
@@ -124,9 +124,10 @@ _RUN_KEYS = (
     "csv", "response_col", "train_fraction", "standardize", "output_version",
 )
 _KEYS = frozenset(_SYNTHETIC_KEYS + _FIT_KEYS + _RUN_KEYS)
-# The run keys checked here, so that one pass names every bad field; the grid
-# itself (axis and values) is checked by SweepSpec.
+# The run keys checked here, so that one pass names every bad field; the
+# values of the grid are checked by SweepSpec, against the rule of its axis.
 _RUN_RULES = (
+    field_rules(SweepSpec)["axis"],
     RULES["repeats"],
     RULES["train_fraction"],
     ("estimators", f"a list of {_ALL_ESTIMATORS}",
@@ -191,11 +192,11 @@ def resolve_config(
     if shape is None and "n" in cfg and "d" in cfg:
         synthetic = _build(problems, SyntheticConfig, syn)
     else:
-        problems += field_problems(syn, SYNTHETIC_RULES)
+        problems += field_problems(syn, field_rules(SyntheticConfig).values())
         fit.setdefault("s", cfg["s_star"])
     try:
         fit["schedule_l"] = _schedule_from_dict(fit.get("schedule_l"))
-    except (InvalidConfigError, TypeError) as exc:  # TypeError: a missing or unknown step key
+    except InvalidConfigError as exc:
         problems.append(f"schedule_l invalid: {exc}")
         fit["schedule_l"] = None
     problems += field_problems(cfg, _RUN_RULES)
@@ -225,7 +226,11 @@ def _schedule_from_dict(spec: dict | None):
         raise InvalidConfigError(
             f"expected an object whose kind is constant or two-phase, got {spec!r}"
         )
-    return _SCHEDULES[spec["kind"]](**{key: value for key, value in spec.items() if key != "kind"})
+    kind, steps = spec["kind"], _SCHEDULES[spec["kind"]]
+    keys = [f.name for f in fields(steps)]
+    if set(spec) != {"kind", *keys}:
+        raise InvalidConfigError(f"a {kind} step takes kind and {', '.join(keys)}, got {spec!r}")
+    return steps(**{key: spec[key] for key in keys})
 
 
 def _flags(args) -> dict:

@@ -13,9 +13,12 @@ unchanged.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import numbers
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,10 +100,11 @@ def _adopt(x: np.ndarray, y: np.ndarray, row_peak: np.ndarray | None = None) -> 
 # Config field rules: (field name, what its value must be, test). Each test
 # checks the type as well as the range, so a value read from JSON fails with
 # its field's name, not with a TypeError inside a fit. A bool is never a
-# number here, though Python counts it as an int. Every config type checks
-# its fields with ``check_fields``: its scalar fields against ``RULES``, which
-# holds the one rule of each scalar parameter, its object fields against
-# type rules of its own.
+# number here, though Python counts it as an int. ``RULES`` holds the one rule
+# of each scalar parameter. A config type states each field once: its
+# ``__post_init__`` calls ``check_fields``, which checks every field against
+# the field's own rule (``ruled``) or else the ``RULES`` entry of its name,
+# and accepts None where the field's annotation admits it.
 
 
 def is_int(v) -> bool:
@@ -109,12 +113,6 @@ def is_int(v) -> bool:
 
 def is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def optional(rule):
-    """``rule`` that also accepts None."""
-    name, must_be, test = rule
-    return name, f"{must_be} or null", lambda v: v is None or test(v)
 
 
 RULES = {
@@ -136,8 +134,31 @@ RULES = {
 }
 
 
+def ruled(must_be: str, test, **kwargs):
+    """A dataclass field with a rule of its own, for a field that has no
+    ``RULES`` entry; ``kwargs`` go to ``dataclasses.field``."""
+    return field(metadata={"rule": (must_be, test)}, **kwargs)
+
+
+@functools.cache
+def field_rules(cls) -> types.MappingProxyType:
+    """The rule of each field of the dataclass ``cls``, by name in field order.
+
+    A field takes its own rule, or else the ``RULES`` entry of its name (a
+    KeyError if it has neither); one whose annotation admits None also accepts
+    None. Computed once per class, and read-only.
+    """
+    hints, rules = typing.get_type_hints(cls), {}
+    for f in fields(cls):
+        must_be, test = f.metadata["rule"] if "rule" in f.metadata else RULES[f.name][1:]
+        if type(None) in typing.get_args(hints[f.name]):
+            must_be, test = f"{must_be} or null", lambda v, test=test: v is None or test(v)
+        rules[f.name] = (f.name, must_be, test)
+    return types.MappingProxyType(rules)
+
+
 def field_problems(values: dict, rules) -> list[str]:
-    """One message per value in ``values`` that fails its rule."""
+    """One message per value in ``values`` that fails its rule, in rule order."""
     return [
         f"{name} must be {must_be}, got {values[name]!r}"
         for name, must_be, test in rules
@@ -145,15 +166,12 @@ def field_problems(values: dict, rules) -> list[str]:
     ]
 
 
-def check_fields(obj, rules, problems=()) -> None:
-    """Raise one InvalidConfigError naming ``problems`` and every field of
-    ``obj`` that fails its rule."""
-    problems = [*problems, *field_problems(vars(obj), rules)]
+def check_fields(obj, problems=()) -> None:
+    """Raise one InvalidConfigError naming ``problems`` and then every field of
+    the dataclass ``obj`` that fails its rule (``field_rules``)."""
+    problems = [*problems, *field_problems(vars(obj), field_rules(type(obj)).values())]
     if problems:
         raise InvalidConfigError("; ".join(problems))
-
-
-_PRIVACY_RULES = (optional(RULES["epsilon"]), RULES["delta"])
 
 
 @dataclass(frozen=True)
@@ -167,7 +185,7 @@ class PrivacyParams:
     delta: float
 
     def __post_init__(self):
-        check_fields(self, _PRIVACY_RULES)
+        check_fields(self)
 
     @property
     def is_private(self) -> bool:
@@ -185,13 +203,10 @@ class ConstantStep:
     eta: float
 
     def __post_init__(self):
-        check_fields(self, (RULES["eta"],))
+        check_fields(self)
 
     def step(self, t: int) -> float:
         return self.eta
-
-
-_TWO_PHASE_RULES = tuple(RULES[name] for name in ("eta0", "decay", "switch_iter", "eta_const"))
 
 
 @dataclass(frozen=True)
@@ -207,7 +222,7 @@ class TwoPhaseStep:
     eta_const: float
 
     def __post_init__(self):
-        check_fields(self, _TWO_PHASE_RULES)
+        check_fields(self)
 
     def step(self, t: int) -> float:
         if t < self.switch_iter:
@@ -216,14 +231,6 @@ class TwoPhaseStep:
 
 
 StepSchedule = ConstantStep | TwoPhaseStep
-
-_ESTIMATOR_RULES = (
-    RULES["s"], RULES["T"], optional(RULES["K"]), RULES["L"],
-    ("schedule", "a ConstantStep or TwoPhaseStep", lambda v: isinstance(v, StepSchedule)),
-    optional(RULES["tau"]), optional(RULES["response_clip"]),
-    RULES["sign_on_clipped"], RULES["seed"],
-)
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -238,14 +245,16 @@ class EstimatorConfig:
     T: int
     K: float | None
     L: float
-    schedule: StepSchedule
+    schedule: StepSchedule = ruled(
+        "a ConstantStep or TwoPhaseStep", lambda v: isinstance(v, StepSchedule)
+    )
     tau: float | None = None
     response_clip: float | None = None
     sign_on_clipped: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, _ESTIMATOR_RULES)
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .core import (
     l2_error,
     load_csv,
     mae,
-    optional,
+    ruled,
 )
 from .errors import CsvParseError, DpSparseError, InvalidConfigError
 from .estimators import (
@@ -79,15 +79,6 @@ def default_delta(n: int) -> float:
 S_STAR = 5
 """Default true sparsity s* of a run, and so the default fitted sparsity s."""
 
-_FIT_RULES = (
-    optional(("synthetic", "a SyntheticConfig", lambda v: isinstance(v, SyntheticConfig))),
-    optional(RULES["epsilon"]), optional(RULES["delta"]), RULES["eta"],
-    optional(RULES["s"]), optional(RULES["T"]), optional(RULES["K"]), RULES["L"],
-    optional(RULES["tau"]), optional(RULES["response_clip"]),
-    optional(("schedule_l", "a step schedule", lambda v: isinstance(v, StepSchedule))),
-    RULES["sign_on_clipped"],
-)
-
 
 @dataclass(frozen=True)
 class ExperimentBase:
@@ -105,7 +96,9 @@ class ExperimentBase:
     the shared constant step ``eta``).
     """
 
-    synthetic: SyntheticConfig | None = None
+    synthetic: SyntheticConfig | None = ruled(
+        "a SyntheticConfig", lambda v: isinstance(v, SyntheticConfig), default=None
+    )
     epsilon: float | None = 0.5
     delta: float | None = None
     eta: float = 0.01
@@ -115,14 +108,20 @@ class ExperimentBase:
     L: float = 10.0
     tau: float | None = 1.0
     response_clip: float | None = 10.0
-    schedule_l: StepSchedule | None = None
+    schedule_l: StepSchedule | None = ruled(
+        "a step schedule", lambda v: isinstance(v, StepSchedule), default=None
+    )
     sign_on_clipped: bool = False
 
     def __post_init__(self):
-        check_fields(self, _FIT_RULES)
+        check_fields(self)
 
     def privacy(self, n: int) -> PrivacyParams:
-        """The budget of a fit on n records."""
+        """The budget of a fit on n records. A non-private budget derives no delta."""
+        if self.epsilon is None:
+            return PrivacyParams.non_private()
+        if self.delta is None and n < 2:
+            raise InvalidConfigError("delta must be set, since its default 1/n^1.1 needs n >= 2")
         delta = default_delta(n) if self.delta is None else self.delta
         return PrivacyParams(epsilon=self.epsilon, delta=delta)
 
@@ -146,16 +145,6 @@ class ExperimentBase:
         )
 
 
-_SWEEP_RULES = (
-    ("values", "a nonempty list", lambda v: isinstance(v, tuple) and bool(v)),
-    RULES["repeats"],
-    ("estimators", "a nonempty list of EstimatorKind",
-     lambda v: isinstance(v, tuple) and bool(v) and all(isinstance(k, EstimatorKind) for k in v)),
-    ("base", "an ExperimentBase with a synthetic config",
-     lambda v: isinstance(v, ExperimentBase) and v.synthetic is not None),
-)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Every value of ``axis`` (each checked by that field's rule), ``repeats`` times.
@@ -164,20 +153,24 @@ class SweepSpec:
     built and checked, so a config error raises before any data is drawn.
     """
 
-    axis: str
-    values: tuple
-    base: ExperimentBase
+    axis: str = ruled(f"one of {SWEEP_AXES}", lambda v: v in SWEEP_AXES)
+    values: tuple = ruled("a nonempty list", lambda v: isinstance(v, tuple) and bool(v))
+    base: ExperimentBase = ruled(
+        "an ExperimentBase with a synthetic config",
+        lambda v: isinstance(v, ExperimentBase) and v.synthetic is not None,
+    )
     repeats: int
-    estimators: tuple[EstimatorKind, ...]
+    estimators: tuple[EstimatorKind, ...] = ruled(
+        "a nonempty list of EstimatorKind",
+        lambda v: isinstance(v, tuple) and bool(v) and all(isinstance(k, EstimatorKind) for k in v),
+    )
 
     def __post_init__(self):
         for name in ("values", "estimators"):
             if isinstance(getattr(self, name), Iterable):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         values, problems = self.values, []
-        if self.axis not in SWEEP_AXES:
-            problems.append(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        elif isinstance(values, tuple):
+        if self.axis in SWEEP_AXES and isinstance(values, tuple):
             _, must_be, test = RULES[self.axis]
             problems += [
                 f"values must be {must_be} on axis {self.axis}, got {v!r}"
@@ -186,8 +179,8 @@ class SweepSpec:
             ]
             if not problems and any(b <= a for a, b in zip(values, values[1:])):
                 problems.append(f"values must be strictly increasing, got {values}")
-        check_fields(self, _SWEEP_RULES, problems)
-        check_fields(self, (), self._cell_problems())
+        check_fields(self, problems)
+        check_fields(self, self._cell_problems())
 
     def _cell_problems(self) -> list[str]:
         """Each problem of any cell once, led by the axis values it holds at
@@ -389,16 +382,6 @@ def write_json(obj, path) -> None:
 # Real-data evaluation --------------------------------------------------------
 
 
-_REAL_RULES = (
-    ("csv_path", "a path", lambda v: isinstance(v, (str, os.PathLike))),
-    ("response_col", "a column name", lambda v: isinstance(v, str)),
-    RULES["standardize"],
-    RULES["train_fraction"],
-    RULES["seed"],
-    ("base", "an ExperimentBase", lambda v: isinstance(v, ExperimentBase)),
-)
-
-
 @dataclass(frozen=True)
 class RealDataSpec:
     """How to evaluate the estimators on a user-supplied CSV.
@@ -407,15 +390,18 @@ class RealDataSpec:
     derived at the train split's shape, and s defaults to its s_star.
     """
 
-    csv_path: str
-    response_col: str
+    csv_path: str = ruled("a path", lambda v: isinstance(v, (str, os.PathLike)))
+    response_col: str = ruled("a column name", lambda v: isinstance(v, str))
     standardize: bool = True
     train_fraction: float = 0.8
     seed: int = 0
-    base: ExperimentBase = field(default_factory=ExperimentBase)
+    base: ExperimentBase = ruled(
+        "an ExperimentBase", lambda v: isinstance(v, ExperimentBase),
+        default_factory=ExperimentBase,
+    )
 
     def __post_init__(self):
-        check_fields(self, _REAL_RULES)
+        check_fields(self)
 
 
 @dataclass(frozen=True)

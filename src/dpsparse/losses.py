@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import RULES, Dataset, check_fields
+from .core import Dataset, check_fields
 from .errors import InvalidInputError
 
 
@@ -19,7 +19,7 @@ class Huber:
     tau: float
 
     def __post_init__(self):
-        check_fields(self, (RULES["tau"],))
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class AbsoluteL1:
     sign_on_clipped: bool = False
 
     def __post_init__(self):
-        check_fields(self, (RULES["sign_on_clipped"],))
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class Squared:
     response_clip: float
 
     def __post_init__(self):
-        check_fields(self, (RULES["response_clip"],))
+        check_fields(self)
 
 
 LossKind = Huber | AbsoluteL1 | Squared

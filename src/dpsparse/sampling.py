@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RULES, Dataset, _adopt, check_fields
+from .core import Dataset, _adopt, check_fields
 from .errors import InvalidConfigError, InvalidParameterError
 
 # (tail index -> Student-t degrees of freedom) anchors; other tail indices use
@@ -106,11 +106,6 @@ def student_t(
     return float(draws) if size is None else draws
 
 
-SYNTHETIC_RULES = tuple(
-    RULES[name] for name in ("n", "d", "s_star", "zeta", "beta_scale", "noise_scale", "seed")
-)
-
-
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the synthetic sparse linear model with Student-t noise."""
@@ -124,7 +119,7 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, SYNTHETIC_RULES)
+        check_fields(self)
         if self.s_star > self.d:
             raise InvalidConfigError(f"s_star must be at most d={self.d}, got {self.s_star}")
 

@@ -669,11 +669,20 @@ def two_phase(**extra):
     ("sweep", {"schedule_l": 0.1}, [f"schedule_l invalid: {SCHEDULE_KINDS}, got 0.1"]),
     ("sweep", {"schedule_l": {"eta": 0.1}}, [f"schedule_l invalid: {SCHEDULE_KINDS}, got {{'eta'"]),
     ("sweep", {"schedule_l": {"kind": "zig"}}, [f"{SCHEDULE_KINDS}, got {{'kind': 'zig'}}"]),
+    ("sweep", {"schedule_l": {"kind": "two-phase", "eta0": 0.1}},
+     ["schedule_l invalid: a two-phase step takes kind and eta0, decay, switch_iter, eta_const, "
+      "got {'kind': 'two-phase', 'eta0': 0.1}"]),
+    ("sweep", {"schedule_l": {"kind": "constant", "eta": 0.1, "x": 1}},
+     ["schedule_l invalid: a constant step takes kind and eta, got {'kind': 'constant', "
+      "'eta': 0.1, 'x': 1}"]),
+    ("sweep", {"axis": "bogus", "values": [1], "eta": -1},
+     [f"axis must be one of {harness.SWEEP_AXES}, got 'bogus'", "eta must be a number > 0, got -1"]),
 ], ids=[
     "unknown-key", "K-string", "seed-float", "values-strings", "n-bool",
     "real-seed-and-train-fraction", "eta0-string", "switch-iter-float", "eta-const-bool",
     "sweep-unknown-estimator", "real-unknown-estimator",
     "schedule-not-an-object", "schedule-without-kind", "schedule-unknown-kind",
+    "schedule-missing-keys", "schedule-unknown-key", "axis-and-fit-field-in-one-pass",
 ])
 def test_bad_config_input_exits_one_naming_the_field(tmp_path, capsys, command, extra, messages):
     cfgp = sweep_config(tmp_path, **extra)
@@ -687,6 +696,27 @@ def test_bad_config_input_exits_one_naming_the_field(tmp_path, capsys, command, 
     assert code == 1
     err = capsys.readouterr().err
     assert all(message in err for message in messages) and "Traceback" not in err
+
+
+def test_a_non_private_fit_on_one_record_needs_no_delta(tmp_path):
+    csv = tmp_path / "one_row.csv"
+    csv.write_text("x1,x2,y\n1.0,2.0,3.0\n")
+    argv = ("fit", "--estimator", "ada-huber", "--data", str(csv), "--non-private", "--s", "1")
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 0
+    assert run_cli(*argv, "--delta", "0.1", "--out", str(tmp_path / "set")) == 0
+    assert (tmp_path / "o" / "estimate.json").read_bytes() == (
+        tmp_path / "set" / "estimate.json"
+    ).read_bytes()
+
+
+def test_a_private_fit_on_one_record_asks_for_delta(tmp_path, capsys):
+    csv = tmp_path / "one_row.csv"
+    csv.write_text("x1,x2,y\n1.0,2.0,3.0\n")
+    code = run_cli("fit", "--estimator", "dp-iht-h", "--data", str(csv), "--s", "1",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "delta must be set, since its default 1/n^1.1 needs n >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_negative_seed_is_accepted(tmp_path):

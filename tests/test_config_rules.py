@@ -4,9 +4,12 @@ A value of the wrong type fails at construction with an InvalidConfigError
 that names the field, never later inside a fit with a TypeError.
 """
 
+from dataclasses import dataclass, fields
+
 import pytest
 
 from dpsparse import (
+    AbsoluteL1,
     ConstantStep,
     EstimatorConfig,
     EstimatorKind,
@@ -15,10 +18,12 @@ from dpsparse import (
     InvalidConfigError,
     PrivacyParams,
     RealDataSpec,
+    Squared,
     SweepSpec,
     SyntheticConfig,
     TwoPhaseStep,
 )
+from dpsparse.core import check_fields
 
 SYN = SyntheticConfig(n=60, d=10, s_star=2)
 
@@ -31,6 +36,8 @@ VALID = {
     ConstantStep: dict(eta=0.1),
     TwoPhaseStep: dict(eta0=0.1, decay=0.5, switch_iter=2, eta_const=0.1),
     Huber: dict(tau=1.0),
+    AbsoluteL1: dict(sign_on_clipped=True),
+    Squared: dict(response_clip=1.0),
     ExperimentBase: dict(
         epsilon=0.5, delta=0.1, eta=0.01, s=2, T=3, K=1.0, L=1.0, tau=1.0, response_clip=1.0
     ),
@@ -59,6 +66,47 @@ def test_config_rejects_bad_type_naming_the_field(cls, name, bad):
     with pytest.raises(InvalidConfigError) as err:
         cls(**{**VALID[cls], name: bad})
     assert f"{name} must be" in str(err.value)
+
+
+# The fields that accept None; every other field rejects it by name.
+NULLABLE = {
+    EstimatorConfig: {"K", "tau", "response_clip"},
+    PrivacyParams: {"epsilon"},
+    ExperimentBase: {
+        "synthetic", "epsilon", "delta", "s", "T", "K", "tau", "response_clip", "schedule_l",
+    },
+}
+
+
+@pytest.mark.parametrize("cls,name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}-{f.name}") for cls in VALID for f in fields(cls)
+])
+def test_config_accepts_null_exactly_where_the_field_admits_it(cls, name):
+    if name in NULLABLE.get(cls, ()):
+        cls(**{**VALID[cls], name: None})
+        return
+    with pytest.raises(InvalidConfigError) as err:
+        cls(**{**VALID[cls], name: None})
+    assert f"{name} must be" in str(err.value) and "or null" not in str(err.value)
+
+
+@dataclass(frozen=True)
+class Knob:
+    """A config type outside the library: its fields take the rules of their names."""
+
+    eta: float
+    tau: float | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def test_a_new_config_type_checks_its_fields_by_name():
+    Knob(eta=0.1)
+    with pytest.raises(InvalidConfigError, match=r"^eta must be a number > 0, got -1$"):
+        Knob(eta=-1)
+    with pytest.raises(InvalidConfigError, match=r"^tau must be a number > 0 or null, got 'x'$"):
+        Knob(eta=0.1, tau="x")
 
 
 @pytest.mark.parametrize("cls,name,bad", [

@@ -231,12 +231,12 @@ def test_sweep_spec_validation():
 
 
 def test_a_cell_without_a_budget_still_reports_its_other_problems():
-    # At n=1 the derived delta, 1/n^1.1 = 1, is no budget; s > d holds there too.
+    # At n=1 the default delta, 1/n^1.1 = 1, is no budget; s > d holds there too.
     base = ExperimentBase(synthetic=SyntheticConfig(n=60, d=10, s_star=5), s=12)
     with pytest.raises(InvalidConfigError) as err:
         SweepSpec(axis="n", values=[1, 2, 60], base=base, repeats=1, estimators=(H, SLR))
     problems = str(err.value).split("; ")
-    assert "n=1: delta must be a number in (0, 1), got 1.0" in problems
+    assert "n=1: delta must be set, since its default 1/n^1.1 needs n >= 2" in problems
     assert problems.count("sparsity s=12 exceeds dimension d=10") == 1
 
 
