@@ -199,7 +199,8 @@ class SweepSpec:
     def _problems_at(self, value) -> list[str]:
         """The problems of every cell at axis value ``value``. The budget and
         each fit config are built apart, so a budget that cannot be built
-        still leaves the s, T and ``needs`` checks to run."""
+        still leaves ``fit_problems``' loss-parameter, ``s <= d`` and
+        ``T <= n`` checks to run."""
         base = _unit_base(self.base, self.axis, value, self.base.synthetic.seed)
         n, d = base.synthetic.n, base.synthetic.d
         problems = []

@@ -5,10 +5,11 @@ by ``SeedSequence([seed, stream])``, so identical (seed, stream) pairs yield
 identical sequences for the same output version and numpy major version.
 Parallel trials take distinct stream ids instead of sharing generator state.
 
-Synthetic features are drawn in fixed row blocks of ``_BLOCK_ENTRIES // d``
-rows (at least one). Stream 0 draws the support, the coefficient values,
-block 0 and, once every block is filled, the noise; block k >= 1 is stream k
-alone. The blocks are filled on a thread pool, each by its own generator
+Synthetic features are drawn in row blocks: block 0 holds
+``_BLOCK_ENTRIES // d`` rows and every later block an eighth of that (each at
+least one row). Stream 0 draws the support, the coefficient values, block 0
+and then the noise; block k >= 1 is stream k alone. The blocks are filled on
+a thread pool, each by its own generator
 (chunk by chunk, taking each chunk's row peaks as it goes), so the bytes do
 not depend on the thread count, and the features of an n-row draw are the
 first n rows of any larger draw with the same seed, d and s_star. The
@@ -30,7 +31,8 @@ from .errors import InvalidConfigError, InvalidParameterError
 # the linear rule nu = 1 + 2 * zeta.
 _ZETA_NU_ANCHORS = {0.5: 1.75, 1.0: 3.0}
 
-# Feature entries per row block of a synthetic draw (32 MiB of float64).
+# Feature entries in row block 0 of a synthetic draw (32 MiB of float64); each
+# later block holds an eighth of that (4 MiB).
 _BLOCK_ENTRIES = 1 << 22
 # Feature entries per row chunk within a block (256 KiB of float64): a chunk
 # is still in the L2 cache when its row peaks are taken.
@@ -143,19 +145,23 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     Noise is noise_scale * Student-t(nu(zeta)). y reads only the s_star
     support columns of x: y = x[:, support] @ values + noise.
 
-    The features fill row blocks of R = max(1, _BLOCK_ENTRIES // d) rows in
-    place. Stream 0 of the config seed draws, in this order, the support,
-    the values, block 0 (rows [0, R)) and the noise; block k >= 1 (rows
-    [kR, (k+1)R)) is the whole of stream k. The blocks are filled on up to
-    one thread per CPU, which have all finished when this returns. A
-    thread fills its block in row chunks of ``_CHUNK_ENTRIES // d`` rows
-    (at least one), which draw the bytes of one whole-block call, and takes
-    each chunk's row peaks while the chunk is in cache; the dataset's
-    finiteness check then reads those peaks, not x. Every
-    block has its own generator, so the output is a deterministic function
-    of the config whatever the thread count, and the features of a draw are
-    a row prefix of any larger draw at the same seed, d and s_star (its
-    noise is not).
+    The features fill row blocks in place: block 0 is rows [0, R) with
+    R = max(1, _BLOCK_ENTRIES // d), and the rows after it are cut into
+    blocks of r = max(1, (_BLOCK_ENTRIES >> 3) // d) rows, so block k >= 1
+    is rows [R + (k-1)r, R + kr) (the last one may be short). Stream 0 of
+    the config seed draws, in this order, the support, the values, block 0
+    and the noise; block k >= 1 is the whole of stream k. The blocks are
+    filled on up to one thread per CPU, which have all finished when this
+    returns. Block 0 and the noise are one task, submitted first as the
+    longest, and the short later blocks keep every other thread busy until
+    it ends. A thread fills its block in row chunks of
+    ``_CHUNK_ENTRIES // d`` rows (at least one), which draw the bytes of one
+    whole-block call, and takes each chunk's row peaks while the chunk is in
+    cache; the dataset's finiteness check then reads those peaks, not x.
+    Every block has its own generator, so the output is a deterministic
+    function of the config whatever the thread count, and the features of a
+    draw are a row prefix of any larger draw at the same seed, d and s_star
+    (its noise is not).
     """
     gen = RngHandle(cfg.seed, stream=0).generator()
     support = np.sort(gen.choice(cfg.d, size=cfg.s_star, replace=False))
@@ -165,29 +171,34 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     x = np.empty((cfg.n, cfg.d))
     row_peak = np.empty(cfg.n)
     rows = max(1, _BLOCK_ENTRIES // cfg.d)
+    later = max(1, (_BLOCK_ENTRIES >> 3) // cfg.d)
     chunk = max(1, _CHUNK_ENTRIES // cfg.d)
-    blocks = -(-cfg.n // rows)
+    # Block k is rows [bounds[k], bounds[k + 1]).
+    bounds = [0, *range(min(rows, cfg.n), cfg.n, later), cfg.n]
+    blocks = len(bounds) - 1
 
-    def fill(k: int) -> None:
+    def fill(k: int) -> np.ndarray | None:
+        """Fill block k; block 0 then returns the noise, which ends stream 0."""
         block_gen = gen if k == 0 else RngHandle(cfg.seed, stream=k).generator()
-        end = min((k + 1) * rows, cfg.n)
-        for start in range(k * rows, end, chunk):
+        end = bounds[k + 1]
+        for start in range(bounds[k], end, chunk):
             stop = min(start + chunk, end)
             part = block_gen.standard_normal(out=x[start:stop])
             np.maximum(part.max(axis=1), -part.min(axis=1), out=row_peak[start:stop])
+        if k > 0:
+            return None
+        if cfg.noise_scale > 0:
+            return cfg.noise_scale * student_t(cfg.nu, gen, size=cfg.n)
+        return np.zeros(cfg.n)
 
     workers = min(_cpu_count(), blocks)
     if workers > 1:
-        # numpy releases the GIL while it fills a block.
+        # numpy releases the GIL while it fills a block. map submits block 0
+        # first.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(blocks)))
+            noise = list(pool.map(fill, range(blocks)))[0]
     else:
-        for k in range(blocks):
-            fill(k)
-    if cfg.noise_scale > 0:
-        noise = cfg.noise_scale * student_t(cfg.nu, gen, size=cfg.n)
-    else:
-        noise = np.zeros(cfg.n)
+        noise = [fill(k) for k in range(blocks)][0]
     y = x.take(support, axis=1) @ values + noise
     # x and y are fresh and held nowhere else: check and freeze them in place.
     return _adopt(x, y, row_peak), beta_star

@@ -157,6 +157,66 @@ DIGESTS = {
             "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
         },
     },
+    # Version 7 moved no byte of these runs' data or fits: each file that
+    # records output_version moved by that number alone.
+    7: {
+        "fit-ada-csv": {
+            "estimate.json": "c83ef6792c1edfc9a9d854762628f493ce66db0058c43d0bafb9357bb6bee3f6",
+        },
+        "fit-h-csv-narrow": {
+            "estimate.json": "da0cbc11fef54bcfc83f7ce5f2ea8c94e689c430c0090bd65a3d657cca8cdbda",
+        },
+        "fit-h-flags": {
+            "effective_config.json":
+                "d12a61c4dfa1726f5e82aa0f28ebfc3d6147922dd58af9c92b1f0404acd4992c",
+            "estimate.json": "525d4d9b54221e666f0139e3e7ffe55ff2c9aa3954b78d8b33b9eee8528bd6ec",
+        },
+        "fit-l-schedule": {
+            "effective_config.json":
+                "948affffcd4b9ef7423c97072fc40fb6411d51acc7e8d626a36a586c875884c0",
+            "estimate.json": "f1f00a6c19cb16702d1fd3673e97c9684a46ad12e02652f726744df91913c9a6",
+        },
+        "fit-slr-derived": {
+            "effective_config.json":
+                "c4e32c436bc48c31c1fda10e29e4dd3fe1697beffae02af7c5812e499880a77f",
+            "estimate.json": "80636784902b1e5fcc43415e0c57271d37936d2130ac6ee943fd203ba7e8d4ab",
+        },
+        "probe": {
+            "effective_config.json":
+                "f74985f1d74422b422d11b79d039ce085cc4d1ec334685d46f243e082ad11f36",
+            "probe_report.json": "5460ed9a792f662c71409cad1bfec3a6926839f063fca72ff3637d9f9d9f7b2c",
+        },
+        "real-derived": {
+            "real_results.csv": "29852328e2258f0160a94d133f3a7185a53c03fceb0f7860acf39b9d75e845ed",
+        },
+        "real-fixed": {
+            "real_results.csv": "0aed5f064ca5d574f0dff34ece2fd2c186d594621b02a4fe7523d05628c45435",
+        },
+        "sweep-d-derived": {
+            "aggregates.json": "ae5491f73928ee4482b247ffd4da57cc80ac1d9fdef2893cd8da5411559f99e4",
+            "effective_config.json":
+                "2848b2be7d25d1484f967c7a49a08f3910c7b3795fa053e739f75ac3c545034c",
+            "results.csv": "57b2385532fe3b1b4de1d3099828a2a4852c2aed02489839eccd242a5b7d2d02",
+        },
+        "sweep-n": {
+            "aggregates.json": "5819c0d3c627fd0189101852481d284110238cc39879e1dce6ff23439676ba71",
+            "effective_config.json":
+                "6727ea7c761195d050042d72dfb396c8623f9f583b2e5645cacaf3ff04a17e47",
+            "results.csv": "0fa0afe129cbd07e1c87301ae4d1353c54e6468f59ca4e36afd5f45a6ad217a8",
+        },
+        "sweep-n-derived": {
+            "aggregates.json": "b4996ef93f1647576a88393816c5b065b024c6b840b3cacc36e99e911cdb5b12",
+            "effective_config.json":
+                "484d4347b8fffd49231f4883be8de2c5a8e71f95db510712fd104de11f717598",
+            "results.csv": "ea72ef9c1084395da4a788b4cedeaf18feabc458712d19fb643f5e861496b0ff",
+        },
+        "synth-gen": {
+            "dataset.csv": "f7ac528cc5f44f2fae947dc048e7ec09d8991ccd159b6371859198a75ea20719",
+            "effective_config.json":
+                "fa99176d534038c0a401ccb3470faba2b5d1679da986df462c23612309ffcd7f",
+            "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
+        },
+    },
 }
 
 

@@ -174,7 +174,8 @@ def small_blocks(monkeypatch, block_entries, chunk_entries):
     "n, d", [(200, 30), (7, 200), (1, 5)], ids=["many-blocks", "row-per-chunk", "one-row"]
 )
 def test_fused_row_peaks_equal_a_recomputation(monkeypatch, n, d):
-    # 33-row blocks of 2-row chunks at d=30: blocks and chunks both end part-way.
+    # At d=30, a 33-row block 0 and 4-row later blocks, the last one 3 rows,
+    # in 2-row chunks: blocks and chunks both end part-way.
     small_blocks(monkeypatch, 1000, 64)
     ds, _ = generate_synthetic(SyntheticConfig(n=n, d=d, s_star=2, seed=3))
     recomputed = np.maximum(ds.x.max(axis=1), -ds.x.min(axis=1))

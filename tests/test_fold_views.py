@@ -47,6 +47,9 @@ DIGESTS = {
         ),
     },
 }
+# Version 7 moved the features of draws longer than one row block; the
+# pinned problem's 600 x 50 draw is one block and keeps its bytes.
+DIGESTS[7] = DIGESTS[6]
 
 
 def pinned_problem():

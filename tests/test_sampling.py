@@ -1,3 +1,4 @@
+import hashlib
 import threading
 
 import numpy as np
@@ -149,10 +150,12 @@ def test_generate_synthetic_validates_config():
 
 
 # Row blocks of a synthetic draw, shrunk so that small shapes span many
-# blocks: at d = 8 a block holds 256 // 8 = 32 rows.
+# blocks: at d = 8, block 0 holds 256 // 8 = 32 rows and every later block an
+# eighth of that, 4 rows.
 BLOCK_ENTRIES = 256
 BLOCK_D = 8
 BLOCK_ROWS = BLOCK_ENTRIES // BLOCK_D
+LATER_ROWS = BLOCK_ROWS // 8
 
 
 @pytest.fixture
@@ -164,16 +167,39 @@ def block_config(n, seed=5):
     return SyntheticConfig(n=n, d=BLOCK_D, s_star=3, zeta=0.5, seed=seed)
 
 
+def later_bounds(n):
+    """(start, stop) rows of each block after block 0 in an n-row draw."""
+    starts = range(BLOCK_ROWS, n, LATER_ROWS)
+    return [(start, min(start + LATER_ROWS, n)) for start in starts]
+
+
 def test_blocked_bytes_do_not_depend_on_the_thread_count(small_blocks, monkeypatch):
     cfg = block_config(10 * BLOCK_ROWS + 7)
+    assert len(later_bounds(cfg.n)) >= 3
     draws = []
-    for cpus in (1, 3):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(sampling, "_cpu_count", lambda cpus=cpus: cpus)
-        draws.append(generate_synthetic(cfg))
-    (one, b1), (three, b3) = draws
-    assert one.x.tobytes() == three.x.tobytes()
-    assert one.y.tobytes() == three.y.tobytes()
-    assert b1.tobytes() == b3.tobytes()
+        ds, beta_star = generate_synthetic(cfg)
+        draws.append((ds.x.tobytes(), ds.y.tobytes(), beta_star.tobytes()))
+    assert draws[0] == draws[1] == draws[2]
+
+
+def oracle_draw(cfg, blocks):
+    """The pinned stream order: stream 0 draws the support, the values, the
+    first of ``blocks`` (row counts) and then the noise; the k-th block is
+    the whole of stream k. Returns (x, y, beta_star)."""
+    gen = RngHandle(cfg.seed, stream=0).generator()
+    support = np.sort(gen.choice(cfg.d, size=cfg.s_star, replace=False))
+    values = gen.standard_normal(cfg.s_star)
+    parts = [gen.standard_normal((blocks[0], cfg.d))]
+    z = gen.standard_normal(cfg.n)
+    noise = z / np.sqrt(gen.chisquare(cfg.nu, cfg.n) / cfg.nu)
+    for k, rows in enumerate(blocks[1:], start=1):
+        parts.append(RngHandle(cfg.seed, stream=k).generator().standard_normal((rows, cfg.d)))
+    x = np.concatenate(parts)
+    beta_star = np.zeros(cfg.d)
+    beta_star[support] = values
+    return x, x.take(support, axis=1) @ values + noise, beta_star
 
 
 @pytest.mark.parametrize("n", [BLOCK_ROWS - 5, BLOCK_ROWS])
@@ -181,45 +207,55 @@ def test_a_single_block_draw_is_the_one_stream_draw(small_blocks, n):
     # Oracle: every draw in order from stream 0, the features as one n x d
     # array (the layout before row blocks).
     cfg = block_config(n)
-    gen = RngHandle(cfg.seed, stream=0).generator()
-    support = np.sort(gen.choice(cfg.d, size=cfg.s_star, replace=False))
-    values = gen.standard_normal(cfg.s_star)
-    x = gen.standard_normal((n, cfg.d))
-    z = gen.standard_normal(n)
-    noise = z / np.sqrt(gen.chisquare(cfg.nu, n) / cfg.nu)
-    beta_star = np.zeros(cfg.d)
-    beta_star[support] = values
+    x, y, beta_star = oracle_draw(cfg, [n])
     ds, got_beta = generate_synthetic(cfg)
     assert got_beta.tobytes() == beta_star.tobytes()
     assert ds.x.tobytes() == x.tobytes()
-    assert ds.y.tobytes() == (x.take(support, axis=1) @ values + noise).tobytes()
+    assert ds.y.tobytes() == y.tobytes()
+
+
+def test_a_multi_block_draw_is_block_0_then_one_stream_per_later_block(small_blocks):
+    # Block 0, three whole later blocks and a short last one of 2 rows.
+    n = BLOCK_ROWS + 3 * LATER_ROWS + 2
+    cfg = block_config(n)
+    x, y, beta_star = oracle_draw(cfg, [BLOCK_ROWS, LATER_ROWS, LATER_ROWS, LATER_ROWS, 2])
+    ds, got_beta = generate_synthetic(cfg)
+    assert got_beta.tobytes() == beta_star.tobytes()
+    assert ds.x.tobytes() == x.tobytes()
+    assert ds.y.tobytes() == y.tobytes()
 
 
 def test_each_later_block_is_its_own_stream(small_blocks):
-    cfg = block_config(4 * BLOCK_ROWS + 9)
+    cfg = block_config(BLOCK_ROWS + 5 * LATER_ROWS + 3)
     ds, _ = generate_synthetic(cfg)
-    for k in range(1, 5):
-        block = ds.x[k * BLOCK_ROWS : (k + 1) * BLOCK_ROWS]
+    bounds = later_bounds(cfg.n)
+    assert len(bounds) == 6 and bounds[-1] == (cfg.n - 3, cfg.n)
+    for k, (start, stop) in enumerate(bounds, start=1):
+        block = ds.x[start:stop]
         want = RngHandle(cfg.seed, stream=k).generator().standard_normal(block.shape)
         assert block.tobytes() == want.tobytes()
 
 
 def test_features_are_a_row_prefix_of_a_larger_draw(small_blocks):
     full, beta_full = generate_synthetic(block_config(5 * BLOCK_ROWS + 3))
-    for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17):
+    assert len(later_bounds(full.n)) >= 3
+    cuts = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + LATER_ROWS,
+            BLOCK_ROWS + 3 * LATER_ROWS + 1, 3 * BLOCK_ROWS + 17)
+    for n in cuts:
         ds, beta_star = generate_synthetic(block_config(n))
         assert ds.x.tobytes() == full.x[:n].tobytes()
         assert beta_star.tobytes() == beta_full.tobytes()
 
 
 def test_blocked_features_are_standard_normal_across_block_boundaries(small_blocks):
-    # 125 blocks of 32 rows. The entries as a whole, and the pairs of
+    # Block 0 and 992 later blocks. The entries as a whole, and the pairs of
     # entries that face each other across a boundary (last row of block
     # k - 1, first row of block k), which come from different streams.
     ds, _ = generate_synthetic(block_config(125 * BLOCK_ROWS, seed=8))
+    starts = np.array([start for start, _ in later_bounds(ds.n)])
     assert stats.kstest(ds.x.ravel(), "norm").pvalue > 1e-3
-    last = ds.x[BLOCK_ROWS - 1 : -1 : BLOCK_ROWS].ravel()
-    first = ds.x[BLOCK_ROWS::BLOCK_ROWS].ravel()
+    last = ds.x[starts - 1].ravel()
+    first = ds.x[starts].ravel()
     assert stats.kstest(np.concatenate([last, first]), "norm").pvalue > 1e-3
     assert stats.pearsonr(last, first).pvalue > 1e-3
 
@@ -229,3 +265,13 @@ def test_blocked_draw_leaves_no_thread_running(small_blocks, monkeypatch):
     before = threading.active_count()
     generate_synthetic(block_config(10 * BLOCK_ROWS))
     assert threading.active_count() == before
+
+
+def test_the_guard_shape_draw_keeps_its_version_6_bytes():
+    # perfbench's quality guard draws this shape; it is one row block
+    # (4000 <= 2**22 // 1000 rows), so its bytes are pinned across versions.
+    ds, beta_star = generate_synthetic(SyntheticConfig(4000, 1000, 5, zeta=0.5, seed=20250606))
+    digest = hashlib.sha256()
+    for part in (ds.x, ds.y, beta_star):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == "f56c232e007628acd5df287e94a7acc0fff833c34921c44a92f014a2453af015"
