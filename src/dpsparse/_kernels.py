@@ -4,20 +4,24 @@ Plain vectorized numpy. Each gradient takes its residual from
 ``support_matvec``, which reads only the columns of the features where beta is
 nonzero (at most s of them after hard thresholding, none at beta = 0), and
 then makes one dense matrix-vector product with the transposed features,
-``xt_matvec``: one BLAS call, or, with BLAS on one thread, one call per
-column block, run on one thread per CPU with the bytes of the single call.
-Selection scores a few candidates per round and falls back to one argmax over
-d only when it cannot certify the winner (see ``peel_select``). All kernels
-are deterministic given their inputs; randomness (the sparse selection
-uniforms, and a fallback round's row through the callback it is handed) is
+``xt_matvec``: one BLAS call per column block, on one thread per CPU, with the
+bytes of one call, as the library runs its products with BLAS on one thread
+(``blas_pinned``). Selection scores a few candidates per round and falls back
+to one argmax over d only when it cannot certify the winner (see
+``peel_select``). All kernels are deterministic given their inputs;
+randomness (the sparse selection uniforms, and a fallback round's row) is
 drawn by callers. Callers reach the kernels through this module's attributes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
 import threading
+import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
@@ -51,29 +55,17 @@ _BLOCK_ENTRIES = 2**17
 _CUT_COLS = 64
 
 
-def _blas_thread_setting() -> str | None:
-    """The first of OpenBLAS's thread variables that is set, in its order."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value:
-            return value
-    return None
-
-
 # Threads for the column blocks past the first, built on first use; None until
 # then and in a forked child, whose copy of the pool has no threads.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-# Whether products may run on column blocks: only with BLAS on one thread
-# (with none of the variables set, OpenBLAS runs a thread per CPU, and the
-# blocks' threads would contend with its own), and not in a sweep's worker
-# processes, which run their products on one thread.
-_split = _blas_thread_setting() == "1"
+# Held through every pin: pins nest, and a pin in another thread waits.
+_pin_lock = threading.RLock()
 
 
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _forget_after_fork() -> None:
+    global _pool, _pool_lock, _pin_lock
+    _pool, _pool_lock, _pin_lock = None, threading.Lock(), threading.RLock()
 
 
 def _product_pool() -> ThreadPoolExecutor:
@@ -85,17 +77,39 @@ def _product_pool() -> ThreadPoolExecutor:
 
 
 if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_after_fork)
 
 
 def one_thread() -> None:
-    """Run this process's products on the calling thread only.
+    """Run this process's products as on one CPU: a sweep worker's initializer."""
+    global _cpu_count
+    _cpu_count = lambda: 1  # noqa: E731
 
-    The initializer of a sweep's worker processes, which already run one
-    unit each side by side: more threads would contend for the CPUs.
-    """
-    global _split
-    _split = False
+
+@functools.cache
+def _blas_threads():
+    """(get, set) thread count of the scipy-openblas numpy 2 bundles, or no-ops and a warning."""
+    import glob  # on the first pin, not at import
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*"):
+        lib = ctypes.CDLL(path)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+        return get, set_
+    warnings.warn("dpsparse found no OpenBLAS thread control: outputs may vary with BLAS threads")
+    return (lambda: 1), (lambda count: None)
+
+
+@contextlib.contextmanager
+def blas_pinned():
+    """Run the block with OpenBLAS on one thread; restore its count after, on an error too."""
+    get, set_ = _blas_threads()
+    with _pin_lock:
+        saved = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(saved)
 
 
 def _cuts(m: int, d: int, cpus: int) -> list[int] | None:
@@ -120,15 +134,13 @@ def _cuts(m: int, d: int, cpus: int) -> list[int] | None:
 def xt_matvec(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x.T @ w`` for a fold's m x d features (C-contiguous float64).
 
-    With BLAS on one thread, the fold is cut into the column blocks of
-    ``_cuts``; the calling thread runs block 0 and a pool of CPUs - 1
-    threads the others. Every output entry sums over the same rows in the
-    same order as in the single BLAS call, so the bytes are the single
-    call's whatever the blocks are. Without blocks (BLAS on more threads, a
-    sweep's worker process, or a fold too small) it is the single call.
+    The fold is cut into the column blocks of ``_cuts`` (none on one CPU or
+    for a small fold); the calling thread runs block 0 and a pool of CPUs - 1
+    threads the others. With BLAS on one thread (``blas_pinned``) each output
+    sums over the rows in the order of one BLAS call, so it has its bytes.
     """
     m, d = x.shape
-    cuts = _cuts(m, d, _cpu_count()) if _split else None
+    cuts = _cuts(m, d, _cpu_count())
     if cuts is None:
         return x.T @ w
     pool = _product_pool()

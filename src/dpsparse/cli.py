@@ -259,6 +259,7 @@ def _cmd_synth_gen(args) -> int:
     return 0
 
 
+@_kernels.blas_pinned()
 def _cmd_fit(args) -> int:
     kind = EstimatorKind(args.estimator)
     raw, flags = read_config(args.config), _flags(args)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CsvParseError, InvalidConfigError, InvalidInputError
 
-OUTPUT_VERSION = 7
+OUTPUT_VERSION = 8
 """Version of the output bits: the same seed, the same output version and the
 same numpy major version give the same bytes. A change that moves any output
 bit bumps it and re-records the pinned digests under the new version."""

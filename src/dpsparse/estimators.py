@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _kernels
 from .core import (
     Dataset,
     Estimate,
@@ -200,6 +201,7 @@ def _advance(live: list[tuple[int, _Fit]], results: list, step, *args) -> list[t
     return kept
 
 
+@_kernels.blas_pinned()
 def fit_many(
     ds: Dataset, fits: Sequence[FitRequest], beta_star: np.ndarray | None = None
 ) -> list[FitReport | DpSparseError]:
@@ -217,7 +219,7 @@ def fit_many(
     fold is in cache, and then each runs its own selection from its own
     generator and its own projection. A fit's arithmetic and draw order do
     not depend on the other fits, so each result has the bytes of a fit run
-    alone.
+    alone. The fits run under ``_kernels.blas_pinned``.
     """
     results: list = [None] * len(fits)
     groups: dict[int, list[tuple[int, _Fit]]] = {}

@@ -254,6 +254,7 @@ def _unit_base(base: ExperimentBase, axis: str, value, data_seed: int) -> Experi
     return replace(base, synthetic=syn)
 
 
+@_kernels.blas_pinned()
 def _run_unit(args) -> list[SweepRow]:
     """Generate one dataset and fit every estimator at each of ``values`` on it.
 
@@ -429,6 +430,7 @@ def _standardize_train_test(
     return (x_train - mean) / std, (x_test - mean) / std
 
 
+@_kernels.blas_pinned()
 def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDataRow]:
     """Fit each estimator on the train split, report held-out MAE and support.
 

@@ -47,6 +47,7 @@ class Squared:
 LossKind = Huber | AbsoluteL1 | Squared
 
 
+@_kernels.blas_pinned()
 def batch_gradient(fold: Dataset, beta: np.ndarray, kind: LossKind, K: float | None) -> np.ndarray:
     """Mean per-sample gradient of the chosen loss over one fold.
 

@@ -199,6 +199,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
             noise = list(pool.map(fill, range(blocks)))[0]
     else:
         noise = [fill(k) for k in range(blocks)][0]
-    y = x.take(support, axis=1) @ values + noise
+    from ._kernels import blas_pinned  # imported here, as _kernels imports this module
+    with blas_pinned():
+        y = x.take(support, axis=1) @ values + noise
     # x and y are fresh and held nowhere else: check and freeze them in place.
     return _adopt(x, y, row_peak), beta_star

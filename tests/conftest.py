@@ -1,12 +1,12 @@
-"""A fixture that runs a test module's function in a fresh interpreter with BLAS
-on one thread, or under other BLAS thread variables.
+"""A fixture that runs a test module's function in a fresh interpreter under
+given BLAS thread variables, by default every one at 1.
 
-The blocked product's bytes are those of one BLAS call when BLAS runs on one
-thread. With more BLAS threads, one call's bytes themselves depend on their
-count at some widths (on OpenBLAS at 2 threads, m = 235 and d = 2049 give
-other bytes than at 1), so the tests that compare those bytes pin BLAS, which
-must happen before numpy loads. The products split into blocks only when the
-variables pin BLAS to one thread, which a test checks under other settings.
+OpenBLAS reads its thread variables once, when numpy loads it, and with none
+set runs a thread per CPU; at some widths one call's bytes depend on that
+count (on OpenBLAS at 2 threads, m = 235 and d = 2049 give other bytes than
+at 1). dpsparse holds BLAS to one thread for its own products whatever the
+variables say, so the byte tests run in-process. A child interpreter is only
+for what needs one: the variables themselves, or a fork.
 """
 
 import contextlib

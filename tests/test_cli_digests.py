@@ -217,6 +217,66 @@ DIGESTS = {
             "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
         },
     },
+    # Version 8 moved no byte of these runs' data or fits: each file that
+    # records output_version moved by that number alone.
+    8: {
+        "fit-ada-csv": {
+            "estimate.json": "3bc2f2fcd38dda532ef901f263909a4ee4d372de5e10a50946270e1a3cb43248",
+        },
+        "fit-h-csv-narrow": {
+            "estimate.json": "c3bd7380cb0582b4ac20a2cc7947d82fbf4e38fb232d403e1decb2cf72749fac",
+        },
+        "fit-h-flags": {
+            "effective_config.json":
+                "c90ed21a88303cb26352ed6b7c8c33584864b120f225f1129513d5d28f146860",
+            "estimate.json": "08a80b308a77a5912f3026bc7c705084921216bf7e5b46e695f8324a4d018e36",
+        },
+        "fit-l-schedule": {
+            "effective_config.json":
+                "253d0b6ee93ba5fd0f853c4388f48ccb65047e5996d4124f14eb26271fe9b349",
+            "estimate.json": "7c8727555c4a7de02776add8c6590d3a54d9d8bf24e4d123ef91b524f048072f",
+        },
+        "fit-slr-derived": {
+            "effective_config.json":
+                "10b77f673a84911aaefc16474ffba32deba04e221d18c611fdca38f7b3d86719",
+            "estimate.json": "68d3581d17a795dd7fe2318713ffc66917c1be487d1c334834e972ce82539a86",
+        },
+        "probe": {
+            "effective_config.json":
+                "9d299298c53a6a956e013f3fee134a99dc80ea625e549b2f350382eab08b59a9",
+            "probe_report.json": "5460ed9a792f662c71409cad1bfec3a6926839f063fca72ff3637d9f9d9f7b2c",
+        },
+        "real-derived": {
+            "real_results.csv": "29852328e2258f0160a94d133f3a7185a53c03fceb0f7860acf39b9d75e845ed",
+        },
+        "real-fixed": {
+            "real_results.csv": "0aed5f064ca5d574f0dff34ece2fd2c186d594621b02a4fe7523d05628c45435",
+        },
+        "sweep-d-derived": {
+            "aggregates.json": "ae5491f73928ee4482b247ffd4da57cc80ac1d9fdef2893cd8da5411559f99e4",
+            "effective_config.json":
+                "0e1f95b7da0aa578076526259e19aee4ef1edd43efa524c4ddfdf230c43b50a1",
+            "results.csv": "57b2385532fe3b1b4de1d3099828a2a4852c2aed02489839eccd242a5b7d2d02",
+        },
+        "sweep-n": {
+            "aggregates.json": "5819c0d3c627fd0189101852481d284110238cc39879e1dce6ff23439676ba71",
+            "effective_config.json":
+                "f0122fda36e0ed68ba4e5861d3a345129f229a5ea1daae6e171ee3d988c90358",
+            "results.csv": "0fa0afe129cbd07e1c87301ae4d1353c54e6468f59ca4e36afd5f45a6ad217a8",
+        },
+        "sweep-n-derived": {
+            "aggregates.json": "b4996ef93f1647576a88393816c5b065b024c6b840b3cacc36e99e911cdb5b12",
+            "effective_config.json":
+                "08f4a84c2fb7b0412d6bdfb911e13b1182ea1260a8586a5b7917efaae4225965",
+            "results.csv": "ea72ef9c1084395da4a788b4cedeaf18feabc458712d19fb643f5e861496b0ff",
+        },
+        "synth-gen": {
+            "dataset.csv": "f7ac528cc5f44f2fae947dc048e7ec09d8991ccd159b6371859198a75ea20719",
+            "effective_config.json":
+                "2bfebec3aac17a494134e105c873c920baaba1c72431dde3708aa4fb26fc712b",
+            "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
+        },
+    },
 }
 
 

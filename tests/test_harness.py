@@ -252,11 +252,11 @@ def test_sweep_workers_parallel_matches_serial():
 def wide_sweep_after_the_pool_started(log_path):
     """Sweep rows at workers=1 and 2, run after a wide fit started the product pool.
 
-    Two CPUs are assumed, so the gate engages on any host, and every start of
-    a blocked product logs its process id. A child forked after the fit runs
-    a wide product too: on the pool it copied, whose threads did not survive
-    the fork, it would wait for ever. Patches the module for good: call it in
-    a child interpreter.
+    Two CPUs are assumed, so the products split on any host, and every start
+    of a blocked product logs its process id. A child forked after the fit
+    runs a wide product too: on the pool it copied, whose threads did not
+    survive the fork, it would wait for ever. Forks and patches the module
+    for good: call it in a child interpreter.
     """
     pool = _kernels._product_pool
 

@@ -5,15 +5,17 @@ relative 1e-12 (float64 sums over a few dozen terms). Selection involves no
 arithmetic order and must agree exactly: its oracle scores every index of
 every round, with the noise of a dense uniform block, and the kernel reads
 that block's sparse representation. A gradient whose product runs on column
-blocks must have the bytes of one plain product, with BLAS on one thread.
+blocks must have the bytes of one plain product, with BLAS on one thread:
+the library holds it there, whatever the BLAS thread variables say.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from dpsparse import RngHandle
+from dpsparse import Dataset, Huber, RngHandle, batch_gradient
 from dpsparse import _kernels as k
 from dpsparse.sampling import _laplace_icdf
 
@@ -157,11 +159,11 @@ def one_product_grad(kernel, xc, y, beta):
     return (xc.T @ (k.support_matvec(xc, beta) - y)) / m
 
 
-def blocked_grad_mismatches(kernel):
+def blocked_grad_mismatches(kernel, monkeypatch):
     """The (d, m, cpus) cases whose gradient bytes differ from ``one_product_grad``'s.
 
-    Also returns how many products ran on column blocks. Patches the module
-    for good: call it in a child interpreter.
+    Also returns how many products ran on column blocks. Both sides run
+    under one pin, so BLAS is on one thread whatever the environment.
     """
     grads = {
         "huber": lambda xc, y, beta: k.huber_grad(xc, y, beta, BLOCK_TAU),
@@ -174,22 +176,23 @@ def blocked_grad_mismatches(kernel):
         blocked.append(1)
         return pool()
 
-    k._product_pool = counted
-    for d in BLOCK_DS:
-        for m in BLOCK_MS:
-            xc, y, beta = random_fold(m, d, seed=d + m)
-            beta[np.abs(beta) < 2.0] = 0.0  # sparse, as after hard thresholding
-            want = one_product_grad(kernel, xc, y, beta).tobytes()
-            for cpus in BLOCK_CPUS:
-                k._cpu_count = lambda cpus=cpus: cpus
-                if grads[kernel](xc, y, beta).tobytes() != want:
-                    mismatches.append([d, m, cpus])
+    monkeypatch.setattr(k, "_product_pool", counted)
+    with k.blas_pinned():
+        for d in BLOCK_DS:
+            for m in BLOCK_MS:
+                xc, y, beta = random_fold(m, d, seed=d + m)
+                beta[np.abs(beta) < 2.0] = 0.0  # sparse, as after hard thresholding
+                want = one_product_grad(kernel, xc, y, beta).tobytes()
+                for cpus in BLOCK_CPUS:
+                    monkeypatch.setattr(k, "_cpu_count", lambda cpus=cpus: cpus)
+                    if grads[kernel](xc, y, beta).tobytes() != want:
+                        mismatches.append([d, m, cpus])
     return mismatches, len(blocked)
 
 
 @pytest.mark.parametrize("kernel", ["huber", "l1", "squared"])
-def test_blocked_gradient_has_the_bytes_of_one_product(kernel, one_blas_thread):
-    mismatches, blocked = one_blas_thread("test_kernels", "blocked_grad_mismatches", kernel)
+def test_blocked_gradient_has_the_bytes_of_one_product(kernel, monkeypatch):
+    mismatches, blocked = blocked_grad_mismatches(kernel, monkeypatch)
     assert mismatches == []
     cases = [(d, m, cpus) for d in BLOCK_DS for m in BLOCK_MS for cpus in BLOCK_CPUS]
     assert blocked == sum(rule_blocks(*case) >= 2 for case in cases)
@@ -203,30 +206,40 @@ def test_blocked_gradient_has_the_bytes_of_one_product(kernel, one_blas_thread):
             assert cuts[1] >= 512
 
 
-def tall_product_started_the_pool():
-    """Whether a product at fit-tall's fold shape, on two CPUs, built the pool."""
+def tall_gradient():
+    """The sha256 of a Huber gradient at fit-tall's fold shape on two CPUs, and
+    whether it built the pool."""
     k._cpu_count = lambda: 2
-    xc, y, _ = random_fold(1000, 1000)
-    k.xt_matvec(xc, y)
-    return k._pool is not None
+    xc, y, beta = random_fold(1000, 1000)
+    fold = Dataset(xc, y)
+    grad = batch_gradient(fold, np.where(np.abs(beta) < 2.0, 0.0, beta), Huber(BLOCK_TAU), None)
+    return hashlib.sha256(grad.tobytes()).hexdigest(), k._pool is not None
 
 
 # OpenBLAS takes the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
 # OMP_NUM_THREADS that is set, and with none set a thread per CPU.
 @pytest.mark.parametrize(
-    "blas_env,blocked",
+    "blas_env",
     [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "2"}, False),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
-        ({"OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        {},
+        {"OPENBLAS_NUM_THREADS": "2"},
+        {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+        {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
+        {"OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "1"},
     ],
     ids=["unset", "openblas-2", "openblas-2-omp-1", "goto-1-omp-2", "omp-1", "openblas-1"],
 )
-def test_products_split_only_with_blas_on_one_thread(blas_env, blocked, one_blas_thread):
-    assert one_blas_thread("test_kernels", "tall_product_started_the_pool", blas_env=blas_env) is blocked
+def test_products_split_with_the_same_bytes_in_every_blas_environment(
+    blas_env, one_blas_thread, monkeypatch
+):
+    digest, started = one_blas_thread("test_kernels", "tall_gradient", blas_env=blas_env)
+    assert started
+    monkeypatch.setattr(k, "_cpu_count", lambda: 2)
+    xc, y, beta = random_fold(1000, 1000)
+    with k.blas_pinned():
+        want = one_product_grad("huber", xc, y, np.where(np.abs(beta) < 2.0, 0.0, beta))
+    assert digest == hashlib.sha256(want.tobytes()).hexdigest()
 
 
 def check_select(absv, u, b):
