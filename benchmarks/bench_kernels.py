@@ -15,15 +15,11 @@ fold beyond K (clipped first), and the sparse draw of one private peel: its
 hit positions and its uniforms, by the helper ``peel`` draws them with (the
 Laplace map then runs inside the selection). Each cell is the median and
 interquartile range (IQR) over REPEATS separately timed calls, after one
-untimed warmup call. BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or
-OMP/MKL/BLIS_NUM_THREADS) is set: unpinned OpenBLAS on a 2-vCPU host gave a
-huber_grad median of 16 ms at 2000x1000 in one run and 0.8 ms in the next.
+untimed warmup call. The cells run under ``_kernels.blas_pinned()``, which
+holds OpenBLAS to one thread whatever the BLAS thread variables say, as every
+fit does: unpinned OpenBLAS on a 2-vCPU host gave a huber_grad median of
+16 ms at 2000x1000 in one run and 0.8 ms in the next.
 """
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 import statistics
 import time
@@ -92,9 +88,10 @@ def selection_stats(absv, s, pos, u, b, fallback_row) -> str:
     return f"  candidates/round {u.size / s:.1f}, fallback rounds {len(fallbacks) / s:.3f}"
 
 
+@k.blas_pinned()
 def main() -> None:
     rng = np.random.default_rng(0)
-    print(f"BLAS threads: {os.environ['OPENBLAS_NUM_THREADS']}; median and IQR in ms over n={REPEATS} calls per cell")
+    print(f"BLAS threads: 1 (pinned); median and IQR in ms over n={REPEATS} calls per cell")
     print(f"{'kernel':<16}{'shape':<16}{'median':>10}{'IQR':>9}")
     for m, d in SIZES:
         xc = np.clip(rng.standard_normal((m, d)), -3, 3)

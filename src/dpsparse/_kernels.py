@@ -1,4 +1,4 @@
-"""Hot numeric kernels: per-fold gradients and the peeling selection loop.
+"""Hot numeric kernels, and the library's threads: CPU count, pool and BLAS pin.
 
 Plain vectorized numpy. Each gradient takes its residual from
 ``support_matvec``, which reads only the columns of the features where beta is
@@ -11,6 +11,9 @@ to one argmax over d only when it cannot certify the winner (see
 ``peel_select``). All kernels are deterministic given their inputs;
 randomness (the sparse selection uniforms, and a fallback round's row) is
 drawn by callers. Callers reach the kernels through this module's attributes.
+It imports no other dpsparse module. ``_run_blocks`` also fills a synthetic
+draw's row blocks, and ``one_thread`` puts a sweep worker's draws and
+products on its one thread.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-from .sampling import _cpu_count, _laplace_icdf
 
 
 def support_matvec(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -55,20 +56,29 @@ _BLOCK_ENTRIES = 2**17
 _CUT_COLS = 64
 
 
-# Threads for the column blocks past the first, built on first use; None until
-# then and in a forked child, whose copy of the pool has no threads.
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The library's threads besides the calling one, CPUs - 1 of them, built on
+# first use; no task on the pool submits to it. None until then and in a
+# forked child, whose copy of the pool has no threads.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-# Held through every pin: pins nest, and a pin in another thread waits.
-_pin_lock = threading.RLock()
+# Held through a thread's outermost pin, while its ``_held.pinned`` is set.
+_pin_lock = threading.Lock()
+_held = threading.local()
 
 
 def _forget_after_fork() -> None:
     global _pool, _pool_lock, _pin_lock
-    _pool, _pool_lock, _pin_lock = None, threading.Lock(), threading.RLock()
+    _pool, _pool_lock, _pin_lock = None, threading.Lock(), threading.Lock()
 
 
-def _product_pool() -> ThreadPoolExecutor:
+def _thread_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -81,9 +91,36 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
 
 
 def one_thread() -> None:
-    """Run this process's products as on one CPU: a sweep worker's initializer."""
+    """Draw and multiply on the calling thread alone: a sweep worker's initializer."""
     global _cpu_count
     _cpu_count = lambda: 1  # noqa: E731
+
+
+def _run_blocks(fn: Callable[[int], object], count: int):
+    """Run fn(0), ..., fn(count - 1); return fn(0)'s result once all have returned.
+
+    The calling thread runs fn(0) while up to CPUs - 1 pool threads take the
+    others in order, and then takes its share of what is left: one block per
+    CPU at once. With one CPU or one block the calling thread runs them all.
+    """
+    rest, lock = iter(range(1, count)), threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                k = next(rest, None)
+            if k is None:
+                return
+            fn(k)
+
+    helpers = min(_cpu_count(), count) - 1
+    pool = _thread_pool() if helpers > 0 else None
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    first = fn(0)
+    drain()
+    for future in futures:
+        future.result()
+    return first
 
 
 @functools.cache
@@ -101,14 +138,22 @@ def _blas_threads():
 
 @contextlib.contextmanager
 def blas_pinned():
-    """Run the block with OpenBLAS on one thread; restore its count after, on an error too."""
+    """Run the block with OpenBLAS on one thread; restore its count after, on an error too.
+
+    A pin in a thread that holds one already does nothing.
+    """
+    if getattr(_held, "pinned", False):
+        yield
+        return
     get, set_ = _blas_threads()
     with _pin_lock:
         saved = get()
         set_(1)
+        _held.pinned = True
         try:
             yield
         finally:
+            _held.pinned = False
             set_(saved)
 
 
@@ -135,24 +180,20 @@ def xt_matvec(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x.T @ w`` for a fold's m x d features (C-contiguous float64).
 
     The fold is cut into the column blocks of ``_cuts`` (none on one CPU or
-    for a small fold); the calling thread runs block 0 and a pool of CPUs - 1
-    threads the others. With BLAS on one thread (``blas_pinned``) each output
-    sums over the rows in the order of one BLAS call, so it has its bytes.
+    for a small fold), which ``_run_blocks`` runs, block 0 on the calling
+    thread. With BLAS on one thread (``blas_pinned``) each output sums over
+    the rows in the order of one BLAS call, so it has its bytes.
     """
     m, d = x.shape
     cuts = _cuts(m, d, _cpu_count())
     if cuts is None:
         return x.T @ w
-    pool = _product_pool()
     out = np.empty(d)
 
     def block(i: int) -> None:
         np.matmul(x[:, cuts[i] : cuts[i + 1]].T, w, out=out[cuts[i] : cuts[i + 1]])
 
-    futures = [pool.submit(block, i) for i in range(1, len(cuts) - 1)]
-    block(0)
-    for future in futures:
-        future.result()
+    _run_blocks(block, len(cuts) - 1)
     return out
 
 
@@ -170,6 +211,27 @@ def l1_grad(x_sign: np.ndarray, xc: np.ndarray, y: np.ndarray, beta: np.ndarray)
 def squared_grad(xc: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     r = support_matvec(xc, beta) - y
     return xt_matvec(xc, r) / xc.shape[0]
+
+
+def _laplace_icdf(r: np.ndarray, b: float) -> np.ndarray:
+    """Map uniforms r on [0, 1) to Laplace draws at scale b > 0, in place; return r.
+
+    The draws have density exp(-|x|/b) / 2b. This is the one Laplace map: a
+    whole block and a gathered handful of entries go through the same ufunc
+    sequence, in the order of the plain expression b * sign(u) * log1p(-2|u|)
+    with u = r - 1/2, so equal uniforms give equal bytes. On (0, 1) the draw
+    decreases in r, so for t <= 1/2 every r > t gives a draw below
+    b * ln(1 / (2t)), up to rounding.
+    """
+    # random() covers [0, 1); remap the measure-zero r == 0 to 0.5 so that
+    # u = -1/2 (a log(0)) cannot occur.
+    if not r.all():
+        r[r == 0.0] = 0.5
+    np.subtract(r, 0.5, out=r)  # u
+    sign = np.sign(r, out=np.empty_like(r))
+    np.multiply(b, sign, out=sign)
+    np.multiply(-2.0, np.abs(r, out=r), out=r)
+    return np.multiply(sign, np.log1p(r, out=r), out=r)
 
 
 # A uniform at or below Q/d joins its round's candidates: about Q per row,

@@ -322,8 +322,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     raises a DpSparseError yields a row with status "failed: ..." and the
     sweep continues; any other exception is a bug and propagates. ``workers``
     must be a positive integer; it defaults to the one in DPSPARSE_WORKERS, or
-    1 when that is unset. With more than one, each worker process runs its
-    gradient products on one thread.
+    1 when that is unset. With more than one, each worker process draws its
+    data and runs its gradient products on its one thread.
     """
     groups = [spec.values] if spec.axis == "epsilon" else [(value,) for value in spec.values]
     units = [(spec, values, repeat) for values in groups for repeat in range(spec.repeats)]

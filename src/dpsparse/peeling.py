@@ -37,7 +37,7 @@ import numpy as np
 from . import _kernels
 from .core import PrivacyParams, is_int
 from .errors import InvalidConfigError, InvalidInputError, InvalidParameterError
-from .sampling import RngHandle, _as_generator, _laplace_icdf
+from .sampling import RngHandle, _as_generator
 
 
 def noise_scale(lam: float, s: int, priv: PrivacyParams) -> float:
@@ -91,7 +91,7 @@ def peel(
         selected = _kernels.peel_select(
             absv, s, pos, u, b, lambda i: t0 + (1.0 - t0) * gen.random(d)
         )
-        kept = v[selected] + _laplace_icdf(gen.random(s), b)
+        kept = v[selected] + _kernels._laplace_icdf(gen.random(s), b)
     else:
         # The s rounds without noise keep every entry above the s-th largest
         # magnitude, then the lowest-index entries equal to it.

@@ -5,25 +5,20 @@ by ``SeedSequence([seed, stream])``, so identical (seed, stream) pairs yield
 identical sequences for the same output version and numpy major version.
 Parallel trials take distinct stream ids instead of sharing generator state.
 
-Synthetic features are drawn in row blocks: block 0 holds
-``_BLOCK_ENTRIES // d`` rows and every later block an eighth of that (each at
-least one row). Stream 0 draws the support, the coefficient values, block 0
-and then the noise; block k >= 1 is stream k alone. The blocks are filled on
-a thread pool, each by its own generator
-(chunk by chunk, taking each chunk's row peaks as it goes), so the bytes do
-not depend on the thread count, and the features of an n-row draw are the
-first n rows of any larger draw with the same seed, d and s_star. The
-synthetic responses read only the support columns of the features.
+Synthetic features are drawn in row blocks, each from its own stream, on
+``_kernels``' threads (on a sweep worker's one thread; see
+``generate_synthetic``), so the bytes do not depend on the thread count, and
+the features of an n-row draw are the first n rows of any larger draw with
+the same seed, d and s_star.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .core import Dataset, _adopt, check_fields
 from .errors import InvalidConfigError, InvalidParameterError
 
@@ -72,27 +67,6 @@ def nu_from_zeta(zeta: float) -> float:
     return 1.0 + 2.0 * zeta
 
 
-def _laplace_icdf(r: np.ndarray, b: float) -> np.ndarray:
-    """Map uniforms r on [0, 1) to Laplace draws at scale b > 0, in place; return r.
-
-    The draws have density exp(-|x|/b) / 2b. This is the one Laplace map: a
-    whole block and a gathered handful of entries go through the same ufunc
-    sequence, in the order of the plain expression b * sign(u) * log1p(-2|u|)
-    with u = r - 1/2, so equal uniforms give equal bytes. On (0, 1) the draw
-    decreases in r, so for t <= 1/2 every r > t gives a draw below
-    b * ln(1 / (2t)), up to rounding.
-    """
-    # random() covers [0, 1); remap the measure-zero r == 0 to 0.5 so that
-    # u = -1/2 (a log(0)) cannot occur.
-    if not r.all():
-        r[r == 0.0] = 0.5
-    np.subtract(r, 0.5, out=r)  # u
-    sign = np.sign(r, out=np.empty_like(r))
-    np.multiply(b, sign, out=sign)
-    np.multiply(-2.0, np.abs(r, out=r), out=r)
-    return np.multiply(sign, np.log1p(r, out=r), out=r)
-
-
 def student_t(
     nu: float,
     rng: RngHandle | np.random.Generator,
@@ -130,13 +104,6 @@ class SyntheticConfig:
         return nu_from_zeta(self.zeta)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     """Generate (dataset, true coefficients) for y = <x, beta*> + eps.
 
@@ -150,11 +117,11 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     blocks of r = max(1, (_BLOCK_ENTRIES >> 3) // d) rows, so block k >= 1
     is rows [R + (k-1)r, R + kr) (the last one may be short). Stream 0 of
     the config seed draws, in this order, the support, the values, block 0
-    and the noise; block k >= 1 is the whole of stream k. The blocks are
-    filled on up to one thread per CPU, which have all finished when this
-    returns. Block 0 and the noise are one task, submitted first as the
-    longest, and the short later blocks keep every other thread busy until
-    it ends. A thread fills its block in row chunks of
+    and the noise; block k >= 1 is the whole of stream k. ``_kernels``'
+    ``_run_blocks`` fills the blocks, one per CPU at once, and returns when
+    all are filled: the calling thread fills block 0 and draws the noise,
+    the longest task, while the short later blocks keep every other thread
+    busy until it ends. A thread fills its block in row chunks of
     ``_CHUNK_ENTRIES // d`` rows (at least one), which draw the bytes of one
     whole-block call, and takes each chunk's row peaks while the chunk is in
     cache; the dataset's finiteness check then reads those peaks, not x.
@@ -191,16 +158,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
             return cfg.noise_scale * student_t(cfg.nu, gen, size=cfg.n)
         return np.zeros(cfg.n)
 
-    workers = min(_cpu_count(), blocks)
-    if workers > 1:
-        # numpy releases the GIL while it fills a block. map submits block 0
-        # first.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            noise = list(pool.map(fill, range(blocks)))[0]
-    else:
-        noise = [fill(k) for k in range(blocks)][0]
-    from ._kernels import blas_pinned  # imported here, as _kernels imports this module
-    with blas_pinned():
+    # numpy releases the GIL while it fills a block.
+    noise = _kernels._run_blocks(fill, blocks)
+    with _kernels.blas_pinned():
         y = x.take(support, axis=1) @ values + noise
     # x and y are fresh and held nowhere else: check and freeze them in place.
     return _adopt(x, y, row_peak), beta_star

@@ -41,7 +41,7 @@ from dpsparse import (
     sensitivity_probe,
 )
 from dpsparse.harness import write_results_csv
-from dpsparse.sampling import _laplace_icdf
+from dpsparse._kernels import _laplace_icdf
 
 H = EstimatorKind.DP_IHT_H
 L = EstimatorKind.DP_IHT_L

@@ -11,10 +11,6 @@ SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.
 
 
 def test_every_bench_cell_runs_once(monkeypatch, capsys):
-    # The script pins BLAS threads with setdefault at import; set them here so
-    # that the environment is restored after the test.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
     spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)

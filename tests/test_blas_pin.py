@@ -159,6 +159,21 @@ def test_pins_nest_and_the_outermost_restores(blas_threads):
     assert get() == 2
 
 
+def test_a_pin_inside_a_held_pin_touches_no_blas_setting(monkeypatch):
+    # fit_many pins once; the T gradients of each fit, which batch_gradient
+    # pins, and the projections run inside that pin.
+    ds, _, fits = gate_problem(n=400, d=300, T=5)
+    calls = []
+    monkeypatch.setattr(
+        _kernels, "_blas_threads", lambda: (lambda: calls.append("get") or 7, calls.append)
+    )
+    fit_many(ds, fits)
+    assert calls == ["get", 1, 7]
+    fit_many(ds, fits[:1])
+    batch_gradient(split_folds(ds, 5)[0], np.ones(300), Huber(1.0), 5.0)
+    assert calls == 3 * ["get", 1, 7]
+
+
 def test_fits_in_two_threads_keep_their_bytes_and_the_callers_count(blas_threads):
     get, set_ = blas_threads
     ds, _, fits = gate_problem(n=400, d=300, T=5)

@@ -23,7 +23,7 @@ from dpsparse import (
     generate_synthetic,
     run_sweep,
 )
-from dpsparse import sampling
+from dpsparse import _kernels, sampling
 from dpsparse.core import l2_error, project_l2, split_folds
 from dpsparse.estimators import ESTIMATORS, _loss, _update
 from dpsparse.peeling import noise_scale, peel
@@ -192,7 +192,7 @@ def test_chunked_threaded_and_serial_draws_give_equal_bytes(monkeypatch):
 
     small_blocks(monkeypatch, 1000, 64)
     chunked = draw()
-    monkeypatch.setattr(sampling, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 1)
     assert draw() == chunked
     # One chunk per block: each block drawn by one whole-block call.
     small_blocks(monkeypatch, 1000, 1000)

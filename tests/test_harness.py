@@ -258,7 +258,7 @@ def wide_sweep_after_the_pool_started(log_path):
     survive the fork, it would wait for ever. Forks and patches the module
     for good: call it in a child interpreter.
     """
-    pool = _kernels._product_pool
+    pool = _kernels._thread_pool
 
     def logged():
         with open(log_path, "a", encoding="utf-8") as fh:
@@ -266,7 +266,7 @@ def wide_sweep_after_the_pool_started(log_path):
         return pool()
 
     _kernels._cpu_count = lambda: 2
-    _kernels._product_pool = logged
+    _kernels._thread_pool = logged
     syn = SyntheticConfig(n=2000, d=2048, s_star=5, seed=3)
     ds, _ = generate_synthetic(syn)
     base = ExperimentBase(synthetic=syn, epsilon=5.0, eta=0.3, T=8)

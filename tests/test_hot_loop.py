@@ -31,8 +31,9 @@ from dpsparse import (
     peel,
     split_folds,
 )
-from dpsparse import _kernels, estimators, sampling
-from dpsparse.sampling import RngHandle, _laplace_icdf
+from dpsparse import _kernels, estimators
+from dpsparse._kernels import _laplace_icdf
+from dpsparse.sampling import RngHandle
 
 N, D, T = 600, 50, 13
 K = math.log(D)
@@ -134,7 +135,7 @@ def fit_many_digests(name, cpu_counts, monkeypatch):
         response_clip=10.0, seed=9,
     )
     requests = [(kind, cfg, PrivacyParams(5.0, n ** -1.1)) for kind in EstimatorKind]
-    pool, cpu_count, out = _kernels._product_pool, _kernels._cpu_count, []
+    pool, cpu_count, out = _kernels._thread_pool, _kernels._cpu_count, []
     for cpus in cpu_counts:
         blocked = []
 
@@ -142,7 +143,7 @@ def fit_many_digests(name, cpu_counts, monkeypatch):
             blocked.append(1)
             return pool()
 
-        monkeypatch.setattr(_kernels, "_product_pool", counted)
+        monkeypatch.setattr(_kernels, "_thread_pool", counted)
         monkeypatch.setattr(
             _kernels, "_cpu_count", cpu_count if cpus is None else lambda cpus=cpus: cpus
         )
@@ -157,13 +158,14 @@ def fit_many_digests(name, cpu_counts, monkeypatch):
 def check_fit_many_bytes_on_column_blocks(monkeypatch, name):
     # The host's CPU count gives two blocks or more on any host with two CPUs;
     # 3 gives two or three on any host.
+    host_cpus = _kernels._cpu_count()
     (host, host_blocked), (solo, solo_blocked), (three, three_blocked) = fit_many_digests(
         name, [None, 1, 3], monkeypatch
     )
     assert host == solo == three == DIGESTS[OUTPUT_VERSION][name]
     products = 4 * FIT_MANY_SHAPES[name][2]
     assert solo_blocked == 0 and three_blocked == products
-    assert host_blocked == (products if sampling._cpu_count() > 1 else 0)
+    assert host_blocked == (products if host_cpus > 1 else 0)
 
 
 def test_wide_fit_many_keeps_its_bytes_on_column_blocks(monkeypatch):

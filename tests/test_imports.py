@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and a leaf
+module imports no other dpsparse module.
 
 A deletion that leaves an import behind fails here. ``__init__.py`` is
 skipped: its imports are the package's re-exports.
@@ -41,3 +42,26 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dpsparse_imports(source: str) -> list[str]:
+    """The dpsparse modules the module imports, relative or by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "dpsparse"):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "dpsparse"]
+    return found
+
+
+def test_the_check_finds_a_dpsparse_import():
+    source = "import numpy\nimport dpsparse.core\nfrom . import core\nfrom .errors import E\n"
+    assert dpsparse_imports(source) == ["dpsparse.core", ".", ".errors"]
+
+
+# _kernels owns the library's threads and kernels: every other module may
+# import it, and it imports none of them.
+@pytest.mark.parametrize("name", ["_kernels"])
+def test_a_leaf_module_imports_no_dpsparse_module(name):
+    assert dpsparse_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) == []

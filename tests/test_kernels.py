@@ -17,7 +17,7 @@ import pytest
 
 from dpsparse import Dataset, Huber, RngHandle, batch_gradient
 from dpsparse import _kernels as k
-from dpsparse.sampling import _laplace_icdf
+from dpsparse._kernels import _laplace_icdf
 
 
 def random_fold(m=37, d=11, seed=0):
@@ -170,13 +170,13 @@ def blocked_grad_mismatches(kernel, monkeypatch):
         "l1": lambda xc, y, beta: k.l1_grad(1.7 * xc, xc, y, beta),
         "squared": k.squared_grad,
     }
-    pool, blocked, mismatches = k._product_pool, [], []
+    pool, blocked, mismatches = k._thread_pool, [], []
 
     def counted():
         blocked.append(1)
         return pool()
 
-    monkeypatch.setattr(k, "_product_pool", counted)
+    monkeypatch.setattr(k, "_thread_pool", counted)
     with k.blas_pinned():
         for d in BLOCK_DS:
             for m in BLOCK_MS:

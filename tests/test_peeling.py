@@ -15,7 +15,7 @@ from dpsparse import (
 )
 from dpsparse import _kernels
 from dpsparse.peeling import _hit_positions
-from dpsparse.sampling import _laplace_icdf
+from dpsparse._kernels import _laplace_icdf
 
 
 def brute_force_top_s(v, s):

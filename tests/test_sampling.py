@@ -15,7 +15,8 @@ from dpsparse import (
     sampling,
     student_t,
 )
-from dpsparse.sampling import _laplace_icdf
+from dpsparse import _kernels
+from dpsparse._kernels import _laplace_icdf
 
 N_DRAWS = 1_000_000
 
@@ -178,7 +179,7 @@ def test_blocked_bytes_do_not_depend_on_the_thread_count(small_blocks, monkeypat
     assert len(later_bounds(cfg.n)) >= 3
     draws = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(sampling, "_cpu_count", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(_kernels, "_cpu_count", lambda cpus=cpus: cpus)
         ds, beta_star = generate_synthetic(cfg)
         draws.append((ds.x.tobytes(), ds.y.tobytes(), beta_star.tobytes()))
     assert draws[0] == draws[1] == draws[2]
@@ -260,11 +261,36 @@ def test_blocked_features_are_standard_normal_across_block_boundaries(small_bloc
     assert stats.pearsonr(last, first).pvalue > 1e-3
 
 
-def test_blocked_draw_leaves_no_thread_running(small_blocks, monkeypatch):
-    monkeypatch.setattr(sampling, "_cpu_count", lambda: 3)
-    before = threading.active_count()
-    generate_synthetic(block_config(10 * BLOCK_ROWS))
-    assert threading.active_count() == before
+def test_blocked_draws_share_one_pool_of_a_thread_per_other_cpu(small_blocks, monkeypatch):
+    # The first draw builds the pool at 3 CPUs and the later ones reuse it:
+    # the threads the draws start stay for the next draw and number at most
+    # the pool's 2, also while the blocks fill. (The pool starts a thread
+    # only when no started one is idle, so the second may start late.)
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(_kernels, "_pool", None)
+    generator, running = RngHandle.generator, []
+
+    def counted(handle):
+        running.append(threading.active_count())
+        return generator(handle)
+
+    monkeypatch.setattr(RngHandle, "generator", counted)
+    cfg = block_config(10 * BLOCK_ROWS)
+    before = set(threading.enumerate())
+    generate_synthetic(cfg)
+    pool = _kernels._pool
+    try:
+        started = set(threading.enumerate()) - before
+        assert started
+        for _ in range(3):
+            generate_synthetic(cfg)
+            assert started <= set(threading.enumerate()) - before
+            started = set(threading.enumerate()) - before
+            assert len(started) <= 2
+        assert len(running) == 4 * len(later_bounds(cfg.n)) + 4
+        assert max(running) <= len(before) + 2
+    finally:
+        pool.shutdown()
 
 
 def test_the_guard_shape_draw_keeps_its_version_6_bytes():
