@@ -21,8 +21,8 @@ from dataclasses import MISSING, fields
 
 from . import _kernels
 from .core import (
-    OUTPUT_VERSION, RULES, ConstantStep, TwoPhaseStep, field_problems, field_rules, is_int,
-    l2_error, load_csv, mae, save_csv,
+    OUTPUT_VERSION, RULES, ConstantStep, TwoPhaseStep, _csv_shape, field_problems, field_rules,
+    is_int, l2_error, load_csv, mae, save_csv,
 )
 from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
 from .estimators import EstimatorKind, fit_estimator, fit_problems
@@ -102,7 +102,6 @@ def _build_parser() -> _Parser:
     real.add_argument("--config", default=None)
     real.add_argument("--seed", type=int, default=None)
     real.add_argument("--train-fraction", type=float, default=None)
-    real.add_argument("--no-standardize", action="store_true")
     real.add_argument("--out", required=True)
 
     probe = sub.add_parser("probe", help="run the sensitivity probe suite")
@@ -121,7 +120,7 @@ _FIT_KEYS = tuple(f.name for f in fields(ExperimentBase) if f.name != "synthetic
 # what `real` echoes of its flags, and the output version of the echo.
 _RUN_KEYS = (
     "axis", "values", "repeats", "estimators", "data",
-    "csv", "response_col", "train_fraction", "standardize", "output_version",
+    "csv", "response_col", "train_fraction", "output_version",
 )
 _KEYS = frozenset(_SYNTHETIC_KEYS + _FIT_KEYS + _RUN_KEYS)
 # The run keys checked here, so that one pass names every bad field; the
@@ -340,20 +339,17 @@ def _cmd_real(args) -> int:
         "csv": args.csv,
         "response_col": args.response_col,
         "train_fraction": args.train_fraction,
-        # The flag only turns standardization off; without it the file decides.
-        "standardize": False if args.no_standardize else None,
     }
-    base, cfg = load_config(args.config, flags)
-    cfg.setdefault("standardize", RealDataSpec.standardize)
+    raw = read_config(args.config)
+    base, cfg = resolve_config(raw, flags, _csv_shape(args.csv, args.response_col))
+    cfg.setdefault("train_fraction", RealDataSpec.train_fraction)
     spec = RealDataSpec(
         csv_path=args.csv,
         response_col=args.response_col,
-        standardize=cfg["standardize"],
-        train_fraction=cfg.get("train_fraction", RealDataSpec.train_fraction),
+        train_fraction=cfg["train_fraction"],
         seed=cfg["seed"],
         base=base,
     )
-    cfg["train_fraction"] = spec.train_fraction
     estimators = [EstimatorKind(e) for e in cfg.get("estimators", _ALL_ESTIMATORS)]
     rows = run_real(spec, estimators)
     _write_effective_config(cfg, args.out)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import numbers
 import types
 import typing
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import CsvParseError, InvalidConfigError, InvalidInputError
 
-OUTPUT_VERSION = 8
+OUTPUT_VERSION = 9
 """Version of the output bits: the same seed, the same output version and the
 same numpy major version give the same bytes. A change that moves any output
 bit bumps it and re-records the pinned digests under the new version."""
@@ -128,7 +127,7 @@ RULES = {
         ("a number in (0, 1)", lambda v: is_number(v) and 0 < v < 1,
          ("delta", "decay", "train_fraction")),
         ("a number in (0, 1]", lambda v: is_number(v) and 0 < v <= 1, ("zeta",)),
-        ("true or false", lambda v: isinstance(v, bool), ("sign_on_clipped", "standardize")),
+        ("true or false", lambda v: isinstance(v, bool), ("sign_on_clipped",)),
     )
     for name in names
 }
@@ -354,6 +353,38 @@ def save_csv(ds: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])
 
 
+def _csv_records(path, response_col: str):
+    """Yield a dataset CSV's feature names and response column, then each data
+    record: a row's 1-based line number and its fields, counted but not parsed.
+
+    The file is read as the records are taken. A file that is not UTF-8, is
+    empty, lacks the response column, has a row of another field count or has
+    no data row raises CsvParseError, with the line where there is one.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        try:
+            header = next(rows, None)
+            if header is None:
+                raise CsvParseError("empty CSV file", line=1)
+            header = [h.strip() for h in header]
+            if response_col not in header:
+                raise CsvParseError(f"response column {response_col!r} not in header", line=1)
+            resp_idx = header.index(response_col)
+            yield [h for j, h in enumerate(header) if j != resp_idx], resp_idx
+            lineno = 1
+            for lineno, row in enumerate(rows, start=2):
+                if len(row) != len(header):
+                    raise CsvParseError(
+                        f"expected {len(header)} fields, got {len(row)}", line=lineno
+                    )
+                yield lineno, row
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(f"CSV file is not valid UTF-8: {exc}") from None
+    if lineno == 1:
+        raise CsvParseError("CSV has a header but no data rows", line=2)
+
+
 def load_csv(path, response_col: str = "y") -> tuple[Dataset, list[str]]:
     """Read a dataset CSV (one header row, columns ``x1..xd`` plus response).
 
@@ -361,33 +392,23 @@ def load_csv(path, response_col: str = "y") -> tuple[Dataset, list[str]]:
     CsvParseError carrying the 1-based line number; missing values are not
     permitted.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    records = _csv_records(path, response_col)
+    feature_names, resp_idx = next(records)
+    rows_x: list[list[float]] = []
+    rows_y: list[float] = []
+    for lineno, row in records:
         try:
-            reader = csv.reader(io.StringIO(fh.read(), newline=""))
-        except UnicodeDecodeError as exc:
-            raise CsvParseError(f"CSV file is not valid UTF-8: {exc}") from None
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError("empty CSV file", line=1) from None
-        header = [h.strip() for h in header]
-        if response_col not in header:
-            raise CsvParseError(f"response column {response_col!r} not in header", line=1)
-        resp_idx = header.index(response_col)
-        feature_names = [h for j, h in enumerate(header) if j != resp_idx]
-        rows_x: list[list[float]] = []
-        rows_y: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=lineno
-                )
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise CsvParseError(f"non-numeric value: {exc}", line=lineno) from None
-            rows_y.append(vals.pop(resp_idx))
-            rows_x.append(vals)
-    if not rows_x:
-        raise CsvParseError("CSV has a header but no data rows", line=2)
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise CsvParseError(f"non-numeric value: {exc}", line=lineno) from None
+        rows_y.append(vals.pop(resp_idx))
+        rows_x.append(vals)
     return _adopt(np.array(rows_x), np.array(rows_y)), feature_names
+
+
+def _csv_shape(path, response_col: str = "y") -> tuple[int, int]:
+    """The (n, d) ``load_csv`` reads from ``path``, and its errors bar a
+    non-numeric value's: the rows are counted, not parsed."""
+    records = _csv_records(path, response_col)
+    feature_names, _ = next(records)
+    return sum(1 for _ in records), len(feature_names)

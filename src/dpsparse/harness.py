@@ -20,7 +20,6 @@ import json
 import math
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -386,7 +385,7 @@ def write_json(obj, path) -> None:
 
 @dataclass(frozen=True)
 class RealDataSpec:
-    """How to evaluate the estimators on a user-supplied CSV.
+    """How to evaluate the estimators on a user-supplied CSV, its features as given.
 
     ``base`` holds the fit settings. Its None-valued K, T and delta are
     derived at the train split's shape, and s defaults to its s_star.
@@ -394,7 +393,6 @@ class RealDataSpec:
 
     csv_path: str = ruled("a path", lambda v: isinstance(v, (str, os.PathLike)))
     response_col: str = ruled("a column name", lambda v: isinstance(v, str))
-    standardize: bool = True
     train_fraction: float = 0.8
     seed: int = 0
     base: ExperimentBase = ruled(
@@ -415,30 +413,16 @@ class RealDataRow:
     l2_vs_proxy: float | None
 
 
-def _standardize_train_test(
-    x_train: np.ndarray, x_test: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    mean = x_train.mean(axis=0)
-    std = x_train.std(axis=0)
-    constant = std == 0.0
-    if constant.any():
-        warnings.warn(
-            f"{int(constant.sum())} constant column(s) skipped during standardization",
-            stacklevel=3,
-        )
-        std = np.where(constant, 1.0, std)
-    return (x_train - mean) / std, (x_test - mean) / std
-
-
 @_kernels.blas_pinned()
 def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDataRow]:
     """Fit each estimator on the train split, report held-out MAE and support.
 
-    Standardization statistics come from the train split only. The
-    coefficients of ada-huber, the noise-free Huber fit, stand in for the
-    unknown true coefficients when reporting distances. A feature name that
-    holds ';', the separator of the selected names in ``write_real_csv``,
-    raises CsvParseError before any fit.
+    The split's rows are fitted as loaded, so one record moves only its own
+    fold's gradient, within the fit's clip at K. The coefficients of
+    ada-huber, the noise-free Huber fit, stand in for the unknown true
+    coefficients when reporting distances. A feature name that holds ';',
+    the separator of the selected names in ``write_real_csv``, raises
+    CsvParseError before any fit.
     """
     ds, names = load_csv(spec.csv_path, spec.response_col)
     joined = [name for name in names if ";" in name]
@@ -453,9 +437,7 @@ def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDa
     train_idx, test_idx = order[:n_train], order[n_train:]
     x_train, x_test = ds.x[train_idx], ds.x[test_idx]
     y_train, y_test = ds.y[train_idx], ds.y[test_idx]
-    if spec.standardize:
-        x_train, x_test = _standardize_train_test(x_train, x_test)
-    # Indexing and standardizing made the split's arrays afresh: adopt them uncopied.
+    # Indexing made the split's arrays afresh: adopt them uncopied.
     train = _adopt(x_train, y_train)
     proxy, priv = EstimatorKind.ADA_HUBER_LITE, spec.base.privacy(train.n)
 

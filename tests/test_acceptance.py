@@ -285,7 +285,7 @@ def test_criterion_9_real_data_substitutes(tmp_path):
     single_path = tmp_path / "single.csv"
     save_csv(single, single_path)
     spec = RealDataSpec(
-        csv_path=str(single_path), response_col="y", standardize=False,
+        csv_path=str(single_path), response_col="y",
         base=ExperimentBase(s=1, T=12, eta=1.0, tau=20.0, K=100.0),
     )
     rows = run_real(spec, [EstimatorKind.ADA_HUBER_LITE])

@@ -433,39 +433,11 @@ def test_real_subcommand(tmp_path):
     }))
     out = tmp_path / "real"
     code = run_cli("real", "--csv", str(csvp), "--response-col", "y",
-                   "--config", str(cfgp), "--no-standardize", "--out", str(out))
+                   "--config", str(cfgp), "--out", str(out))
     assert code == 0
     lines = (out / "real_results.csv").read_text().splitlines()
     assert lines[0] == "estimator,mae,size,selected"
     assert "x3" in lines[1]
-
-
-def test_real_honours_a_config_file_standardize_false(tmp_path):
-    # Features off unit scale, so standardizing them changes the fit.
-    rng = np.random.default_rng(6)
-    x = 3.0 * rng.standard_normal((100, 5)) + 2.0
-    from dpsparse import Dataset, save_csv
-
-    csvp = tmp_path / "data.csv"
-    save_csv(Dataset(x, x[:, 2] - 1.0), csvp)
-    fit = {"s": 1, "T": 8, "eta": 0.5, "tau": 20.0, "K": 100.0, "estimators": ["ada-huber"]}
-    runs = {
-        "file-false": ({**fit, "standardize": False}, []),
-        "flag": (fit, ["--no-standardize"]),
-        "default": (fit, []),
-    }
-    for name, (cfg, flags) in runs.items():
-        cfgp = tmp_path / f"{name}.json"
-        cfgp.write_text(json.dumps(cfg))
-        assert run_cli("real", "--csv", str(csvp), "--response-col", "y", "--config", str(cfgp),
-                       *flags, "--out", str(tmp_path / name)) == 0
-    echoed = {
-        name: json.loads((tmp_path / name / "effective_config.json").read_text())["standardize"]
-        for name in runs
-    }
-    assert echoed == {"file-false": False, "flag": False, "default": True}
-    table = {name: (tmp_path / name / "real_results.csv").read_bytes() for name in runs}
-    assert table["file-false"] == table["flag"] != table["default"]
 
 
 def test_real_results_quote_column_names_that_need_it(tmp_path):
@@ -534,7 +506,9 @@ def test_a_file_that_is_not_utf8_exits_one_saying_so(tmp_path, capsys, argv):
     ("", "line 1: empty CSV file"),
     ("x1,y\n1.0,2.0\n3.0,4.0,5.0\n", "line 3: expected 2 fields, got 3"),
     ("x1,y\n", "line 2: CSV has a header but no data rows"),
-], ids=["empty", "wrong-field-count", "header-only"])
+    ("x1,y\n1.0,2.0\n3.0,abc\n",
+     "line 3: non-numeric value: could not convert string to float: 'abc'"),
+], ids=["empty", "wrong-field-count", "header-only", "non-numeric"])
 def test_a_malformed_csv_exits_one_naming_its_line(tmp_path, capsys, command, text, problem):
     csvp = tmp_path / "d.csv"
     csvp.write_text(text)
@@ -626,8 +600,14 @@ def test_rerun_at_another_output_version_exits_one(tmp_path, capsys, version):
 # exit codes ------------------------------------------------------------------------
 
 
-def test_unknown_flag_exits_one(capsys):
-    assert run_cli("sweep", "--bogus") == 1
+# Each with its required flags, so that the last flag is the one refused.
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "c.json", "--out", "o", "--bogus"],
+    ["real", "--csv", "d.csv", "--response-col", "y", "--out", "o", "--no-standardize"],
+], ids=["sweep-bogus", "real-no-standardize"])
+def test_unknown_flag_exits_one(capsys, argv):
+    assert run_cli(*argv) == 1
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -666,6 +646,10 @@ def two_phase(**extra):
     ("sweep", {"schedule_l": two_phase(eta_const=True)}, ["eta_const must be a number > 0"]),
     ("sweep", {"estimators": ["nope"]}, ["estimators must be a list of"]),
     ("real", {"estimators": ["dp-iht-h", "nope"]}, ["estimators must be a list of"]),
+    ("real", {"standardize": False}, ["unknown config key 'standardize'"]),
+    # A config that is otherwise valid for the 3 x 2 CSV.
+    ("real", {"n": 40, "d": 6, "T": 1},
+     ["n=40 disagrees with the data CSV's n=3", "d=6 disagrees with the data CSV's d=2"]),
     ("sweep", {"schedule_l": 0.1}, [f"schedule_l invalid: {SCHEDULE_KINDS}, got 0.1"]),
     ("sweep", {"schedule_l": {"eta": 0.1}}, [f"schedule_l invalid: {SCHEDULE_KINDS}, got {{'eta'"]),
     ("sweep", {"schedule_l": {"kind": "zig"}}, [f"{SCHEDULE_KINDS}, got {{'kind': 'zig'}}"]),
@@ -680,7 +664,8 @@ def two_phase(**extra):
 ], ids=[
     "unknown-key", "K-string", "seed-float", "values-strings", "n-bool",
     "real-seed-and-train-fraction", "eta0-string", "switch-iter-float", "eta-const-bool",
-    "sweep-unknown-estimator", "real-unknown-estimator",
+    "sweep-unknown-estimator", "real-unknown-estimator", "real-standardize",
+    "real-shape-disagrees",
     "schedule-not-an-object", "schedule-without-kind", "schedule-unknown-kind",
     "schedule-missing-keys", "schedule-unknown-key", "axis-and-fit-field-in-one-pass",
 ])

@@ -81,7 +81,7 @@ RUNS = {
         "--seed", "2",
     ],
     "real-fixed": lambda p: [
-        "real", "--csv", _csv(p, 5), "--response-col", "y", "--no-standardize",
+        "real", "--csv", _csv(p, 5), "--response-col", "y",
         "--config", _config(p, {
             "s": 2, "T": 8, "eta": 0.5, "tau": 20.0, "K": 100.0, "estimators": ["ada-huber"],
         }),
@@ -274,6 +274,67 @@ DIGESTS = {
             "dataset.csv": "f7ac528cc5f44f2fae947dc048e7ec09d8991ccd159b6371859198a75ea20719",
             "effective_config.json":
                 "2bfebec3aac17a494134e105c873c920baaba1c72431dde3708aa4fb26fc712b",
+            "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
+        },
+    },
+    # Version 9 fits `real` on the CSV's features as given: real-derived's
+    # table moved. Every other file that records output_version moved by
+    # that number alone.
+    9: {
+        "fit-ada-csv": {
+            "estimate.json": "95ca773792d964f0fc670e9f0ab4f599623bdb84804926fa42ae0c1c9650c5ae",
+        },
+        "fit-h-csv-narrow": {
+            "estimate.json": "312c95fdc9d0d5835cbd583a3ddcd8a86009b2aaa4be8bab75508f9d14ff7c51",
+        },
+        "fit-h-flags": {
+            "effective_config.json":
+                "4fc789531cfd3b6d32751b90d2bc4236e653009983440f59091912532120f4aa",
+            "estimate.json": "45dc87cf777209f5d49b9f7466ab7576fd740b1343f8801204a5b27caa3f66e0",
+        },
+        "fit-l-schedule": {
+            "effective_config.json":
+                "80498722d9026ec8eea342146458e781bf47600297f10ecbb59ae13b2c899ab7",
+            "estimate.json": "6229dd87d886bf27fd0999466e23df94991d2d4e5a23e69a2e862f091924cd66",
+        },
+        "fit-slr-derived": {
+            "effective_config.json":
+                "af2815f5c71bf48fe0cec9fe236bf43d1fc4e75d2ff662da182456f4cc28e347",
+            "estimate.json": "e17c2ea134bffbe5c9faf1b6e30fcbd990ad2fec335e049de59bc721dc9e9691",
+        },
+        "probe": {
+            "effective_config.json":
+                "c13743442dfe5d543237765da08ca290e6ccfadaa0380888769e5fe04df89d07",
+            "probe_report.json": "5460ed9a792f662c71409cad1bfec3a6926839f063fca72ff3637d9f9d9f7b2c",
+        },
+        "real-derived": {
+            "real_results.csv": "c9e4c9349ffefb63cf0f9d4a46069be5b3f5b2a7aeb8523cf7bf80ee24cc0d76",
+        },
+        "real-fixed": {
+            "real_results.csv": "0aed5f064ca5d574f0dff34ece2fd2c186d594621b02a4fe7523d05628c45435",
+        },
+        "sweep-d-derived": {
+            "aggregates.json": "ae5491f73928ee4482b247ffd4da57cc80ac1d9fdef2893cd8da5411559f99e4",
+            "effective_config.json":
+                "6d47b3abbc45088fa67d29f6832f1075ae95602c49dba9066fe59caa9532a6a3",
+            "results.csv": "57b2385532fe3b1b4de1d3099828a2a4852c2aed02489839eccd242a5b7d2d02",
+        },
+        "sweep-n": {
+            "aggregates.json": "5819c0d3c627fd0189101852481d284110238cc39879e1dce6ff23439676ba71",
+            "effective_config.json":
+                "1a1d34ada851cf808a8917949922e2062a2ac99a9e780e58085e4a20fb7a5617",
+            "results.csv": "0fa0afe129cbd07e1c87301ae4d1353c54e6468f59ca4e36afd5f45a6ad217a8",
+        },
+        "sweep-n-derived": {
+            "aggregates.json": "b4996ef93f1647576a88393816c5b065b024c6b840b3cacc36e99e911cdb5b12",
+            "effective_config.json":
+                "f2d7c2d280f3fee47b57d5850c4d2e768ae5d203c3194f495d5ea64926612972",
+            "results.csv": "ea72ef9c1084395da4a788b4cedeaf18feabc458712d19fb643f5e861496b0ff",
+        },
+        "synth-gen": {
+            "dataset.csv": "f7ac528cc5f44f2fae947dc048e7ec09d8991ccd159b6371859198a75ea20719",
+            "effective_config.json":
+                "fcc808f9cbb32e031da7e04de7304eda124e5b60540db733b0934d4408512f8e",
             "synth_meta.json": "817d915a05522eec8ddb64fc3f34f2965b4decd5272a971648843647071f58c9",
         },
     },

@@ -113,7 +113,6 @@ def test_a_new_config_type_checks_its_fields_by_name():
     (EstimatorConfig, "schedule", 0.1),
     (EstimatorConfig, "sign_on_clipped", 1),
     (ExperimentBase, "schedule_l", 0.1),
-    (RealDataSpec, "standardize", "yes"),
     (SweepSpec, "estimators", ("dp-iht-h",)),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
 def test_config_rejects_bad_object_field_naming_it(cls, name, bad):

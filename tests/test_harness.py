@@ -334,7 +334,7 @@ def test_real_single_feature_recovery(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path)
     spec = RealDataSpec(
-        csv_path=str(path), response_col="y", standardize=False,
+        csv_path=str(path), response_col="y",
         base=ExperimentBase(s=1, T=12, eta=1.0, tau=20.0, K=100.0, epsilon=0.5),
     )
     rows = run_real(spec, [ADA])
@@ -344,11 +344,11 @@ def test_real_single_feature_recovery(tmp_path):
     assert rows[0].l2_vs_proxy is None  # ada-huber is the proxy itself
 
 
-def test_real_standardized_run_reports_proxy_distance(tmp_path):
+def test_real_private_run_reports_proxy_distance(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=1)
     spec = RealDataSpec(
-        csv_path=str(path), response_col="y", standardize=True,
+        csv_path=str(path), response_col="y",
         base=ExperimentBase(s=2, T=12, eta=1.0, tau=20.0, K=100.0, epsilon=5.0),
     )
     rows = run_real(spec, [ADA, H])
@@ -378,12 +378,11 @@ def test_real_fits_each_kind_once_proxy_first(tmp_path, monkeypatch):
     assert rows[0] == rows[4] and rows[2].l2_vs_proxy is None
 
 
-@pytest.mark.parametrize("standardize", [True, False])
-def test_real_builds_no_dataset(tmp_path, monkeypatch, standardize):
+def test_real_builds_no_dataset(tmp_path, monkeypatch):
     # load_csv and the train split make their arrays afresh; neither copies them again.
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=4)
-    spec = RealDataSpec(csv_path=str(path), response_col="y", standardize=standardize,
+    spec = RealDataSpec(csv_path=str(path), response_col="y",
                         base=ExperimentBase(s=1, T=3, tau=20.0, epsilon=5.0))
     builds = []
     post_init = Dataset.__post_init__
@@ -397,26 +396,11 @@ def test_real_builds_no_dataset(tmp_path, monkeypatch, standardize):
     assert builds == [] and [row.estimator for row in rows] == ["ada-huber", "dp-iht-h"]
 
 
-def test_real_constant_column_warns(tmp_path):
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((60, 4))
-    x[:, 2] = 7.0  # constant column
-    y = x[:, 0].copy()
-    path = tmp_path / "const.csv"
-    save_csv(Dataset(x, y), path)
-    spec = RealDataSpec(
-        csv_path=str(path), response_col="y", base=ExperimentBase(s=1, T=3, tau=20.0)
-    )
-    with pytest.warns(UserWarning, match="constant column"):
-        rows = run_real(spec, [ADA])
-    assert rows[0].support_size == 1
-
-
 def test_real_csv_writer_schema(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=3)
     spec = RealDataSpec(
-        csv_path=str(path), response_col="y", standardize=False,
+        csv_path=str(path), response_col="y",
         base=ExperimentBase(s=1, T=3, tau=20.0),
     )
     rows = run_real(spec, [ADA])
