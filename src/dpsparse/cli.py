@@ -7,12 +7,14 @@ any run can be reproduced from its own output. K, delta, s and T are echoed
 only when set: unset, every fit derives them at its own data shape. That
 file and ``estimate.json`` record the output version (``OUTPUT_VERSION``); a
 rerun from a config that names another version exits 1. Exit codes: 0
-success, 1 validation error, 2 runtime failure.
+success, 1 validation error or an input file that cannot be read, 2 runtime
+failure (a failed write under ``--out`` included).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -21,10 +23,10 @@ from dataclasses import MISSING, fields
 
 from . import _kernels
 from .core import (
-    OUTPUT_VERSION, RULES, ConstantStep, TwoPhaseStep, _csv_shape, field_problems, field_rules,
-    is_int, l2_error, load_csv, mae, save_csv,
+    OUTPUT_VERSION, RULES, ConstantStep, TwoPhaseStep, field_problems, field_rules, is_int,
+    l2_error, load_csv, mae, save_csv,
 )
-from .errors import DpSparseError, InvalidConfigError, NumericalFailureError
+from .errors import DpSparseError, InvalidConfigError, InvalidInputError, NumericalFailureError
 from .estimators import EstimatorKind, fit_estimator, fit_problems
 from .harness import (
     S_STAR,
@@ -151,7 +153,7 @@ def read_config(path) -> dict:
     """The JSON object in the config file at ``path``; {} when path is None."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except UnicodeDecodeError as exc:
@@ -161,6 +163,16 @@ def read_config(path) -> dict:
     if not isinstance(raw, dict):
         raise InvalidConfigError("config root must be a JSON object")
     return raw
+
+
+@contextlib.contextmanager
+def _reading(path):
+    # An input that exists but cannot be read is a bad input (exit 1), like a
+    # missing one; a failure to write an output stays an i/o failure (exit 2).
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def load_config(path, overrides: dict | None = None) -> tuple[ExperimentBase, dict]:
@@ -271,7 +283,8 @@ def _cmd_fit(args) -> int:
         data = raw["data"]
         if not (isinstance(data, dict) and isinstance(data.get("csv"), str)):
             raise InvalidConfigError(f"data must be an object with a csv path, got {data!r}")
-        ds, _names = load_csv(data["csv"], data.get("response_col", "y"))
+        with _reading(data["csv"]):
+            ds, _names = load_csv(data["csv"], data.get("response_col", "y"))
         shape = (ds.n, ds.d)
     base, cfg = resolve_config(raw, flags, shape)
     if shape is None:
@@ -341,17 +354,13 @@ def _cmd_real(args) -> int:
         "train_fraction": args.train_fraction,
     }
     raw = read_config(args.config)
-    base, cfg = resolve_config(raw, flags, _csv_shape(args.csv, args.response_col))
+    with _reading(args.csv):
+        ds, names = load_csv(args.csv, args.response_col)
+    base, cfg = resolve_config(raw, flags, (ds.n, ds.d))
     cfg.setdefault("train_fraction", RealDataSpec.train_fraction)
-    spec = RealDataSpec(
-        csv_path=args.csv,
-        response_col=args.response_col,
-        train_fraction=cfg["train_fraction"],
-        seed=cfg["seed"],
-        base=base,
-    )
+    spec = RealDataSpec(train_fraction=cfg["train_fraction"], seed=cfg["seed"], base=base)
     estimators = [EstimatorKind(e) for e in cfg.get("estimators", _ALL_ESTIMATORS)]
-    rows = run_real(spec, estimators)
+    rows = run_real(ds, names, spec, estimators)
     _write_effective_config(cfg, args.out)
     write_real_csv(rows, os.path.join(args.out, "real_results.csv"))
     for row in rows:
@@ -393,9 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except (InvalidConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DpSparseError as exc:
         if isinstance(exc, NumericalFailureError):
             print(f"numerical failure: {exc}", file=sys.stderr)

@@ -353,14 +353,19 @@ def save_csv(ds: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])
 
 
-def _csv_records(path, response_col: str):
-    """Yield a dataset CSV's feature names and response column, then each data
-    record: a row's 1-based line number and its fields, counted but not parsed.
+def load_csv(path, response_col: str = "y") -> tuple[Dataset, list[str]]:
+    """Read a dataset CSV (one header row, columns ``x1..xd`` plus response).
 
-    The file is read as the records are taken. A file that is not UTF-8, is
-    empty, lacks the response column, has a row of another field count or has
-    no data row raises CsvParseError, with the line where there is one.
+    Returns the dataset and the feature column names. The file is opened
+    once and read a row at a time. A file that is not UTF-8, is empty, lacks
+    the response column, holds a field the ``csv`` module refuses (one over
+    its field size limit), a row of another field count, a missing or
+    non-numeric value, or no data row raises CsvParseError, carrying the
+    1-based line number where there is one. A file that cannot be opened or
+    read raises the OSError of ``open``.
     """
+    rows_x: list[list[float]] = []
+    rows_y: list[float] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         try:
@@ -371,44 +376,22 @@ def _csv_records(path, response_col: str):
             if response_col not in header:
                 raise CsvParseError(f"response column {response_col!r} not in header", line=1)
             resp_idx = header.index(response_col)
-            yield [h for j, h in enumerate(header) if j != resp_idx], resp_idx
-            lineno = 1
             for lineno, row in enumerate(rows, start=2):
                 if len(row) != len(header):
                     raise CsvParseError(
                         f"expected {len(header)} fields, got {len(row)}", line=lineno
                     )
-                yield lineno, row
+                try:
+                    vals = [float(v) for v in row]
+                except ValueError as exc:
+                    raise CsvParseError(f"non-numeric value: {exc}", line=lineno) from None
+                rows_y.append(vals.pop(resp_idx))
+                rows_x.append(vals)
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"CSV file is not valid UTF-8: {exc}") from None
-    if lineno == 1:
+        except csv.Error as exc:
+            raise CsvParseError(str(exc), line=rows.line_num) from None
+    if not rows_y:
         raise CsvParseError("CSV has a header but no data rows", line=2)
-
-
-def load_csv(path, response_col: str = "y") -> tuple[Dataset, list[str]]:
-    """Read a dataset CSV (one header row, columns ``x1..xd`` plus response).
-
-    Returns the dataset and the feature column names. Malformed rows raise
-    CsvParseError carrying the 1-based line number; missing values are not
-    permitted.
-    """
-    records = _csv_records(path, response_col)
-    feature_names, resp_idx = next(records)
-    rows_x: list[list[float]] = []
-    rows_y: list[float] = []
-    for lineno, row in records:
-        try:
-            vals = [float(v) for v in row]
-        except ValueError as exc:
-            raise CsvParseError(f"non-numeric value: {exc}", line=lineno) from None
-        rows_y.append(vals.pop(resp_idx))
-        rows_x.append(vals)
+    feature_names = [h for j, h in enumerate(header) if j != resp_idx]
     return _adopt(np.array(rows_x), np.array(rows_y)), feature_names
-
-
-def _csv_shape(path, response_col: str = "y") -> tuple[int, int]:
-    """The (n, d) ``load_csv`` reads from ``path``, and its errors bar a
-    non-numeric value's: the rows are counted, not parsed."""
-    records = _csv_records(path, response_col)
-    feature_names, _ = next(records)
-    return sum(1 for _ in records), len(feature_names)

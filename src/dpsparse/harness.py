@@ -30,6 +30,7 @@ from . import _kernels
 from .core import (
     RULES,
     ConstantStep,
+    Dataset,
     EstimatorConfig,
     PrivacyParams,
     StepSchedule,
@@ -37,11 +38,10 @@ from .core import (
     check_fields,
     is_int,
     l2_error,
-    load_csv,
     mae,
     ruled,
 )
-from .errors import CsvParseError, DpSparseError, InvalidConfigError
+from .errors import CsvParseError, DpSparseError, InvalidConfigError, InvalidInputError
 from .estimators import (
     ESTIMATORS,
     EstimatorKind,
@@ -385,14 +385,14 @@ def write_json(obj, path) -> None:
 
 @dataclass(frozen=True)
 class RealDataSpec:
-    """How to evaluate the estimators on a user-supplied CSV, its features as given.
+    """How to evaluate the estimators on a loaded dataset, its features as given.
 
-    ``base`` holds the fit settings. Its None-valued K, T and delta are
-    derived at the train split's shape, and s defaults to its s_star.
+    ``train_fraction`` of the rows, drawn by ``seed``, are fitted; the rest
+    are held out. ``base`` holds the fit settings. Its None-valued K, T and
+    delta are derived at the train split's shape, and s defaults to its
+    s_star.
     """
 
-    csv_path: str = ruled("a path", lambda v: isinstance(v, (str, os.PathLike)))
-    response_col: str = ruled("a column name", lambda v: isinstance(v, str))
     train_fraction: float = 0.8
     seed: int = 0
     base: ExperimentBase = ruled(
@@ -414,17 +414,21 @@ class RealDataRow:
 
 
 @_kernels.blas_pinned()
-def run_real(spec: RealDataSpec, estimators: list[EstimatorKind]) -> list[RealDataRow]:
-    """Fit each estimator on the train split, report held-out MAE and support.
+def run_real(
+    ds: Dataset, names: list[str], spec: RealDataSpec, estimators: list[EstimatorKind]
+) -> list[RealDataRow]:
+    """Fit each estimator on the train split of ``ds``, report held-out MAE and support.
 
-    The split's rows are fitted as loaded, so one record moves only its own
-    fold's gradient, within the fit's clip at K. The coefficients of
-    ada-huber, the noise-free Huber fit, stand in for the unknown true
-    coefficients when reporting distances. A feature name that holds ';',
-    the separator of the selected names in ``write_real_csv``, raises
-    CsvParseError before any fit.
+    ``ds`` and ``names``, its feature column names, are what ``load_csv``
+    returns; no file is opened here. The split's rows are fitted as loaded,
+    so one record moves only its own fold's gradient, within the fit's clip
+    at K. The coefficients of ada-huber, the noise-free Huber fit, stand in
+    for the unknown true coefficients when reporting distances. A feature
+    name that holds ';', the separator of the selected names in
+    ``write_real_csv``, raises CsvParseError before any fit.
     """
-    ds, names = load_csv(spec.csv_path, spec.response_col)
+    if len(names) != ds.d:
+        raise InvalidInputError(f"{len(names)} feature names for d={ds.d} features")
     joined = [name for name in names if ";" in name]
     if joined:
         raise CsvParseError(f"column names must not hold ';', got {joined}", line=1)

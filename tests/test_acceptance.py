@@ -284,11 +284,8 @@ def test_criterion_9_real_data_substitutes(tmp_path):
     single = Dataset(x, x[:, 0].copy())
     single_path = tmp_path / "single.csv"
     save_csv(single, single_path)
-    spec = RealDataSpec(
-        csv_path=str(single_path), response_col="y",
-        base=ExperimentBase(s=1, T=12, eta=1.0, tau=20.0, K=100.0),
-    )
-    rows = run_real(spec, [EstimatorKind.ADA_HUBER_LITE])
+    spec = RealDataSpec(base=ExperimentBase(s=1, T=12, eta=1.0, tau=20.0, K=100.0))
+    rows = run_real(*load_csv(single_path), spec, [EstimatorKind.ADA_HUBER_LITE])
     recovery = rows[0].selected == ("x1",) and rows[0].mae < 1e-5
 
     from dpsparse.harness import write_real_csv

@@ -28,6 +28,7 @@ from dpsparse import (
     batch_gradient,
     fit_many,
     generate_synthetic,
+    load_csv,
     run_real,
     run_sweep,
     save_csv,
@@ -142,7 +143,7 @@ def test_each_entry_point_runs_its_products_on_one_blas_thread(blas_threads, mon
     fit_many(ds, fits)
     run_sweep(SweepSpec(axis="n", values=(300,), repeats=1, estimators=tuple(EstimatorKind),
                         base=base))
-    run_real(RealDataSpec(csv_path=str(tmp_path / "data.csv"), response_col="y", base=base), [ADA])
+    run_real(*load_csv(tmp_path / "data.csv"), RealDataSpec(base=base), [ADA])
     assert main(["fit", "--estimator", "ada-huber", "--n", "200", "--d", "20", "--T", "5",
                  "--out", str(tmp_path / "fit")]) == 0
     assert get() == 2

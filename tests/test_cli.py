@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import math
@@ -440,6 +441,37 @@ def test_real_subcommand(tmp_path):
     assert "x3" in lines[1]
 
 
+def test_real_opens_its_csv_once(tmp_path, monkeypatch):
+    from dpsparse import Dataset, save_csv
+
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((200, 8))
+    csvp = tmp_path / "data.csv"
+    save_csv(Dataset(x, x[:, 1].copy()), csvp)
+    opened, real_open = [], builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    assert run_cli("real", "--csv", str(csvp), "--response-col", "y",
+                   "--out", str(tmp_path / "real")) == 0
+    assert opened.count(str(csvp)) == 1
+
+
+def test_real_names_a_bad_csv_value_before_a_bad_config(tmp_path, capsys):
+    # The shape check runs on the loaded dataset, so the parse comes first.
+    csvp = tmp_path / "data.csv"
+    csvp.write_text("x1,x2,y\n1.0,2.0,3.0\n4.0,abc,6.0\n0.5,1.5,2.5\n")
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"n": 40}))
+    assert run_cli("real", "--csv", str(csvp), "--response-col", "y", "--config", str(cfgp),
+                   "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: non-numeric value: could not convert string to float: 'abc'\n"
+
+
 def test_real_results_quote_column_names_that_need_it(tmp_path):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((60, 2))
@@ -508,7 +540,10 @@ def test_a_file_that_is_not_utf8_exits_one_saying_so(tmp_path, capsys, argv):
     ("x1,y\n", "line 2: CSV has a header but no data rows"),
     ("x1,y\n1.0,2.0\n3.0,abc\n",
      "line 3: non-numeric value: could not convert string to float: 'abc'"),
-], ids=["empty", "wrong-field-count", "header-only", "non-numeric"])
+    # The csv module refuses a field over its size limit (131072 characters).
+    ("x1,y\n1.0,2.0\n" + "1" * 200_000 + ",2.0\n",
+     "line 3: field larger than field limit (131072)"),
+], ids=["empty", "wrong-field-count", "header-only", "non-numeric", "field-too-large"])
 def test_a_malformed_csv_exits_one_naming_its_line(tmp_path, capsys, command, text, problem):
     csvp = tmp_path / "d.csv"
     csvp.write_text(text)
@@ -540,6 +575,21 @@ def test_a_missing_file_exits_one_and_writes_nothing(tmp_path, monkeypatch, caps
     assert run_cli(*argv, "--out", "o") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "missing." in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config"],
+    ["fit", "--estimator", "dp-iht-h", "--data"],
+    ["real", "--response-col", "y", "--csv"],
+], ids=["sweep-config", "fit-data", "real-csv"])
+def test_an_input_that_cannot_be_read_exits_one_naming_it(tmp_path, capsys, argv):
+    # A directory exists but cannot be read as a file, for root as well.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run_cli(*argv, str(folder), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {folder}: ") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

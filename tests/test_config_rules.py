@@ -42,7 +42,7 @@ VALID = {
         epsilon=0.5, delta=0.1, eta=0.01, s=2, T=3, K=1.0, L=1.0, tau=1.0, response_clip=1.0
     ),
     SyntheticConfig: dict(n=20, d=5, s_star=2, zeta=1.0, beta_scale=1.0, noise_scale=1.0, seed=0),
-    RealDataSpec: dict(csv_path="data.csv", response_col="y", train_fraction=0.5, seed=0),
+    RealDataSpec: dict(train_fraction=0.5, seed=0),
     SweepSpec: dict(
         axis="n", values=(40,), base=ExperimentBase(synthetic=SYN), repeats=1,
         estimators=(EstimatorKind.DP_IHT_H,),

@@ -13,13 +13,14 @@ from dpsparse import (
     derive_seed,
     fit_estimator,
     generate_synthetic,
+    load_csv,
     run_real,
     run_sensitivity_suite,
     run_sweep,
     save_csv,
 )
 from dpsparse import _kernels, harness
-from dpsparse.errors import InvalidConfigError, NumericalFailureError
+from dpsparse.errors import InvalidConfigError, InvalidInputError, NumericalFailureError
 from dpsparse.harness import (
     compute_aggregates,
     write_json,
@@ -333,11 +334,8 @@ def _write_single_feature_csv(path, n=240, d=6, seed=0):
 def test_real_single_feature_recovery(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path)
-    spec = RealDataSpec(
-        csv_path=str(path), response_col="y",
-        base=ExperimentBase(s=1, T=12, eta=1.0, tau=20.0, K=100.0, epsilon=0.5),
-    )
-    rows = run_real(spec, [ADA])
+    spec = RealDataSpec(base=ExperimentBase(s=1, T=12, eta=1.0, tau=20.0, K=100.0, epsilon=0.5))
+    rows = run_real(*load_csv(path), spec, [ADA])
     assert rows[0].selected == ("x1",)
     assert rows[0].support_size == 1
     assert rows[0].mae < 1e-5
@@ -347,11 +345,8 @@ def test_real_single_feature_recovery(tmp_path):
 def test_real_private_run_reports_proxy_distance(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=1)
-    spec = RealDataSpec(
-        csv_path=str(path), response_col="y",
-        base=ExperimentBase(s=2, T=12, eta=1.0, tau=20.0, K=100.0, epsilon=5.0),
-    )
-    rows = run_real(spec, [ADA, H])
+    spec = RealDataSpec(base=ExperimentBase(s=2, T=12, eta=1.0, tau=20.0, K=100.0, epsilon=5.0))
+    rows = run_real(*load_csv(path), spec, [ADA, H])
     by_name = {r.estimator: r for r in rows}
     assert by_name["dp-iht-h"].l2_vs_proxy is not None
     assert by_name["ada-huber"].mae < 0.2
@@ -362,8 +357,7 @@ def test_real_fits_each_kind_once_proxy_first(tmp_path, monkeypatch):
     # proxy's fit instead of a second, identical one.
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=2)
-    spec = RealDataSpec(csv_path=str(path), response_col="y",
-                        base=ExperimentBase(s=2, T=6, tau=20.0, epsilon=5.0))
+    spec = RealDataSpec(base=ExperimentBase(s=2, T=6, tau=20.0, epsilon=5.0))
     requested, fit_many = [], harness.fit_many
 
     def spy(ds, fits, beta_star=None):
@@ -371,7 +365,7 @@ def test_real_fits_each_kind_once_proxy_first(tmp_path, monkeypatch):
         return fit_many(ds, fits, beta_star)
 
     monkeypatch.setattr(harness, "fit_many", spy)
-    rows = run_real(spec, [H, L, ADA, SLR, H])
+    rows = run_real(*load_csv(path), spec, [H, L, ADA, SLR, H])
     assert requested == [[ADA, H, L, SLR]]
     assert [row.estimator for row in rows] == ["dp-iht-h", "dp-iht-l", "ada-huber", "dp-slr",
                                                "dp-iht-h"]
@@ -382,8 +376,7 @@ def test_real_builds_no_dataset(tmp_path, monkeypatch):
     # load_csv and the train split make their arrays afresh; neither copies them again.
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=4)
-    spec = RealDataSpec(csv_path=str(path), response_col="y",
-                        base=ExperimentBase(s=1, T=3, tau=20.0, epsilon=5.0))
+    spec = RealDataSpec(base=ExperimentBase(s=1, T=3, tau=20.0, epsilon=5.0))
     builds = []
     post_init = Dataset.__post_init__
 
@@ -392,18 +385,15 @@ def test_real_builds_no_dataset(tmp_path, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Dataset, "__post_init__", counted)
-    rows = run_real(spec, [ADA, H])
+    rows = run_real(*load_csv(path), spec, [ADA, H])
     assert builds == [] and [row.estimator for row in rows] == ["ada-huber", "dp-iht-h"]
 
 
 def test_real_csv_writer_schema(tmp_path):
     path = tmp_path / "real.csv"
     _write_single_feature_csv(path, seed=3)
-    spec = RealDataSpec(
-        csv_path=str(path), response_col="y",
-        base=ExperimentBase(s=1, T=3, tau=20.0),
-    )
-    rows = run_real(spec, [ADA])
+    spec = RealDataSpec(base=ExperimentBase(s=1, T=3, tau=20.0))
+    rows = run_real(*load_csv(path), spec, [ADA])
     out = tmp_path / "table.csv"
     write_real_csv(rows, out)
     lines = out.read_text().splitlines()
@@ -411,9 +401,17 @@ def test_real_csv_writer_schema(tmp_path):
     assert lines[1].startswith("ada-huber,")
 
 
+def test_real_needs_one_name_per_feature(tmp_path):
+    path = tmp_path / "real.csv"
+    _write_single_feature_csv(path)
+    ds, names = load_csv(path)
+    with pytest.raises(InvalidInputError, match="^5 feature names for d=6 features$"):
+        run_real(ds, names[:-1], RealDataSpec(), [ADA])
+
+
 def test_real_data_spec_validates_fraction():
     with pytest.raises(InvalidConfigError):
-        RealDataSpec(csv_path="x", response_col="y", train_fraction=1.5)
+        RealDataSpec(train_fraction=1.5)
 
 
 # sensitivity suite ---------------------------------------------------------------

@@ -11,10 +11,12 @@ not move at all: the fits charge nothing across folds (parallel
 composition), so no record may reach a fold it is not in.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from dpsparse import Dataset, RealDataSpec, estimators, harness, project_l2, save_csv, split_folds
+from dpsparse import Dataset, estimators, harness, project_l2, save_csv, split_folds
 from dpsparse.cli import main
 from dpsparse.estimators import ESTIMATORS, _loss, _update, probe_bound
 from dpsparse.harness import PROBE_TOL
@@ -44,7 +46,10 @@ def _write_pair(tmp_path, replace_one):
 
 
 def _run_real(csv, kind, out):
-    harness.run_real(RealDataSpec(csv_path=str(csv), response_col="y"), [kind])
+    config = csv.with_suffix(".json")
+    config.write_text(json.dumps({"estimators": [kind.value]}))
+    assert main(["real", "--csv", str(csv), "--response-col", "y", "--config", str(config),
+                 "--out", str(out)]) == 0
 
 
 def _run_fit_data(csv, kind, out):
