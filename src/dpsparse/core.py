@@ -24,9 +24,10 @@ import numpy as np
 from .errors import CsvParseError, InvalidConfigError, InvalidInputError
 
 OUTPUT_VERSION = 9
-"""Version of the output bits: the same seed, the same output version and the
-same numpy major version give the same bytes. A change that moves any output
-bit bumps it and re-records the pinned digests under the new version."""
+"""Version of the output bits. The same seed, output version and numpy major
+version give the same bytes on one platform: OpenBLAS's core and numpy's SIMD
+dispatch level move them too. The pinned digests hold AVX-512 SkylakeX bytes.
+A change that moves any output bit bumps it and re-records the digests."""
 
 # Norms within this tolerance of the radius count as inside the ball, so that
 # repeated projections do not churn on floating-point rounding.

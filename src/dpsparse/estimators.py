@@ -11,15 +11,15 @@ whose parameters (dp-slr's response clip included) are the config fields the
 fit reads and ``fit_problems`` checks, and a private entry's per-entry
 sensitivity, passed to the selection step; an entry without one adds no noise.
 The step schedule comes with the config. The sensitivity probes read the
-same table. A private fit draws all its selection and value noise from one
-SFC64 generator keyed (seed, 0), peel after peel.
+same table and run the fit's own half-step. A private fit draws all its
+selection and value noise from one SFC64 generator keyed (seed, 0).
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,17 +108,6 @@ def _loss(kind: EstimatorKind, cfg: EstimatorConfig) -> LossKind:
     return loss(**{f.name: getattr(cfg, f.name) for f in fields(loss)})
 
 
-def _update(
-    loss: LossKind, fold: Dataset, beta: np.ndarray, eta: float, K: float | None
-) -> np.ndarray:
-    """eta times the gradient of ``loss`` on ``fold`` at ``beta``, features clipped at K.
-
-    One iteration's half-step is ``beta - _update(...)``: the fit and the
-    sensitivity probes both take it from here.
-    """
-    return eta * batch_gradient(fold, beta, loss, K)
-
-
 @dataclass(frozen=True)
 class FitReport:
     """Fit output plus run diagnostics."""
@@ -167,9 +156,9 @@ class _Fit:
         self.trace: list[float] | None = [] if traced else None
 
     def half_step(self, fold: Dataset, t: int) -> None:
-        self.eta = self.cfg.schedule.step(t)
+        self.eta, K = self.cfg.schedule.step(t), self.cfg.K
         with np.errstate(over="ignore", invalid="ignore"):
-            self.half = self.beta - _update(self.loss, fold, self.beta, self.eta, self.cfg.K)
+            self.half = self.beta - self.eta * batch_gradient(fold, self.beta, self.loss, K)
         if not np.isfinite(self.half).all():
             raise NumericalFailureError(f"non-finite iterate at iteration {t}", iteration=t)
 
@@ -263,10 +252,10 @@ def fit_estimator(
 
 # Sensitivity probes ---------------------------------------------------------
 #
-# Each probe builds one fold and a neighbor differing in a single record,
-# runs one half-step from the same iterate on both, and reports the l-inf
-# deviation. The neighbor follows each estimator's ``replace_one``: it nulls
-# the record out, or replaces it with another arbitrary record.
+# A probe runs ``_Fit.half_step`` from one iterate on each fold of a dataset
+# and of a neighbour differing in a single record (``neighbour_half_steps``).
+# The neighbour follows each estimator's ``replace_one``: it nulls the record
+# out, or replaces it with another arbitrary record.
 
 _HUGE = 1e12
 
@@ -285,6 +274,24 @@ def probe_bound(kind: EstimatorKind, cfg: EstimatorConfig, eta: float, m: int) -
     if problems:
         raise InvalidConfigError("; ".join(problems))
     return (spec.bound or spec.lam)(cfg, eta, m)
+
+
+def neighbour_half_steps(
+    kind: EstimatorKind, cfg: EstimatorConfig, ds: Dataset, ds_prime: Dataset, beta: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fold by fold, the half-steps ``_Fit.half_step`` takes at iteration t
+    from ``beta`` on fold t of ``ds`` and of its neighbour ``ds_prime``, each
+    split by ``split_folds`` at ``cfg.T``. A differing record may move its own
+    fold's pair by at most ``probe_bound`` and no other pair at all."""
+
+    def half(fold: Dataset, t: int) -> np.ndarray:
+        fit = _Fit(kind, cfg, PrivacyParams.non_private(), ds.d, traced=False)
+        fit.beta = beta
+        fit.half_step(fold, t)
+        return fit.half
+
+    folds = zip(split_folds(ds, cfg.T), split_folds(ds_prime, cfg.T))
+    return [(half(a, t), half(b, t)) for t, (a, b) in enumerate(folds)]
 
 
 def _random_sparse_iterate(gen: np.random.Generator, d: int, s: int, L: float) -> np.ndarray:
@@ -314,7 +321,8 @@ def sensitivity_probe(
     m: int = 25,
     extremal: bool = False,
 ) -> float:
-    """Max l-inf half-step deviation across one neighboring-fold pair.
+    """Max l-inf half-step deviation across one neighboring-fold pair, taken
+    by ``neighbour_half_steps`` at T = 1.
 
     With ``extremal=True`` the pair is crafted to meet the bound exactly:
     all-extreme features on the differing record, and under replace-one a
@@ -322,7 +330,6 @@ def sensitivity_probe(
     """
     replace_one = ESTIMATORS[kind].replace_one
     gen = RngHandle(seed, stream=0).generator()
-    eta = cfg.schedule.step(0)
     # Each branch picks fold A, the differing row i, its record and the
     # iterate; under replace-one it also picks the record that replaces it.
     if extremal:
@@ -340,7 +347,5 @@ def sensitivity_probe(
     xb, yb = x.copy(), y.copy()
     # The neighbor replaces record i, or nulls it out: it drops the contribution.
     xb[i], yb[i] = replacement if replace_one else (0.0, 0.0)
-    fold_a, fold_b, loss = Dataset(x, y), Dataset(xb, yb), _loss(kind, cfg)
-    half_a = beta - _update(loss, fold_a, beta, eta, cfg.K)
-    half_b = beta - _update(loss, fold_b, beta, eta, cfg.K)
-    return float(np.max(np.abs(half_a - half_b)))
+    ((a, b),) = neighbour_half_steps(kind, replace(cfg, T=1), Dataset(x, y), Dataset(xb, yb), beta)
+    return float(np.max(np.abs(a - b)))

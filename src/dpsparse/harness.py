@@ -321,8 +321,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     raises a DpSparseError yields a row with status "failed: ..." and the
     sweep continues; any other exception is a bug and propagates. ``workers``
     must be a positive integer; it defaults to the one in DPSPARSE_WORKERS, or
-    1 when that is unset. With more than one, each worker process draws its
-    data and runs its gradient products on its one thread.
+    1 when that is unset. The units run in min(workers, units) processes, each
+    drawing and multiplying on its one thread, or in this one when that is 1.
     """
     groups = [spec.values] if spec.axis == "epsilon" else [(value,) for value in spec.values]
     units = [(spec, values, repeat) for values in groups for repeat in range(spec.repeats)]
@@ -336,14 +336,13 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             raise InvalidConfigError(f"DPSPARSE_WORKERS must be a positive integer, got {raw!r}")
     elif not (is_int(workers) and workers >= 1):
         raise InvalidConfigError(f"workers must be a positive integer, got {workers!r}")
-    rows: list[SweepRow] = []
+    # A process per unit at most: a pool forks all its workers at the first submit.
+    workers = min(workers, len(units))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_kernels.one_thread) as pool:
-            for chunk in pool.map(_run_unit, units):
-                rows.extend(chunk)
+            rows = [row for chunk in pool.map(_run_unit, units) for row in chunk]
     else:
-        for unit in units:
-            rows.extend(_run_unit(unit))
+        rows = [row for unit in units for row in _run_unit(unit)]
     rows.sort(key=lambda r: (r.value, r.estimator, r.seed))
     return SweepResult(spec=spec, rows=rows, aggregates=compute_aggregates(rows))
 

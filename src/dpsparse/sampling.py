@@ -2,14 +2,14 @@
 
 Reproducibility contract: every draw flows through an SFC64 generator seeded
 by ``SeedSequence([seed, stream])``, so identical (seed, stream) pairs yield
-identical sequences for the same output version and numpy major version.
-Parallel trials take distinct stream ids instead of sharing generator state.
+identical sequences for the same output version and numpy major version. What
+numpy's SIMD loops and BLAS products make of them can depend on the platform
+(``core.OUTPUT_VERSION``). Parallel trials take distinct stream ids.
 
 Synthetic features are drawn in row blocks, each from its own stream, on
-``_kernels``' threads (on a sweep worker's one thread; see
-``generate_synthetic``), so the bytes do not depend on the thread count, and
-the features of an n-row draw are the first n rows of any larger draw with
-the same seed, d and s_star.
+``_kernels``' threads (a sweep worker's one thread; see ``generate_synthetic``),
+so the bytes do not depend on the thread count, and the features of an n-row
+draw are the first n rows of any larger draw with the same seed, d and s_star.
 """
 
 from __future__ import annotations

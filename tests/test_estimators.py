@@ -249,16 +249,16 @@ def test_numerical_failure_names_iteration():
 
 
 def test_probe_identical_folds_zero():
-    # Neighboring pair with zero differing samples: deviation is exactly 0.
-    from dpsparse.estimators import _loss, _update
-
+    # A dataset paired with itself: every fold's two half-steps have the same bytes.
     rng = np.random.default_rng(11)
-    fold = Dataset(rng.standard_normal((20, 6)), rng.standard_normal(20))
-    cfg = base_config(s=3)
-    beta = np.zeros(6)
-    a = beta - _update(_loss(EstimatorKind.DP_IHT_H, cfg), fold, beta, 0.1, cfg.K)
-    b = beta - _update(_loss(EstimatorKind.DP_IHT_H, cfg), fold, beta, 0.1, cfg.K)
-    assert np.max(np.abs(a - b)) == 0.0
+    ds = Dataset(rng.standard_normal((20, 6)), rng.standard_normal(20))
+    cfg = base_config(s=3, T=4)
+    beta = rng.standard_normal(6)
+    for kind in EstimatorKind:
+        pairs = estimators.neighbour_half_steps(kind, cfg, ds, ds, beta)
+        assert len(pairs) == cfg.T
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize(

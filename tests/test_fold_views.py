@@ -22,7 +22,8 @@ from dpsparse import (
     generate_synthetic,
     split_folds,
 )
-from dpsparse.estimators import _loss, _update
+from dpsparse.estimators import _loss
+from dpsparse.losses import batch_gradient
 
 # output version -> estimator -> sha256 of (beta bytes, support as int64
 # bytes). The digests of a version are recorded once, in the change that
@@ -134,7 +135,7 @@ def test_slr_probe_half_step_is_the_fit_half_step():
         s=4, T=1, K=2.0, L=10.0, schedule=ConstantStep(0.1), response_clip=4.0
     )
     rep = fit_estimator(EstimatorKind.DP_SLR_LITE, ds, cfg, PrivacyParams.non_private())
-    update = _update(_loss(EstimatorKind.DP_SLR_LITE, cfg), ds, np.zeros(4), 0.1, cfg.K)
+    update = 0.1 * batch_gradient(ds, np.zeros(4), _loss(EstimatorKind.DP_SLR_LITE, cfg), cfg.K)
     assert np.linalg.norm(update) < cfg.L  # inside the ball
     assert rep.estimate.beta.tobytes() == (-update + 0.0).tobytes()
     assert np.abs(ds.y).max() > cfg.response_clip  # the clip is exercised

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dpsparse import (
     run_sweep,
     save_csv,
 )
-from dpsparse import _kernels, harness
+from dpsparse import _kernels, estimators, harness
 from dpsparse.errors import InvalidConfigError, InvalidInputError, NumericalFailureError
 from dpsparse.harness import (
     compute_aggregates,
@@ -314,6 +315,25 @@ def test_sweep_rejects_a_bad_workers_argument_before_any_pool(monkeypatch, worke
         run_sweep(small_spec(estimators=(ADA,), values=(40,), repeats=1), workers=workers)
 
 
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_sweep_starts_no_more_workers_than_units(monkeypatch, repeats):
+    # A pool forks all its workers at once: at most one per unit, none for one unit.
+    spec = small_spec(estimators=(H,), values=(40,), repeats=repeats)
+    pools, pool = [], harness.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+
+    def cells(workers):
+        return [(r.value, r.seed, r.l2_error, r.mae, r.status)
+                for r in run_sweep(spec, workers=workers).rows]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", spy)
+    assert cells(3) == cells(1)
+    assert pools == ([] if repeats == 1 else [2])
+
+
 def test_sweep_workers_env_var(monkeypatch):
     monkeypatch.setenv("DPSPARSE_WORKERS", "2")
     spec = small_spec(estimators=(ADA,), values=(40,), repeats=2)
@@ -438,6 +458,15 @@ def test_sensitivity_suite_extremal_tightness():
     report = run_sensitivity_suite(trials=5, seed=1)
     l_report = [r for r in report.results if r.estimator == "dp-iht-l"][0]
     assert l_report.extremal_deviation == pytest.approx(l_report.extremal_bound, abs=1e-9)
+
+
+def test_sensitivity_suite_runs_the_fits_half_step(monkeypatch):
+    calls, half_step = [], estimators._Fit.half_step
+    monkeypatch.setattr(estimators._Fit, "half_step",
+                        lambda fit, fold, t: calls.append(fit.kind.value) or half_step(fit, fold, t))
+    assert run_sensitivity_suite(trials=3, seed=0).passed
+    # Two half-steps per probe: three random pairs each, and dp-iht-l's crafted pair.
+    assert Counter(calls) == {"dp-iht-h": 6, "dp-iht-l": 8, "dp-slr": 6}
 
 
 def test_sensitivity_suite_rejects_bad_trials():
